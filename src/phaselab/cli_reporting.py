@@ -813,7 +813,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     out = _default_out(scenario.name, args.out)
-    res = run_scenario(scenario, out_dir=out)
+    try:
+        res = run_scenario(scenario, out_dir=out)
+    except ValueError as exc:  # input only the pipeline can reject, e.g. n < 4
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     _print_result(res)
     sys.stdout.write(f"artifacts: {out}\n")
     return 0 if res.expectation_match else 1

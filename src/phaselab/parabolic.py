@@ -5,7 +5,14 @@ The evolution is the implicit theta-scheme (backward Euler by default) for
 nodal source values so that the running time integral converges to the
 elliptic equilibrium.  Step sizes follow a deterministic schedule: a uniform
 warm-up resolving the initial transient, then geometric growth up to a cap.
-Each distinct (dt, theta) factorization is computed once and reused.
+The schedule never shrinks a step, so only the factorization of the current
+step matrix is kept: it is reused while dt stays put and dropped before the
+next one is built.
+
+Both pencil matrices, ``K`` and ``M + theta*dt*K``, are symmetric positive
+definite.  SuperLU factors them in symmetric mode, without pivoting, under a
+minimum-degree ordering of ``A + A^T``, which stores about half the fill of
+its default column ordering.
 
 The smallest generalized eigenvalue of (K, M) certifies exponential decay of
 the mass norm and bounds the tail of the time integral after truncation.
@@ -34,6 +41,13 @@ __all__ = [
     "v_error_vs_elliptic",
 ]
 
+# SuperLU options for the symmetric positive definite pencil matrices
+_SPD_LU = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -51,7 +65,7 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
     free = system.free
     Kff = system.stiffness[free][:, free].tocsc()
     Mff = system.mass[free][:, free].tocsr()
-    lu = spla.splu(Kff)
+    lu = spla.splu(Kff, **_SPD_LU)
     x = np.ones(len(free))
     lam_old = 0.0
     for it in range(1, maxit + 1):
@@ -149,24 +163,27 @@ def evolve(
         stats = [_probe_row(system, samplers, u)]
         prev = None
 
-    lus: dict[tuple[float, float], spla.SuperLU] = {}
+    Mu = Mff @ u  # carried from step to step: the mass norm and the next rhs
+    factor: tuple[float, spla.SuperLU] | None = None  # (rounded dt, its LU)
     nfact = 0
     dt = dt0
     while norms[-1] > eps:
         if k >= uniform_steps:
             dt = min(dt0 * growth ** (k - uniform_steps + 1), dt_max)
-        key = (round(dt, 15), theta)
-        if key not in lus:
-            lus[key] = spla.splu((Mff + theta * dt * Kff).tocsc())
+        key = round(dt, 15)
+        if factor is None or factor[0] != key:
+            factor = None  # free it before the next is built: dt never shrinks
+            factor = (key, spla.splu((Mff + theta * dt * Kff).tocsc(), **_SPD_LU))
             nfact += 1
-        rhs = Mff @ u if theta == 1.0 else (Mff @ u - (1.0 - theta) * dt * (Kff @ u))
-        u_new = lus[key].solve(rhs)
+        rhs = Mu if theta == 1.0 else Mu - (1.0 - theta) * dt * (Kff @ u)
+        u_new = factor[1].solve(rhs)
         V += dt * (u + u_new) / 2.0
         u = u_new
         t += dt
         k += 1
         times.append(t)
-        norms.append(float(np.sqrt(u @ (Mff @ u))))
+        Mu = Mff @ u
+        norms.append(float(np.sqrt(u @ Mu)))
         stats.append(_probe_row(system, samplers, u))
         if k - (prev.steps if prev else 0) > max_steps:
             raise RuntimeError("heat flow did not reach the stopping norm")

@@ -266,6 +266,33 @@ def test_main_run_config_and_mismatch_exit(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_main_preset_rejects_coarse_resolution_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["preset", "two_phase_displaced", "--n", "3", "--out", str(out)]) == 2
+    assert "error: resolution n must be at least 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_run_rejects_probe_through_inclusion_with_exit_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "probe.json",
+        pipeline="both",
+        probe_radius=0.5,
+        phases=[{"shape": "disk", "sigma": 2.0, "center": [0.3, 0.0], "radius": 0.3}],
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "meets the closure" in capsys.readouterr().err
+
+
+def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "outside.json",
+        phases=[{"shape": "ring", "sigma": 2.0, "r_inner": 0.5, "r_outer": 1.5}],
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "lies outside the domain" in capsys.readouterr().err
+
+
 def test_main_report_merge(tmp_path, capsys):
     run_scenario(build_preset("one_phase_disk", n=8), out_dir=tmp_path / "one_phase_disk")
     assert main(["report", "--merge", str(tmp_path)]) == 0

@@ -1,6 +1,7 @@
 """Heat flow: eigenvalue certificates, step schedule, decay, time integrals."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,6 +86,70 @@ def test_step_schedule_uniform_then_geometric_then_capped():
     # one factorization per distinct step size
     assert run.factorizations == len({round(float(d), 15) for d in dts})
     assert run.mass_norms[-1] <= 1e-6 < run.mass_norms[-2]
+
+
+@pytest.fixture
+def live_factors(monkeypatch):
+    """Route ``splu`` through a proxy that counts the factors still referenced.
+
+    ``peak`` is the most factors alive at once; ``built`` lists each factored
+    matrix with the factor that was made from it.
+    """
+    real = spla.splu
+    tally = SimpleNamespace(live=0, peak=0, built=[], real=real)
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+            tally.live += 1
+            tally.peak = max(tally.peak, tally.live)
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs)
+
+        def __del__(self):
+            tally.live -= 1
+
+    def counting_splu(A, **kwargs):
+        lu = real(A, **kwargs)
+        tally.built.append((A, lu))
+        return Factor(lu)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return tally
+
+
+def distinct_steps(times):
+    return len({round(float(d), 15) for d in np.diff(times)})
+
+
+def test_evolve_keeps_one_step_factor_alive(live_factors):
+    sys_ = disk_system(8)
+    full = evolve(sys_, eps=1e-6)
+    assert live_factors.peak == 1
+    assert full.factorizations == len(live_factors.built) == distinct_steps(full.times)
+    assert full.factorizations > 2  # warm-up, growth and cap all took part
+
+    # stop inside the geometric growth, then resume through it to the cap
+    first = evolve(sys_, eps=full.mass_norms[30])
+    assert 20 < first.steps < 40
+    built = len(live_factors.built)
+    ext = evolve(sys_, eps=1e-6, resume=first)
+    assert live_factors.peak == 1
+    new = ext.factorizations - first.factorizations
+    assert new == len(live_factors.built) - built
+    assert new == distinct_steps(ext.times[first.steps :])
+    assert ext.steps == full.steps
+    assert np.array_equal(ext.times, full.times)
+
+
+def test_step_factor_uses_fill_reducing_ordering(live_factors):
+    sys_ = disk_system(32)
+    evolve(sys_, eps=0.99 * sys_.mass_norm(sys_.g_vertex[sys_.free]))
+    A, lu = live_factors.built[0]
+    assert A.shape == (len(sys_.free),) * 2
+    default = live_factors.real(A)
+    assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
 def test_backward_euler_norm_decreases_every_step():

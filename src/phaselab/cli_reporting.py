@@ -218,6 +218,8 @@ def build_preset(
 
 
 def _reject_unknown(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
     for key in obj:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}")
@@ -227,8 +229,6 @@ def load_config_file(path) -> Scenario:
     """Read a scenario description from a JSON file, rejecting unknown keys."""
     with open(path) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config file must contain a JSON object")
     _reject_unknown(
         raw,
         (
@@ -243,7 +243,7 @@ def load_config_file(path) -> Scenario:
             "expect_hypotheses_ok",
             "tolerances",
         ),
-        "the top level",
+        "the config file",
     )
     if "domain" not in raw:
         raise ValueError("config file needs a 'domain' entry")
@@ -255,7 +255,10 @@ def load_config_file(path) -> Scenario:
         inner_radius=float(dom_raw.get("inner_radius", 0.0)),
     )
     phases = []
-    for i, ph in enumerate(raw.get("phases", [])):
+    phases_raw = raw.get("phases", [])
+    if not isinstance(phases_raw, list):
+        raise ValueError("'phases' must be a JSON array")
+    for i, ph in enumerate(phases_raw):
         _reject_unknown(
             ph,
             ("shape", "sigma", "center", "radius", "r_inner", "r_outer", "label"),

@@ -12,16 +12,17 @@ solve is a hand-rolled Jacobi-preconditioned conjugate gradient with a
 deterministic zero start, and boundary fluxes are recovered variationally
 from the residual of the full (uneliminated) operator, which makes the
 discrete divergence identity hold to solver precision.
+
+Point location is closed-form on the generated layout (sector, band, one
+side test), so a mesh from `read_mesh`, which has no layout, cannot be sampled.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Mesh",
@@ -48,7 +49,7 @@ class Mesh:
     tri_tags: np.ndarray  # (nt,) region tag per element; 0 = shell
     boundary_edges: np.ndarray  # (nb, 2) vertex pairs
     edge_tags: np.ndarray  # (nb,) boundary component: 0 = outer, 1 = inner
-    sectors: int = 0  # angular sector count of the generator (0 if unknown)
+    sectors: int = 0  # angular sector count of the generator; 0 (read_mesh): not sampleable
 
     def __post_init__(self) -> None:
         for name in ("vertices", "triangles", "tri_tags", "boundary_edges", "edge_tags"):
@@ -87,6 +88,16 @@ def _allocate_intervals(marks: np.ndarray, n: int) -> np.ndarray:
     return base
 
 
+def _triangle_index(m: int, fan: int, band, sector, side):
+    """Triangle number of (band, sector, side): bands count outwards, sectors from angle 0.
+
+    A ball (``fan`` = 1) starts with its centre fan, one triangle per sector;
+    every other band's (i,j)-(i+1,j+1) diagonals split it into side 0 at the
+    outer ring and side 1 at the inner ring.
+    """
+    return np.where(band < fan, sector, 2 * (band * m + sector) + side - fan * m)
+
+
 def generate_mesh(config, n: int) -> Mesh:
     """Structured polar mesh of the layout with 6n sectors and n radial intervals.
 
@@ -104,47 +115,30 @@ def generate_mesh(config, n: int) -> Mesh:
             raise ValueError(f"phase interface radius {rho} lies outside the domain")
 
     m = 6 * n
+    fan = int(dom.kind == "ball")  # a ball's centre is one vertex, not a ring
     marks = np.array([r0, *config.conforming_radii(), R])
     counts = _allocate_intervals(marks, n)
-    radii: list[float] = []
-    for i, k in enumerate(counts):
-        radii.extend(np.linspace(marks[i], marks[i + 1], k + 1)[1:].tolist())
-    radii_arr = np.array(radii)  # n ring radii, excluding r0
+    spans = [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(marks, marks[1:], counts)]
+    rings = np.concatenate([[r0], *spans])[fan:]
 
     theta = 2 * np.pi * np.arange(m) / m
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
 
-    tris: list[list[int]] = []
-    if dom.kind == "ball":
-        verts = [np.zeros((1, 2))] + [r * circle for r in radii_arr]
-        for j in range(m):  # fan around the centre
-            tris.append([0, 1 + j, 1 + (j + 1) % m])
-        first = 1
-        rows = len(radii_arr)
-    else:
-        verts = [r * circle for r in np.concatenate([[r0], radii_arr])]
-        first = 0
-        rows = len(radii_arr) + 1
-    V = np.vstack(verts)
+    V = np.vstack([np.zeros((fan, 2)), *(r * circle for r in rings)])
+    # vertex id of ring i at sector j; the ball's centre stands in for ring 0
+    ids = np.vstack([np.zeros((fan, m), np.int64), np.arange(fan, len(V)).reshape(-1, m)])
 
-    for i in range(rows - 1):  # quad strips, split along the (i,j)-(i+1,j+1) diagonal
-        a = first + i * m
-        b = first + (i + 1) * m
-        for j in range(m):
-            j2 = (j + 1) % m
-            tris.append([a + j, b + j, b + j2])
-            tris.append([a + j, b + j2, a + j2])
-    T = np.array(tris, dtype=np.int64)
+    band, j = np.divmod(np.arange(n * m), m)
+    inner, outer = ids[band, j], ids[band + 1, j]
+    inner2, outer2 = ids[band, (j + 1) % m], ids[band + 1, (j + 1) % m]
+    quad = band >= fan  # a ball's band 0 is the centre fan, one triangle per sector
+    T = np.empty((m * (2 * n - fan), 3), dtype=np.int64)
+    T[_triangle_index(m, fan, band, j, 0)] = np.column_stack([inner, outer, outer2])
+    T[_triangle_index(m, fan, band, j, 1)[quad]] = np.column_stack([inner, outer2, inner2])[quad]
 
-    a = first + (rows - 1) * m
-    outer = np.array([[a + j, a + (j + 1) % m] for j in range(m)], dtype=np.int64)
-    if dom.kind == "annulus":
-        inner = np.array([[j, (j + 1) % m] for j in range(m)], dtype=np.int64)
-        bedges = np.vstack([outer, inner])
-        etags = np.repeat([0, 1], m)
-    else:
-        bedges = outer
-        etags = np.zeros(m, dtype=np.int64)
+    loops = (ids[-1],) if fan else (ids[-1], ids[0])  # tagged 0 = outer, 1 = inner
+    bedges = np.vstack([np.column_stack([ring, np.roll(ring, -1)]) for ring in loops])
+    etags = np.repeat(np.arange(len(loops)), m)
 
     tags = tag_triangles(V, T, config)
     return Mesh(
@@ -152,7 +146,7 @@ def generate_mesh(config, n: int) -> Mesh:
         triangles=T,
         tri_tags=tags,
         boundary_edges=bedges,
-        edge_tags=etags.astype(np.int64),
+        edge_tags=etags,
         sectors=m,
     )
 
@@ -365,45 +359,52 @@ def recover_boundary_flux(system: FemSystem, u: np.ndarray) -> BoundaryFlux:
 # -- point location and circle sampling -------------------------------------
 
 
-def _vertex_to_triangles(triangles: np.ndarray) -> dict[int, list[int]]:
-    v2t: dict[int, list[int]] = defaultdict(list)
-    for ti, tri in enumerate(triangles):
-        for v in tri:
-            v2t[int(v)].append(ti)
-    return v2t
+_CONTAIN_TOL = 1e-10  # barycentric slack: a point on an edge belongs to either side
 
 
-def locate_points(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
-    """Find containing triangles and barycentric coordinates for each point.
+def _ring_radii(mesh: Mesh) -> np.ndarray:
+    """Ring radii, innermost first, with 0 for a ball's centre.
 
-    Nearest-vertex candidates from a KD-tree are screened through their
-    incident triangles; a point on an edge is accepted by either neighbour.
-    Raises if a point cannot be placed (outside the mesh).
+    Vertex 0 of every ring sits at angle 0, and the rings start after a ball's
+    one centre vertex, at vertex nv % m, and repeat every m = ``mesh.sectors``.
     """
+    first = mesh.nv % mesh.sectors
+    return np.concatenate([np.zeros(first), mesh.vertices[first :: mesh.sectors, 0]])
+
+
+def locate_points(mesh: Mesh, points: np.ndarray):
+    """Containing triangles and barycentric coordinates, in closed form on the polar mesh.
+
+    The angle gives the sector.  Every point of ring i's chord projects onto
+    the sector bisector at r_i cos(pi/m), so a sorted search gives the band,
+    and one side test against the quad diagonal gives the triangle.  The
+    barycentric test alone rejects points outside the mesh (or in a hole).
+    """
+    m = mesh.sectors
+    if m <= 0:
+        raise ValueError("mesh has no sector layout: a mesh from read_mesh cannot be sampled")
     pts = np.atleast_2d(np.asarray(points, float))
-    tree = cKDTree(mesh.vertices)
-    v2t = _vertex_to_triangles(mesh.triangles)
-    k = min(12, mesh.nv)
-    tri_idx = np.empty(len(pts), dtype=np.int64)
-    bary = np.empty((len(pts), 3))
-    for i, pt in enumerate(pts):
-        _, cand = tree.query(pt, k=k)
-        found = False
-        for vi in np.atleast_1d(cand):
-            for ti in v2t[int(vi)]:
-                P = mesh.vertices[mesh.triangles[ti]]
-                A = np.column_stack([P[1] - P[0], P[2] - P[0]])
-                ab = np.linalg.solve(A, pt - P[0])
-                if ab[0] >= -tol and ab[1] >= -tol and ab.sum() <= 1 + tol:
-                    tri_idx[i] = ti
-                    bary[i] = (1 - ab.sum(), ab[0], ab[1])
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            raise ValueError(f"point {pt} is not inside the mesh")
-    return tri_idx, bary
+    x, y = pts[:, 0], pts[:, 1]
+    fan = mesh.nv % m  # a ball's one centre vertex
+    radii = _ring_radii(mesh)
+    sector = np.floor(np.arctan2(y, x) * (m / (2 * np.pi))).astype(np.int64) % m
+    bisector = (sector + 0.5) * (2 * np.pi / m)
+    proj = x * np.cos(bisector) + y * np.sin(bisector)
+    band = np.clip(np.searchsorted(radii * np.cos(np.pi / m), proj) - 1, 0, len(radii) - 2)
+
+    # side 0 is (inner j, outer j, outer j+1): its corners 0 and 2 span the diagonal
+    diag = mesh.vertices[mesh.triangles[_triangle_index(m, fan, band, sector, 0)]]
+    d, q = diag[:, 2] - diag[:, 0], pts - diag[:, 0]
+    side = (d[:, 0] * q[:, 1] - d[:, 1] * q[:, 0] > 0).astype(np.int64)
+    tri_idx = _triangle_index(m, fan, band, sector, side)
+
+    P = mesh.vertices[mesh.triangles[tri_idx]]
+    A = np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]], axis=2)
+    ab = np.linalg.solve(A, (pts - P[:, 0])[:, :, None])[:, :, 0]
+    inside = (ab >= -_CONTAIN_TOL).all(axis=1) & (ab.sum(axis=1) <= 1 + _CONTAIN_TOL)
+    if not inside.all():
+        raise ValueError(f"point {pts[np.argmin(inside)]} is not inside the mesh")
+    return tri_idx, np.column_stack([1 - ab.sum(axis=1), ab])
 
 
 class CircleSampler:
@@ -416,20 +417,15 @@ class CircleSampler:
     """
 
     def __init__(self, mesh: Mesh, radius: float, count: int | None = None):
-        if count is None:
-            count = mesh.sectors if mesh.sectors > 0 else 256
         self.radius = float(radius)
-        self.count = int(count)
+        self.count = int(mesh.sectors if count is None else count)
         th = 2 * np.pi * (np.arange(self.count) + 0.5) / self.count
         pts = radius * np.column_stack([np.cos(th), np.sin(th)])
-        tri_idx, bary = locate_points(mesh, pts)
-        self.tri_idx = tri_idx
-        self.corners = mesh.triangles[tri_idx]
-        self.bary = bary
-        b, c, area = _tri_geometry(mesh.vertices, mesh.triangles)
-        A2 = 2 * area[tri_idx]
-        self.grad_x = b[tri_idx] / A2[:, None]
-        self.grad_y = c[tri_idx] / A2[:, None]
+        self.tri_idx, self.bary = locate_points(mesh, pts)
+        self.corners = mesh.triangles[self.tri_idx]
+        b, c, area = _tri_geometry(mesh.vertices, self.corners)
+        self.grad_x = b / (2 * area)[:, None]
+        self.grad_y = c / (2 * area)[:, None]
         self.radial = np.column_stack([np.cos(th), np.sin(th)])
         self.angles = th
 

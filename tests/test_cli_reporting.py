@@ -293,6 +293,24 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
     assert "lies outside the domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"domain": "ball"}, "'domain' must be a JSON object"),
+        ({"phases": {"shape": "disk", "sigma": 2.0}}, "'phases' must be a JSON array"),
+        ({"phases": ["disk"]}, "phase 0 must be a JSON object"),
+        ({"tolerances": [1e-2]}, "'tolerances' must be a JSON object"),
+    ],
+    ids=["domain", "phases", "phase", "tolerances"],
+)
+def test_main_run_rejects_mistyped_node_with_exit_2(tmp_path, capsys, patch, message):
+    cfg = write_config(tmp_path / "typed.json", **patch)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "unknown key" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_report_merge(tmp_path, capsys):
     run_scenario(build_preset("one_phase_disk", n=8), out_dir=tmp_path / "one_phase_disk")
     assert main(["report", "--merge", str(tmp_path)]) == 0

@@ -51,6 +51,23 @@ def test_annulus_mesh_counts():
         assert set(np.unique(mesh.edge_tags)) == {0, 1}
 
 
+def test_triangle_and_edge_order_is_fixed():
+    # the order is part of mesh.txt: the ball's centre fan, then each quad strip
+    # split along its (i,j)-(i+1,j+1) diagonal; the outer loop, then the inner one
+    for cfg, first in ((ball_config(), 1), (ANNULUS, 0)):
+        mesh = generate_mesh(cfg, 4)
+        m = mesh.sectors
+        tris = [[0, 1 + j, 1 + (j + 1) % m] for j in range(m)] if first else []
+        for a in range(first, mesh.nv - m, m):
+            for j in range(m):
+                j2 = (j + 1) % m
+                tris += [[a + j, a + m + j, a + m + j2], [a + j, a + m + j2, a + j2]]
+        np.testing.assert_array_equal(mesh.triangles, tris)
+        loops = [mesh.nv - m] + ([] if first else [0])
+        edges = [[a + j, a + (j + 1) % m] for a in loops for j in range(m)]
+        np.testing.assert_array_equal(mesh.boundary_edges, edges)
+
+
 def test_conforming_ring_present():
     mesh = generate_mesh(CONCENTRIC, 8)
     radii = np.linalg.norm(mesh.vertices, axis=1)
@@ -222,24 +239,73 @@ def test_mesh_io_roundtrip(tmp_path):
     assert back.sectors == 0  # provenance is not stored in the file
 
 
+def test_read_mesh_cannot_be_sampled(tmp_path):
+    path = tmp_path / "mesh.txt"
+    write_mesh(path, generate_mesh(CONCENTRIC, 6))
+    with pytest.raises(ValueError, match="read_mesh cannot be sampled"):
+        CircleSampler(read_mesh(path), 0.75)
+
+
 def test_tag_triangles_matches_generator():
     mesh = generate_mesh(DISPLACED, 10)
     tags = tag_triangles(mesh.vertices, mesh.triangles, DISPLACED)
     np.testing.assert_array_equal(tags, mesh.tri_tags)
 
 
-def test_locate_points_roundtrip():
-    mesh = generate_mesh(ball_config(), 10)
+def _contains(mesh, pts, tol=1e-10):
+    """Brute force: (points, triangles) table of barycentric containment."""
+    P = mesh.vertices[mesh.triangles]
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    q = pts[:, None, :] - P[None, :, 0]
+    a = (q[..., 0] * e2[:, 1] - q[..., 1] * e2[:, 0]) / det
+    b = (e1[:, 0] * q[..., 1] - e1[:, 1] * q[..., 0]) / det
+    return (a >= -tol) & (b >= -tol) & (a + b <= 1 + tol)
+
+
+@pytest.mark.parametrize("cfg", [ball_config(), ANNULUS], ids=["ball", "annulus"])
+def test_locate_points_roundtrip(cfg):
+    mesh = generate_mesh(cfg, 10)
+    r0 = cfg.domain.inner_radius
     rng = np.random.default_rng(7)
-    r = 0.97 * np.sqrt(rng.uniform(0, 1, 40))
+    r = np.sqrt(rng.uniform(r0**2 + 0.01, 0.97**2, 40))
     th = rng.uniform(0, 2 * math.pi, 40)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    # random interior points, then every vertex (centre and outer boundary included)
+    # and the midpoint of every edge: ring chords, quad diagonals and sector rays
+    edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pts = np.vstack(
+        [
+            np.column_stack([r * np.cos(th), r * np.sin(th)]),
+            mesh.vertices,
+            mesh.vertices[edges].mean(axis=1),
+        ]
+    )
     tri, bary = locate_points(mesh, pts)
+    assert _contains(mesh, pts)[np.arange(len(pts)), tri].all()
     rebuilt = (mesh.vertices[mesh.triangles[tri]] * bary[:, :, None]).sum(axis=1)
     assert np.max(np.abs(rebuilt - pts)) < 1e-12
     assert np.all(bary > -1e-10) and np.all(bary.sum(axis=1) < 1 + 1e-9)
-    with pytest.raises(ValueError):
-        locate_points(mesh, np.array([[1.5, 0.0]]))
+
+    # along sector 0's bisector each boundary polygon sits a factor cos(pi/m) inside its circle
+    half = math.pi / mesh.sectors
+    bisector = np.array([math.cos(half), math.sin(half)])
+    outside = [np.array([1.5, 0.0]), np.array([-0.3, -1.2]), (1 + math.cos(half)) / 2 * bisector]
+    if r0 > 0:  # the hole: its centre and just inside the inner polygon's chord
+        outside += [np.zeros(2), 0.999 * r0 * math.cos(half) * bisector]
+    assert not _contains(mesh, np.array(outside)).any()
+    for pt in outside:
+        with pytest.raises(ValueError, match="not inside the mesh"):
+            locate_points(mesh, pt)
+
+
+@pytest.mark.parametrize(
+    "cfg", [ball_config(), ANNULUS, CONCENTRIC], ids=["ball", "annulus", "conforming"]
+)
+def test_locate_points_finds_each_centroid_in_its_own_triangle(cfg):
+    # pins the triangle order of generate_mesh against the layout locate_points assumes
+    mesh = generate_mesh(cfg, 7)
+    tri, _ = locate_points(mesh, mesh.centroids())
+    np.testing.assert_array_equal(tri, np.arange(mesh.nt))
 
 
 def test_circle_sampler_radial_field():

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,12 @@ from .radial_core import (
     radial_layers,
     solve_radial,
 )
-from .symmetry_checks import angular_spectrum, flux_residual, transmission_residual
+from .symmetry_checks import (
+    angular_spectrum,
+    flux_residual,
+    radiality_verdict,
+    transmission_residual,
+)
 
 __all__ = [
     "Tolerances",
@@ -225,76 +230,81 @@ def _reject_unknown(obj: dict, allowed: tuple[str, ...], where: str) -> None:
             raise ValueError(f"unknown key {key!r} in {where}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _float_or_none(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in value)
+
+
+# dataclass field annotation -> (the JSON type it takes, a test of the parsed value, conversion)
+_JSON_TYPES = {
+    "str": ("string", lambda v: isinstance(v, str), str),
+    "bool": ("boolean", lambda v: isinstance(v, bool), bool),
+    "int": ("integer", lambda v: _is_number(v) and isinstance(v, int), int),
+    "float": ("number", _is_number, float),
+    "float | None": ("number or null", lambda v: v is None or _is_number(v), _float_or_none),
+    "tuple[float, ...]": ("array of numbers", _is_numbers, _floats),
+    "tuple[float, float]": (
+        "array of two numbers",
+        lambda v: _is_numbers(v) and len(v) == 2,
+        _floats,
+    ),
+}
+
+
+def _fields_from_json(cls, obj: dict, where: str) -> dict:
+    """Type-checked keyword arguments for the dataclass ``cls`` from a JSON object.
+
+    The fields a file can set are those whose annotation has a JSON type; an
+    absent key keeps the dataclass default, and any other key is an error.
+    """
+    types = {f.name: f.type for f in fields(cls) if f.type in _JSON_TYPES}
+    _reject_unknown(obj, tuple(types), where)
+    kwargs = {}
+    for key, value in obj.items():
+        kind, ok, convert = _JSON_TYPES[types[key]]
+        if not ok(value):
+            raise ValueError(f"{key!r} in {where} must be a JSON {kind}")
+        kwargs[key] = convert(value)
+    return kwargs
+
+
 def load_config_file(path) -> Scenario:
-    """Read a scenario description from a JSON file, rejecting unknown keys."""
+    """Read a scenario description from a JSON file, rejecting unknown keys and wrong types."""
     with open(path) as fh:
         raw = json.load(fh)
-    _reject_unknown(
-        raw,
-        (
-            "name",
-            "domain",
-            "phases",
-            "n",
-            "pipeline",
-            "probe_radius",
-            "source",
-            "expect_symmetric",
-            "expect_hypotheses_ok",
-            "tolerances",
-        ),
-        "the config file",
-    )
-    if "domain" not in raw:
+    if not isinstance(raw, dict):
+        raise ValueError("the config file must be a JSON object")
+    nodes = {key: raw.pop(key) for key in ("domain", "phases", "tolerances") if key in raw}
+    settings = _fields_from_json(Scenario, raw, "the config file")
+    if "domain" not in nodes:
         raise ValueError("config file needs a 'domain' entry")
-    dom_raw = raw["domain"]
-    _reject_unknown(dom_raw, ("kind", "outer_radius", "inner_radius"), "'domain'")
-    domain = DomainSpec(
-        kind=dom_raw.get("kind", "ball"),
-        outer_radius=float(dom_raw.get("outer_radius", 1.0)),
-        inner_radius=float(dom_raw.get("inner_radius", 0.0)),
-    )
+    domain = DomainSpec(**_fields_from_json(DomainSpec, nodes["domain"], "'domain'"))
     phases = []
-    phases_raw = raw.get("phases", [])
+    phases_raw = nodes.get("phases", [])
     if not isinstance(phases_raw, list):
         raise ValueError("'phases' must be a JSON array")
     for i, ph in enumerate(phases_raw):
-        _reject_unknown(
-            ph,
-            ("shape", "sigma", "center", "radius", "r_inner", "r_outer", "label"),
-            f"phase {i}",
-        )
-        if "shape" not in ph or "sigma" not in ph:
+        phase = _fields_from_json(PhaseRegion, ph, f"phase {i}")
+        if "shape" not in phase or "sigma" not in phase:
             raise ValueError(f"phase {i} needs 'shape' and 'sigma'")
-        phases.append(
-            PhaseRegion(
-                shape=ph["shape"],
-                sigma=float(ph["sigma"]),
-                center=tuple(float(c) for c in ph.get("center", (0.0, 0.0))),
-                radius=float(ph.get("radius", 0.0)),
-                r_inner=float(ph.get("r_inner", 0.0)),
-                r_outer=float(ph.get("r_outer", 0.0)),
-                label=str(ph.get("label", "")),
-            )
-        )
-    tol_raw = raw.get("tolerances", {})
-    _reject_unknown(
-        tol_raw,
-        ("flux_symmetry", "spectrum", "transmission", "probe", "decay_slack"),
-        "'tolerances'",
-    )
-    tolerances = Tolerances(**{k: float(v) for k, v in tol_raw.items()})
-    probe = raw.get("probe_radius")
+        phases.append(PhaseRegion(**phase))
+    tol_raw = nodes.get("tolerances", {})
+    settings.setdefault("name", Path(path).stem)
     return Scenario(
-        name=str(raw.get("name", Path(path).stem)),
         config=PhaseConfig(domain=domain, phases=tuple(phases)),
-        n=int(raw.get("n", 64)),
-        pipeline=str(raw.get("pipeline", "elliptic")),
-        probe_radius=None if probe is None else float(probe),
-        source=tuple(float(c) for c in raw.get("source", (1.0,))),
-        expect_symmetric=bool(raw.get("expect_symmetric", True)),
-        expect_hypotheses_ok=bool(raw.get("expect_hypotheses_ok", True)),
-        tolerances=tolerances,
+        tolerances=Tolerances(**_fields_from_json(Tolerances, tol_raw, "'tolerances'")),
+        **settings,
     )
 
 
@@ -435,7 +445,7 @@ def _apply_verdicts(res: ScenarioResult) -> None:
     fired: list[bool] = []
     if sc.pipeline in ("elliptic", "both"):
         res.verdict_flux_symmetric = res.flux_stats.rel_deviation < tol.flux_symmetry
-        res.verdict_radial = res.spectrum.nonradial_fraction < tol.spectrum
+        res.verdict_radial = radiality_verdict(res.spectrum, tol.spectrum)
         res.verdict_transmission_symmetric = (
             not res.transmission.defined or res.transmission.residual < tol.transmission
         )
@@ -467,6 +477,8 @@ def _apply_verdicts(res: ScenarioResult) -> None:
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -474,102 +486,62 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-DIAG_COLUMNS = (
-    "scenario",
-    "n",
-    "pipeline",
-    "vertices",
-    "triangles",
-    "hyp_phases_inside",
-    "hyp_phases_separated",
-    "hyp_shell_connected",
-    "hyp_sigmas_admissible",
-    "expected_symmetric",
-    "expected_hypotheses_ok",
-    "solver_iterations",
-    "galerkin_rel_residual",
-    "flux_mean",
-    "flux_deviation",
-    "flux_rel_deviation",
-    "flux_absolute_fallback",
-    "flux_identity_value",
-    "flux_identity_rel_error",
-    "nonradial_fraction",
-    "dominant_mode",
-    "transmission_residual",
-    "transmission_defined",
-    "fem_vs_radial_l2",
-    "lambda_min",
-    "decay_max_ratio",
-    "decay_slope_ratio",
-    "decay_ok",
-    "monotone_ok",
-    "v_rel_error",
-    "tail_bound",
-    "final_time",
-    "steps",
-    "probe_radius",
-    "probe_placement_ok",
-    "probe_dev_u_max",
-    "probe_dev_flux_max",
-    "verdict_flux_symmetric",
-    "verdict_radial",
-    "verdict_transmission_symmetric",
-    "verdict_probes_symmetric",
-    "asymmetry_detected",
-    "expectation_match",
+def _heat(get):
+    """A heat-flow column's getter: the cell stays empty when the pipeline skipped it."""
+    return lambda res: None if res.run is None else get(res)
+
+
+# diagnostics.csv, one column per entry: its name and how to read it off a result
+_DIAGNOSTICS = (
+    ("scenario", lambda r: r.scenario.name),
+    ("n", lambda r: r.scenario.n),
+    ("pipeline", lambda r: r.scenario.pipeline),
+    ("vertices", lambda r: r.system.mesh.nv),
+    ("triangles", lambda r: r.system.mesh.nt),
+    ("hyp_phases_inside", lambda r: r.flags.phases_strictly_inside),
+    ("hyp_phases_separated", lambda r: r.flags.phases_pairwise_separated),
+    ("hyp_shell_connected", lambda r: r.flags.shell_connected_and_unique),
+    ("hyp_sigmas_admissible", lambda r: r.flags.sigmas_admissible),
+    ("expected_symmetric", lambda r: r.scenario.expect_symmetric),
+    ("expected_hypotheses_ok", lambda r: r.scenario.expect_hypotheses_ok),
+    ("solver_iterations", lambda r: r.solution.iterations),
+    ("galerkin_rel_residual", lambda r: r.solution.rel_residual),
+    ("flux_mean", lambda r: r.flux_stats.mean),
+    ("flux_deviation", lambda r: r.flux_stats.deviation),
+    ("flux_rel_deviation", lambda r: r.flux_stats.rel_deviation),
+    ("flux_absolute_fallback", lambda r: r.flux_stats.absolute_fallback),
+    ("flux_identity_value", lambda r: r.flux_identity),
+    ("flux_identity_rel_error", lambda r: r.flux_identity_rel_error),
+    ("nonradial_fraction", lambda r: r.spectrum.nonradial_fraction),
+    ("dominant_mode", lambda r: r.spectrum.dominant_mode),
+    ("transmission_residual", lambda r: r.transmission.residual),
+    ("transmission_defined", lambda r: r.transmission.defined),
+    ("fem_vs_radial_l2", lambda r: r.fem_vs_radial_l2),
+    ("lambda_min", _heat(lambda r: r.eigen.value)),
+    ("decay_max_ratio", _heat(lambda r: r.decay.max_ratio)),
+    ("decay_slope_ratio", _heat(lambda r: r.decay.slope_ratio)),
+    ("decay_ok", _heat(lambda r: r.decay.ok)),
+    ("monotone_ok", lambda r: r.monotone),
+    ("v_rel_error", lambda r: r.v_rel_error),
+    ("tail_bound", lambda r: r.tail),
+    ("final_time", _heat(lambda r: r.run.final_time)),
+    ("steps", _heat(lambda r: r.run.steps)),
+    ("probe_radius", lambda r: r.probe_radius),
+    ("probe_placement_ok", lambda r: r.probe_placement_ok),
+    ("probe_dev_u_max", _heat(lambda r: r.run.probe_dev_u.max(initial=0.0))),
+    ("probe_dev_flux_max", _heat(lambda r: r.run.probe_dev_flux.max(initial=0.0))),
+    ("verdict_flux_symmetric", lambda r: r.verdict_flux_symmetric),
+    ("verdict_radial", lambda r: r.verdict_radial),
+    ("verdict_transmission_symmetric", lambda r: r.verdict_transmission_symmetric),
+    ("verdict_probes_symmetric", lambda r: r.verdict_probes_symmetric),
+    ("asymmetry_detected", lambda r: r.asymmetry_detected),
+    ("expectation_match", lambda r: r.expectation_match),
 )
+DIAG_COLUMNS = tuple(column for column, _ in _DIAGNOSTICS)
 
 
 def _diagnostics_row(res: ScenarioResult) -> list[str]:
-    sc = res.scenario
-    run = res.run
-    vals = {
-        "scenario": sc.name,
-        "n": _fmt(sc.n),
-        "pipeline": sc.pipeline,
-        "vertices": _fmt(res.system.mesh.nv),
-        "triangles": _fmt(res.system.mesh.nt),
-        "hyp_phases_inside": _fmt(res.flags.phases_strictly_inside),
-        "hyp_phases_separated": _fmt(res.flags.phases_pairwise_separated),
-        "hyp_shell_connected": _fmt(res.flags.shell_connected_and_unique),
-        "hyp_sigmas_admissible": _fmt(res.flags.sigmas_admissible),
-        "expected_symmetric": _fmt(sc.expect_symmetric),
-        "expected_hypotheses_ok": _fmt(sc.expect_hypotheses_ok),
-        "solver_iterations": _fmt(res.solution.iterations),
-        "galerkin_rel_residual": _fmt(res.solution.rel_residual),
-        "flux_mean": _fmt(res.flux_stats.mean),
-        "flux_deviation": _fmt(res.flux_stats.deviation),
-        "flux_rel_deviation": _fmt(res.flux_stats.rel_deviation),
-        "flux_absolute_fallback": _fmt(res.flux_stats.absolute_fallback),
-        "flux_identity_value": _fmt(res.flux_identity),
-        "flux_identity_rel_error": _fmt(res.flux_identity_rel_error),
-        "nonradial_fraction": _fmt(res.spectrum.nonradial_fraction),
-        "dominant_mode": _fmt(res.spectrum.dominant_mode),
-        "transmission_residual": _fmt(res.transmission.residual),
-        "transmission_defined": _fmt(res.transmission.defined),
-        "fem_vs_radial_l2": _fmt(res.fem_vs_radial_l2),
-        "lambda_min": _fmt(res.eigen.value if res.eigen else None),
-        "decay_max_ratio": _fmt(res.decay.max_ratio if res.decay else None),
-        "decay_slope_ratio": _fmt(res.decay.slope_ratio if res.decay else None),
-        "decay_ok": _fmt(res.decay.ok if res.decay else None),
-        "monotone_ok": _fmt(res.monotone),
-        "v_rel_error": _fmt(res.v_rel_error),
-        "tail_bound": _fmt(res.tail),
-        "final_time": _fmt(run.final_time if run else None),
-        "steps": _fmt(run.steps if run else None),
-        "probe_radius": _fmt(res.probe_radius),
-        "probe_placement_ok": _fmt(res.probe_placement_ok),
-        "probe_dev_u_max": _fmt(float(run.probe_dev_u.max(initial=0.0)) if run else None),
-        "probe_dev_flux_max": _fmt(float(run.probe_dev_flux.max(initial=0.0)) if run else None),
-        "verdict_flux_symmetric": _fmt(res.verdict_flux_symmetric),
-        "verdict_radial": _fmt(res.verdict_radial),
-        "verdict_transmission_symmetric": _fmt(res.verdict_transmission_symmetric),
-        "verdict_probes_symmetric": _fmt(res.verdict_probes_symmetric),
-        "asymmetry_detected": _fmt(res.asymmetry_detected),
-        "expectation_match": _fmt(res.expectation_match),
-    }
-    return [vals[c] for c in DIAG_COLUMNS]
+    return [_fmt(get(res)) for _, get in _DIAGNOSTICS]
 
 
 def _write_field_csv(path: Path, mesh, values: np.ndarray) -> None:

@@ -7,7 +7,9 @@ group of the layout.  Displaced inclusions are captured by per-element
 tagging at centroids instead.
 
 Assembly is the classical piecewise-linear setup: element stiffness from
-edge coefficients, exact 3x3 mass blocks, vertex-rule load.  The linear
+edge coefficients, exact 3x3 mass blocks, vertex-rule load.  Each derived
+fact has one owner that builds it on first use: the mesh its element
+geometry, the assembled system its Dirichlet-free blocks.  The linear
 solve is a hand-rolled Jacobi-preconditioned conjugate gradient with a
 deterministic zero start, and boundary fluxes are recovered variationally
 from the residual of the full (uneliminated) operator, which makes the
@@ -20,6 +22,7 @@ side test), so a mesh from `read_mesh`, which has no layout, cannot be sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +71,14 @@ class Mesh:
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
+
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge coefficients b, c (nt, 3) and areas (nt,) of every triangle, read-only."""
+        arrays = _tri_geometry(self.vertices, self.triangles)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
 
 def _allocate_intervals(marks: np.ndarray, n: int) -> np.ndarray:
@@ -175,7 +186,9 @@ class FemSystem:
 
     The homogeneous boundary condition is applied by *index partitioning*
     (`free` vs `boundary`), never by rewriting rows, so the full operator
-    stays available for variational flux recovery.
+    stays available for variational flux recovery.  Every solver works on
+    the free blocks `Kff` and `Mff`, sliced once on first use and kept in
+    CSC, the format SuperLU factors.
     """
 
     mesh: Mesh
@@ -192,9 +205,16 @@ class FemSystem:
     def domain_area(self) -> float:
         return float(self.areas.sum())
 
+    @cached_property
+    def Kff(self) -> sp.csc_matrix:
+        return self.stiffness[self.free][:, self.free].tocsc()
+
+    @cached_property
+    def Mff(self) -> sp.csc_matrix:
+        return self.mass[self.free][:, self.free].tocsc()
+
     def mass_norm(self, u_free: np.ndarray) -> float:
-        mf = self.mass[self.free][:, self.free]
-        return float(np.sqrt(u_free @ (mf @ u_free)))
+        return float(np.sqrt(u_free @ (self.Mff @ u_free)))
 
 
 def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
@@ -213,7 +233,7 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     sigma_e = table[tags]
 
     V, T = mesh.vertices, mesh.triangles
-    b, c, area = _tri_geometry(V, T)
+    b, c, area = mesh.geometry
     Ke = (
         (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
         / (4 * area)[:, None, None]
@@ -237,7 +257,7 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     F = np.zeros(nv)
     np.add.at(F, T.reshape(-1), np.repeat(area / 3.0, 3) * gv[T].reshape(-1))
 
-    bn = np.unique(mesh.boundary_edges)
+    bn = mesh.boundary_vertices()
     free = np.setdiff1d(np.arange(nv), bn)
     return FemSystem(
         mesh=mesh,
@@ -289,10 +309,10 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int):
 
 def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) -> EllipticSolution:
     free = system.free
-    Kff = system.stiffness[free][:, free].tocsr()
+    K = system.Kff.T  # Kff is exactly symmetric: this is Kff in CSR, whose matvec is faster
     Ff = system.load[free]
-    uf, its = _pcg(Kff, Ff, tol, maxit)
-    res = float(np.linalg.norm(Kff @ uf - Ff) / max(np.linalg.norm(Ff), 1e-300))
+    uf, its = _pcg(K, Ff, tol, maxit)
+    res = float(np.linalg.norm(K @ uf - Ff) / max(np.linalg.norm(Ff), 1e-300))
     u = np.zeros(system.mesh.nv)
     u[free] = uf
     return EllipticSolution(u=u, iterations=its, rel_residual=res)
@@ -423,7 +443,7 @@ class CircleSampler:
         pts = radius * np.column_stack([np.cos(th), np.sin(th)])
         self.tri_idx, self.bary = locate_points(mesh, pts)
         self.corners = mesh.triangles[self.tri_idx]
-        b, c, area = _tri_geometry(mesh.vertices, self.corners)
+        b, c, area = (a[self.tri_idx] for a in mesh.geometry)
         self.grad_x = b / (2 * area)[:, None]
         self.grad_y = c / (2 * area)[:, None]
         self.radial = np.column_stack([np.cos(th), np.sin(th)])
@@ -447,15 +467,12 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
     Uses the three-edge-midpoint rule, which integrates the squared error of
     piecewise-linear data exactly and is second-order for the smooth part.
     """
-    p = mesh.vertices[mesh.triangles]
-    mids = np.stack([(p[:, 1] + p[:, 2]) / 2, (p[:, 0] + p[:, 2]) / 2, (p[:, 0] + p[:, 1]) / 2], 1)
-    uT = u[mesh.triangles]
-    um = np.stack(
-        [(uT[:, 1] + uT[:, 2]) / 2, (uT[:, 0] + uT[:, 2]) / 2, (uT[:, 0] + uT[:, 1]) / 2], 1
-    )
-    r_mid = np.linalg.norm(mids, axis=2)
+    T = mesh.triangles
+    i, j = T[:, [1, 0, 0]], T[:, [2, 2, 1]]  # the ends of the edge opposite each corner
+    r_mid = np.linalg.norm((mesh.vertices[i] + mesh.vertices[j]) / 2, axis=2)
+    um = (u[i] + u[j]) / 2
     ref = profile(np.clip(r_mid, profile.r0, profile.R))
-    _, _, area = _tri_geometry(mesh.vertices, mesh.triangles)
+    _, _, area = mesh.geometry
     return float(np.sqrt((area[:, None] / 3 * (um - ref) ** 2).sum()))
 
 

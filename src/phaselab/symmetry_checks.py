@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem2d import BoundaryFlux, CircleSampler, FemSystem, Mesh, _tri_geometry
+from .fem2d import BoundaryFlux, CircleSampler, FemSystem, Mesh
 
 __all__ = [
     "FluxStats",
@@ -190,7 +190,7 @@ def transmission_residual(system: FemSystem, u: np.ndarray, aux_profile) -> Tran
     core = mesh.tri_tags >= 1
     if not core.any():
         return TransmissionStats(residual=0.0, defined=False, core_area=0.0)
-    b, c, area = _tri_geometry(mesh.vertices, mesh.triangles)
+    b, c, area = mesh.geometry
     uT = u[mesh.triangles]
     A2 = (2 * area)[:, None]
     gx = (uT * b / A2).sum(axis=1)[core]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phaselab import cli_reporting, fem2d, symmetry_checks
 from phaselab.cli_reporting import (
     DIAG_COLUMNS,
     OUT_ENV_VAR,
@@ -31,12 +32,33 @@ EXPECTED_PRESETS = (
     "nested_rings_hypothesis_violation",
 )
 
+# diagnostics.csv cells that only the heat flow fills
+HEAT_FLOW_COLUMNS = (
+    "lambda_min",
+    "decay_max_ratio",
+    "decay_slope_ratio",
+    "decay_ok",
+    "monotone_ok",
+    "v_rel_error",
+    "tail_bound",
+    "final_time",
+    "steps",
+    "probe_dev_u_max",
+    "probe_dev_flux_max",
+    "verdict_probes_symmetric",
+)
+
 
 def write_config(path, **overrides):
     cfg = {"domain": {"kind": "ball"}, "n": 8}
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def empty_diagnostics_cells(out_dir):
+    header, row = (out_dir / "diagnostics.csv").read_text().splitlines()
+    return [col for col, cell in zip(header.split(","), row.split(",")) if cell == ""]
 
 
 def test_preset_names_and_expectations():
@@ -144,6 +166,7 @@ def test_run_scenario_writes_all_elliptic_artifacts(tmp_path):
     assert diag[0] == ",".join(DIAG_COLUMNS)
     assert len(diag) == 2
     assert len(diag[1].split(",")) == len(DIAG_COLUMNS)
+    assert empty_diagnostics_cells(tmp_path / "out") == list(HEAT_FLOW_COLUMNS)
     # radial dump holds both the layered reference and the auxiliary profile
     fields = {line.split(",")[0] for line in (tmp_path / "out" / "radial.csv").read_text().splitlines()[1:]}
     assert fields == {"reference_u", "auxiliary_q"}
@@ -157,6 +180,7 @@ def test_run_scenario_parabolic_adds_timeseries(tmp_path):
     assert ts[0] == "t,mass_norm,probe_mean_u,probe_dev_u,probe_mean_flux,probe_dev_flux"
     assert len(ts) == len(res.run.times) + 1
     assert res.eigen is not None and res.decay.ok and res.monotone
+    assert empty_diagnostics_cells(tmp_path / "out") == []
 
 
 def test_run_scenario_rejects_probe_through_inclusion():
@@ -300,8 +324,41 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
         ({"phases": {"shape": "disk", "sigma": 2.0}}, "'phases' must be a JSON array"),
         ({"phases": ["disk"]}, "phase 0 must be a JSON object"),
         ({"tolerances": [1e-2]}, "'tolerances' must be a JSON object"),
+        ({"source": 1.0}, "'source' in the config file must be a JSON array of numbers"),
+        (
+            {"phases": [{"shape": "disk", "sigma": 2.0, "center": 0.3, "radius": 0.2}]},
+            "'center' in phase 0 must be a JSON array of two numbers",
+        ),
+        ({"tolerances": {"probe": None}}, "'probe' in 'tolerances' must be a JSON number"),
+        (
+            {"expect_symmetric": "false"},
+            "'expect_symmetric' in the config file must be a JSON boolean",
+        ),
+        ({"n": 8.5}, "'n' in the config file must be a JSON integer"),
+        (
+            {"domain": {"kind": "ball", "outer_radius": True}},
+            "'outer_radius' in 'domain' must be a JSON number",
+        ),
+        (
+            {"phases": [{"shape": "disk", "sigma": "2", "radius": 0.2}]},
+            "'sigma' in phase 0 must be a JSON number",
+        ),
+        ({"pipeline": 3}, "'pipeline' in the config file must be a JSON string"),
     ],
-    ids=["domain", "phases", "phase", "tolerances"],
+    ids=[
+        "domain",
+        "phases",
+        "phase",
+        "tolerances",
+        "source",
+        "center",
+        "tolerance",
+        "expect",
+        "n",
+        "radius",
+        "sigma",
+        "pipeline",
+    ],
 )
 def test_main_run_rejects_mistyped_node_with_exit_2(tmp_path, capsys, patch, message):
     cfg = write_config(tmp_path / "typed.json", **patch)
@@ -334,3 +391,40 @@ def test_fmt_rules():
     assert _fmt(7) == "7" and _fmt(np.int64(7)) == "7"
     assert _fmt(0.25) == "0.25"
     assert _fmt(np.float64(1.0 / 3.0)) == "0.3333333333333333"
+
+
+class _NoSlicing:
+    """A full operator that still multiplies but fails the test when sliced."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __matmul__(self, other):
+        return self.matrix @ other
+
+    def __getitem__(self, key):
+        raise AssertionError("a full operator was sliced after its free block was built")
+
+
+def test_scenario_derives_geometry_and_free_blocks_once(monkeypatch):
+    real_geometry = fem2d._tri_geometry
+    calls = []
+
+    def counting_geometry(vertices, triangles):
+        calls.append(len(triangles))
+        return real_geometry(vertices, triangles)
+
+    # every module that could bind the function, so that no caller escapes the count
+    for module in (fem2d, symmetry_checks):
+        monkeypatch.setattr(module, "_tri_geometry", counting_geometry, raising=False)
+
+    def assemble_then_guard(*args):
+        system = fem2d.assemble_system(*args)
+        assert system.Kff.shape == system.Mff.shape  # builds both free blocks
+        system.stiffness, system.mass = _NoSlicing(system.stiffness), _NoSlicing(system.mass)
+        return system
+
+    monkeypatch.setattr(cli_reporting, "assemble_system", assemble_then_guard)
+    res = run_scenario(build_preset("two_phase_displaced", n=8, pipeline="both"))
+    assert res.expectation_match and res.run is not None
+    assert calls == [res.system.mesh.nt]

@@ -138,6 +138,18 @@ def test_stiffness_rows_sum_to_zero():
     assert np.max(np.abs(row_sums)) < 1e-13
 
 
+def test_geometry_and_free_blocks_are_cached_read_only():
+    mesh = generate_mesh(DISPLACED, 8)
+    sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
+    assert mesh.geometry is mesh.geometry and sys_.areas is mesh.geometry[2]
+    assert not any(a.flags.writeable for a in mesh.geometry)
+    Kff, Mff = sys_.Kff, sys_.Mff
+    assert sys_.Kff is Kff and sys_.Mff is Mff
+    assert Kff.format == Mff.format == "csc" and Kff.shape == (len(sys_.free),) * 2
+    # solve_elliptic multiplies by Kff.T, which is Kff itself only while Kff is exactly symmetric
+    assert (Kff != Kff.T).nnz == 0
+
+
 def test_untagged_or_bad_sigma_rejected():
     mesh = generate_mesh(ball_config(), 4)
     broken = Mesh(

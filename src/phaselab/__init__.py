@@ -38,7 +38,6 @@ from .fem2d import (
     generate_mesh,
     l2_error_to_radial,
     locate_points,
-    read_mesh,
     recover_boundary_flux,
     solve_elliptic,
     tag_triangles,

@@ -90,6 +90,13 @@ class Tolerances:
     probe: float = 2e-2  # probe-circle sup deviation
     decay_slack: float = 0.02  # allowed excess over the spectral decay bound
 
+    def __post_init__(self) -> None:
+        for name in ("flux_symmetry", "spectrum", "transmission", "probe"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"tolerance {name!r} must be positive")
+        if not self.decay_slack >= 0.0:
+            raise ValueError("tolerance 'decay_slack' must be non-negative")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -104,8 +111,16 @@ class Scenario:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
+        # the name is a directory under the output root and a diagnostics.csv cell
+        if self.name in ("", ".", "..") or any(c in self.name for c in ",/\\\n\r"):
+            raise ValueError(
+                "'name' must be a non-empty directory name other than '.' and '..', "
+                f"without ',', '/', '\\' or line breaks; got {self.name!r}"
+            )
         if self.pipeline not in ("elliptic", "parabolic", "both"):
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
+        if self.probe_radius is not None and not self.probe_radius > 0.0:
+            raise ValueError(f"'probe_radius' must be positive, got {self.probe_radius!r}")
 
     def resolved_probe_radius(self) -> float:
         if self.probe_radius is not None:
@@ -222,20 +237,21 @@ def build_preset(
 # -- config files -------------------------------------------------------------
 
 
-def _reject_unknown(obj: dict, allowed: tuple[str, ...], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    for key in obj:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in {where}")
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_numbers(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _finite(value) -> bool:
+    """No NaN or infinity (``json`` reads 1e400 as inf), no integer past the float range."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 def _float_or_none(value) -> float | None:
@@ -267,14 +283,20 @@ def _fields_from_json(cls, obj: dict, where: str) -> dict:
 
     The fields a file can set are those whose annotation has a JSON type; an
     absent key keeps the dataclass default, and any other key is an error.
+    Every number must be finite.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
     types = {f.name: f.type for f in fields(cls) if f.type in _JSON_TYPES}
-    _reject_unknown(obj, tuple(types), where)
     kwargs = {}
     for key, value in obj.items():
+        if key not in types:
+            raise ValueError(f"unknown key {key!r} in {where}")
         kind, ok, convert = _JSON_TYPES[types[key]]
         if not ok(value):
             raise ValueError(f"{key!r} in {where} must be a JSON {kind}")
+        if not _finite(value):
+            raise ValueError(f"{key!r} in {where} must be finite")
         kwargs[key] = convert(value)
     return kwargs
 
@@ -415,9 +437,8 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
                     f"probe circle r={probe_rho!r} meets the closure of "
                     f"phase {ph.label or ph.shape!r}"
                 )
-        sampler = CircleSampler(mesh, probe_rho)
         result.eigen = smallest_eigenvalue(system)
-        result.run = evolve(system, samplers=(sampler,))
+        result.run = evolve(system, probe=CircleSampler(mesh, probe_rho))
         result.decay = decay_certificate(result.run, result.eigen.value, slack=tol.decay_slack)
         result.monotone = monotone_decay(result.run)
         result.v_rel_error = v_error_vs_elliptic(system, result.run, sol.u)
@@ -455,11 +476,7 @@ def _apply_verdicts(res: ScenarioResult) -> None:
             not res.verdict_transmission_symmetric,
         ]
     if sc.pipeline in ("parabolic", "both"):
-        run = res.run
-        res.verdict_probes_symmetric = bool(
-            run.probe_dev_u.max(initial=0.0) < tol.probe
-            and run.probe_dev_flux.max(initial=0.0) < tol.probe
-        )
+        res.verdict_probes_symmetric = all(dev < tol.probe for dev in res.run.probe_dev_max)
         fired.append(not res.verdict_probes_symmetric)
 
     res.asymmetry_detected = any(fired)
@@ -528,8 +545,8 @@ _DIAGNOSTICS = (
     ("steps", _heat(lambda r: r.run.steps)),
     ("probe_radius", lambda r: r.probe_radius),
     ("probe_placement_ok", lambda r: r.probe_placement_ok),
-    ("probe_dev_u_max", _heat(lambda r: r.run.probe_dev_u.max(initial=0.0))),
-    ("probe_dev_flux_max", _heat(lambda r: r.run.probe_dev_flux.max(initial=0.0))),
+    ("probe_dev_u_max", _heat(lambda r: r.run.probe_dev_max[0])),
+    ("probe_dev_flux_max", _heat(lambda r: r.run.probe_dev_max[1])),
     ("verdict_flux_symmetric", lambda r: r.verdict_flux_symmetric),
     ("verdict_radial", lambda r: r.verdict_radial),
     ("verdict_transmission_symmetric", lambda r: r.verdict_transmission_symmetric),
@@ -579,15 +596,8 @@ def _write_radial_csv(path: Path, profiles: dict[str, object]) -> None:
 def _write_timeseries_csv(path: Path, run) -> None:
     with open(path, "w") as fh:
         fh.write("t,mass_norm,probe_mean_u,probe_dev_u,probe_mean_flux,probe_dev_flux\n")
-        for i, t in enumerate(run.times):
-            mu = run.probe_mean_u[i, 0] if run.probe_mean_u.size else math.nan
-            du = run.probe_dev_u[i, 0] if run.probe_dev_u.size else math.nan
-            mf = run.probe_mean_flux[i, 0] if run.probe_mean_flux.size else math.nan
-            df = run.probe_dev_flux[i, 0] if run.probe_dev_flux.size else math.nan
-            fh.write(
-                f"{_fmt(t)},{_fmt(run.mass_norms[i])},"
-                f"{_fmt(mu)},{_fmt(du)},{_fmt(mf)},{_fmt(df)}\n"
-            )
+        for row in np.column_stack([run.times, run.mass_norms, run.probes]):
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _summary_text(res: ScenarioResult) -> str:
@@ -627,6 +637,7 @@ def _summary_text(res: ScenarioResult) -> str:
     if res.fem_vs_radial_l2 is not None:
         lines.append(f"distance to layered reference (L2): {res.fem_vs_radial_l2:.6e}")
     if res.run is not None:
+        dev_u, dev_flux = res.run.probe_dev_max
         lines += [
             f"smallest eigenvalue: {res.eigen.value!r} ({res.eigen.iterations} iterations)",
             f"heat flow: {res.run.steps} steps to t={res.run.final_time!r}, "
@@ -637,8 +648,7 @@ def _summary_text(res: ScenarioResult) -> str:
             f"time integral vs equilibrium: relative error {res.v_rel_error:.6e}, "
             f"certified tail {res.tail:.6e}",
             f"probe circle r={res.probe_radius!r} placement_ok={_fmt(res.probe_placement_ok)}: "
-            f"max dev u {float(res.run.probe_dev_u.max(initial=0.0)):.6e}, "
-            f"max dev flux {float(res.run.probe_dev_flux.max(initial=0.0)):.6e}",
+            f"max dev u {dev_u:.6e}, max dev flux {dev_flux:.6e}",
         ]
     verdicts = [
         f"flux_symmetric={_fmt(res.verdict_flux_symmetric)}",

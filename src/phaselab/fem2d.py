@@ -15,8 +15,8 @@ deterministic zero start, and boundary fluxes are recovered variationally
 from the residual of the full (uneliminated) operator, which makes the
 discrete divergence identity hold to solver precision.
 
-Point location is closed-form on the generated layout (sector, band, one
-side test), so a mesh from `read_mesh`, which has no layout, cannot be sampled.
+Point location is closed-form on the generated layout: sector, band, one
+side test.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "locate_points",
     "l2_error_to_radial",
     "write_mesh",
-    "read_mesh",
 ]
 
 
@@ -52,7 +51,7 @@ class Mesh:
     tri_tags: np.ndarray  # (nt,) region tag per element; 0 = shell
     boundary_edges: np.ndarray  # (nb, 2) vertex pairs
     edge_tags: np.ndarray  # (nb,) boundary component: 0 = outer, 1 = inner
-    sectors: int = 0  # angular sector count of the generator; 0 (read_mesh): not sampleable
+    sectors: int  # angular sector count of the generator
 
     def __post_init__(self) -> None:
         for name in ("vertices", "triangles", "tri_tags", "boundary_edges", "edge_tags"):
@@ -401,8 +400,6 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     barycentric test alone rejects points outside the mesh (or in a hole).
     """
     m = mesh.sectors
-    if m <= 0:
-        raise ValueError("mesh has no sector layout: a mesh from read_mesh cannot be sampled")
     pts = np.atleast_2d(np.asarray(points, float))
     x, y = pts[:, 0], pts[:, 1]
     fan = mesh.nv % m  # a ball's one centre vertex
@@ -476,7 +473,7 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
     return float(np.sqrt((area[:, None] / 3 * (um - ref) ** 2).sum()))
 
 
-# -- plain-text mesh exchange ------------------------------------------------
+# -- plain-text mesh output --------------------------------------------------
 
 
 def write_mesh(path, mesh: Mesh) -> None:
@@ -490,20 +487,3 @@ def write_mesh(path, mesh: Mesh) -> None:
         for (i, j), tag in zip(mesh.boundary_edges, mesh.edge_tags):
             fh.write(f"{i} {j} {tag}\n")
 
-
-def read_mesh(path) -> Mesh:
-    with open(path) as fh:
-        nv, nt, nb = map(int, fh.readline().split())
-        V = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
-        tri_rows = np.array([[int(t) for t in fh.readline().split()] for _ in range(nt)])
-        be_rows = np.array([[int(t) for t in fh.readline().split()] for _ in range(nb)])
-    if V.shape != (nv, 2) or tri_rows.shape != (nt, 4) or be_rows.shape != (nb, 3):
-        raise ValueError("malformed mesh file")
-    return Mesh(
-        vertices=V,
-        triangles=tri_rows[:, :3],
-        tri_tags=tri_rows[:, 3],
-        boundary_edges=be_rows[:, :2],
-        edge_tags=be_rows[:, 2],
-        sectors=0,
-    )

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem2d import CircleSampler, FemSystem
-from .symmetry_checks import ProbeStats, probe_deviation
+from .symmetry_checks import probe_deviation
 
 __all__ = [
     "EigenResult",
@@ -83,19 +84,17 @@ class Evolution:
 
     ``v_field`` is the trapezoidal running time integral of the solution
     (a full nodal vector, zero on the boundary), ``u_final`` the state at
-    the stopping time.  Probe arrays have one row per recorded time and one
-    column per probe circle; deviation entries follow the sup-norm
-    convention of :func:`phaselab.symmetry_checks.probe_deviation`.
+    the stopping time.  ``probes`` has one row per recorded time holding
+    the mean u, deviation of u, mean flux and deviation of the flux on the
+    ``probe`` circle, in that order; deviations follow the sup-norm
+    convention of :func:`phaselab.symmetry_checks.probe_deviation`.  A run
+    without a probe has no probe columns.
     """
 
     times: np.ndarray
     mass_norms: np.ndarray
-    probe_mean_u: np.ndarray
-    probe_dev_u: np.ndarray
-    probe_u_absolute: np.ndarray
-    probe_mean_flux: np.ndarray
-    probe_dev_flux: np.ndarray
-    probe_flux_absolute: np.ndarray
+    probes: np.ndarray  # (len(times), 4), or (len(times), 0) without a probe
+    probe: CircleSampler | None
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
@@ -109,6 +108,13 @@ class Evolution:
     def final_time(self) -> float:
         return float(self.times[-1])
 
+    @cached_property
+    def probe_dev_max(self) -> tuple[float, float]:
+        """Largest probe deviation of u and of the flux over the run; zeros without a probe."""
+        # reshape gives a probeless run zero rows of four columns
+        dev_u, dev_flux = self.probes.reshape(-1, 4)[:, 1::2].max(axis=0, initial=0.0)
+        return float(dev_u), float(dev_flux)
+
 
 def evolve(
     system: FemSystem,
@@ -121,31 +127,32 @@ def evolve(
     dt_max: float = 2e-3,
     eps: float = 1e-8,
     max_steps: int = 200_000,
-    samplers: tuple[CircleSampler, ...] = (),
+    probe: CircleSampler | None = None,
     resume: Evolution | None = None,
 ) -> Evolution:
     """Run the theta-scheme until the mass norm falls below ``eps``.
 
-    ``u0`` defaults to the nodal source values of the system.  Passing a
-    previous run as ``resume`` continues it (same schedule position, running
-    integral carried over) with a smaller ``eps``; this is how a truncation
-    time is extended to audit the certified tail bound.
+    ``u0`` defaults to the nodal source values of the system.  ``probe``, if
+    given, is sampled at every recorded time.  Passing a previous run as
+    ``resume`` continues it with a smaller ``eps``: same schedule position,
+    running integral and probe carried over, its records extended.  This is
+    how a truncation time is extended to audit the certified tail bound.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
+    if resume is not None and probe is not None:
+        raise ValueError("a resumed run keeps its own probe; pass no other")
     free = system.free
     nv = system.mesh.nv
     Kff, Mff = system.Kff, system.Mff
 
     if resume is not None:
+        probe = resume.probe
         u = resume.u_final[free].copy()
         V = resume.v_field[free].copy()
         t = resume.final_time
-        k = resume.steps
-        times = list(resume.times)
-        norms = list(resume.mass_norms)
-        stats: list[list[ProbeStats]] = [[] for _ in times]  # only new rows get probes
-        prev = resume
+        k0, nfact = resume.steps, resume.factorizations
+        times, norms, rows = list(resume.times), list(resume.mass_norms), list(resume.probes)
     else:
         if u0 is None:
             u = system.g_vertex[free].astype(float).copy()
@@ -154,15 +161,12 @@ def evolve(
             u = (u0[free] if u0.shape == (nv,) else u0).copy()
         V = np.zeros(len(free))
         t = 0.0
-        k = 0
-        times = [0.0]
-        norms = [system.mass_norm(u)]
-        stats = [_probe_row(system, samplers, u)]
-        prev = None
+        k0 = nfact = 0
+        times, norms, rows = [0.0], [system.mass_norm(u)], [_probe_row(system, probe, u)]
 
     Mu = Mff @ u  # carried from step to step: the mass norm and the next rhs
     factor: tuple[float, spla.SuperLU] | None = None  # (rounded dt, its LU)
-    nfact = 0
+    k = k0
     dt = dt0
     while norms[-1] > eps:
         if k >= uniform_steps:
@@ -181,30 +185,9 @@ def evolve(
         times.append(t)
         Mu = Mff @ u
         norms.append(float(np.sqrt(u @ Mu)))
-        stats.append(_probe_row(system, samplers, u))
-        if k - (prev.steps if prev else 0) > max_steps:
+        rows.append(_probe_row(system, probe, u))
+        if k - k0 > max_steps:
             raise RuntimeError("heat flow did not reach the stopping norm")
-
-    n_probes = len(samplers)
-    shape = (len(times), n_probes)
-    mu = np.zeros(shape)
-    du = np.zeros(shape)
-    au = np.zeros(shape, dtype=bool)
-    mf = np.zeros(shape)
-    df = np.zeros(shape)
-    af = np.zeros(shape, dtype=bool)
-    for i, row in enumerate(stats):
-        for j, ps in enumerate(row):
-            mu[i, j], du[i, j], au[i, j] = ps.mean_u, ps.dev_u, ps.u_absolute
-            mf[i, j], df[i, j], af[i, j] = ps.mean_flux, ps.dev_flux, ps.flux_absolute
-    if prev is not None and n_probes:
-        old = len(prev.times)
-        mu[:old], du[:old], au[:old] = prev.probe_mean_u, prev.probe_dev_u, prev.probe_u_absolute
-        mf[:old], df[:old], af[:old] = (
-            prev.probe_mean_flux,
-            prev.probe_dev_flux,
-            prev.probe_flux_absolute,
-        )
 
     u_full = np.zeros(nv)
     u_full[free] = u
@@ -213,25 +196,23 @@ def evolve(
     return Evolution(
         times=np.array(times),
         mass_norms=np.array(norms),
-        probe_mean_u=mu,
-        probe_dev_u=du,
-        probe_u_absolute=au,
-        probe_mean_flux=mf,
-        probe_dev_flux=df,
-        probe_flux_absolute=af,
+        probes=np.array(rows),
+        probe=probe,
         v_field=v_full,
         u_final=u_full,
         steps=k,
-        factorizations=(prev.factorizations if prev else 0) + nfact,
+        factorizations=nfact,
     )
 
 
-def _probe_row(system: FemSystem, samplers, u_free: np.ndarray) -> list[ProbeStats]:
-    if not samplers:
-        return []
+def _probe_row(system: FemSystem, probe: CircleSampler | None, u_free: np.ndarray) -> tuple:
+    """Mean u, deviation of u, mean flux and deviation of the flux on the probe; () without one."""
+    if probe is None:
+        return ()
     z = np.zeros(system.mesh.nv)
     z[system.free] = u_free
-    return [probe_deviation(s, z, system.sigma_e) for s in samplers]
+    ps = probe_deviation(probe, z, system.sigma_e)
+    return ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux
 
 
 @dataclass(frozen=True)

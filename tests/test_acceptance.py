@@ -138,12 +138,12 @@ def test_c6_time_integral_reaches_equilibrium_within_tail(parabolic64):
 
 def test_c7_probe_circles_separate_concentric_from_displaced(parabolic64):
     for name in ("one_phase_disk", "two_phase_concentric"):
-        run = parabolic64[name].run
-        assert float(run.probe_dev_u.max()) < 2e-2, name
-        assert float(run.probe_dev_flux.max()) < 2e-2, name
-    run = parabolic64["two_phase_displaced"].run
-    assert float(run.probe_dev_u.max()) > 5e-2
-    assert float(run.probe_dev_flux.max()) > 5e-2
+        dev_u, dev_flux = parabolic64[name].run.probe_dev_max
+        assert dev_u < 2e-2, name
+        assert dev_flux < 2e-2, name
+    dev_u, dev_flux = parabolic64["two_phase_displaced"].run.probe_dev_max
+    assert dev_u > 5e-2
+    assert dev_flux > 5e-2
 
 
 def test_c8_mass_norm_never_increases(parabolic64):

@@ -344,6 +344,21 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
             "'sigma' in phase 0 must be a JSON number",
         ),
         ({"pipeline": 3}, "'pipeline' in the config file must be a JSON string"),
+        ({"name": ""}, "'name' must be a non-empty directory name"),
+        ({"name": "."}, "'name' must be a non-empty directory name"),
+        ({"name": ".."}, "'name' must be a non-empty directory name"),
+        ({"name": "a,b"}, "'name' must be a non-empty directory name"),
+        ({"name": "../escaped"}, "'name' must be a non-empty directory name"),
+        ({"name": "a\\b"}, "'name' must be a non-empty directory name"),
+        ({"name": "a\nb"}, "'name' must be a non-empty directory name"),
+        ({"name": "a\rb"}, "'name' must be a non-empty directory name"),
+        ({"pipeline": "both", "probe_radius": -0.75}, "'probe_radius' must be positive"),
+        ({"probe_radius": 0.0}, "'probe_radius' must be positive"),
+        ({"tolerances": {"flux_symmetry": 0.0}}, "tolerance 'flux_symmetry' must be positive"),
+        ({"tolerances": {"spectrum": -1e-3}}, "tolerance 'spectrum' must be positive"),
+        ({"tolerances": {"transmission": 0}}, "tolerance 'transmission' must be positive"),
+        ({"tolerances": {"probe": -2e-2}}, "tolerance 'probe' must be positive"),
+        ({"tolerances": {"decay_slack": -0.01}}, "tolerance 'decay_slack' must be non-negative"),
     ],
     ids=[
         "domain",
@@ -358,6 +373,21 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
         "radius",
         "sigma",
         "pipeline",
+        "name-empty",
+        "name-dot",
+        "name-dotdot",
+        "name-comma",
+        "name-parent",
+        "name-backslash",
+        "name-newline",
+        "name-return",
+        "probe-radius-negative",
+        "probe-radius-zero",
+        "flux-symmetry-zero",
+        "spectrum-negative",
+        "transmission-zero",
+        "probe-negative",
+        "decay-slack-negative",
     ],
 )
 def test_main_run_rejects_mistyped_node_with_exit_2(tmp_path, capsys, patch, message):
@@ -366,6 +396,30 @@ def test_main_run_rejects_mistyped_node_with_exit_2(tmp_path, capsys, patch, mes
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "unknown key" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"tolerances": {"probe": "@"}}, "'probe' in 'tolerances' must be finite"),
+        ({"source": [1.0, "@"]}, "'source' in the config file must be finite"),
+        ({"phases": [{"shape": "disk", "sigma": "@", "radius": 0.2}]}, "'sigma' in phase 0"),
+    ],
+    ids=["tolerance", "source", "sigma"],
+)
+def test_main_run_rejects_non_finite_number_with_exit_2(tmp_path, capsys, literal, patch, message):
+    # json reads NaN, Infinity and 1e400 into floats; the integer must not reach float()
+    cfg = write_config(tmp_path / "finite.json", **patch)
+    cfg.write_text(cfg.read_text().replace('"@"', literal))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tolerances_accept_zero_decay_slack():
+    assert Tolerances(decay_slack=0.0).decay_slack == 0.0
 
 
 def test_main_report_merge(tmp_path, capsys):

@@ -12,7 +12,6 @@ from phaselab.fem2d import (
     generate_mesh,
     l2_error_to_radial,
     locate_points,
-    read_mesh,
     recover_boundary_flux,
     solve_elliptic,
     tag_triangles,
@@ -123,6 +122,7 @@ def test_reference_element_matrices():
         tri_tags=np.array([0]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         edge_tags=np.array([0, 0, 0]),
+        sectors=0,  # one hand-made triangle: assembly reads no sector layout
     )
     sys_ = assemble_system(mesh, [1.0], 1.0)
     K_expect = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
@@ -236,26 +236,22 @@ def test_discrete_rotational_symmetry():
     assert np.max(np.abs(u[perm] - u)) < 1e-12 * np.max(np.abs(u))
 
 
-def test_mesh_io_roundtrip(tmp_path):
+def test_write_mesh_records_the_mesh(tmp_path):
     mesh = generate_mesh(CONCENTRIC, 6)
-    p1 = tmp_path / "mesh.txt"
-    p2 = tmp_path / "mesh2.txt"
-    write_mesh(p1, mesh)
-    back = read_mesh(p1)
-    write_mesh(p2, back)
-    assert p1.read_bytes() == p2.read_bytes()
-    np.testing.assert_array_equal(back.vertices, mesh.vertices)
-    np.testing.assert_array_equal(back.triangles, mesh.triangles)
-    np.testing.assert_array_equal(back.tri_tags, mesh.tri_tags)
-    np.testing.assert_array_equal(back.boundary_edges, mesh.boundary_edges)
-    assert back.sectors == 0  # provenance is not stored in the file
-
-
-def test_read_mesh_cannot_be_sampled(tmp_path):
     path = tmp_path / "mesh.txt"
-    write_mesh(path, generate_mesh(CONCENTRIC, 6))
-    with pytest.raises(ValueError, match="read_mesh cannot be sampled"):
-        CircleSampler(read_mesh(path), 0.75)
+    write_mesh(path, mesh)
+    lines = path.read_text().splitlines()
+    nv, nt, nb = map(int, lines[0].split())
+    assert (nv, nt, nb) == (mesh.nv, mesh.nt, len(mesh.boundary_edges))
+    assert len(lines) == 1 + nv + nt + nb
+    vertices = np.array([[float(t) for t in line.split()] for line in lines[1 : 1 + nv]])
+    tris = np.array([[int(t) for t in line.split()] for line in lines[1 + nv : 1 + nv + nt]])
+    edges = np.array([[int(t) for t in line.split()] for line in lines[1 + nv + nt :]])
+    assert vertices.tobytes() == mesh.vertices.tobytes()  # repr round-trips bitwise
+    np.testing.assert_array_equal(tris[:, :3], mesh.triangles)
+    np.testing.assert_array_equal(tris[:, 3], mesh.tri_tags)
+    np.testing.assert_array_equal(edges[:, :2], mesh.boundary_edges)
+    np.testing.assert_array_equal(edges[:, 2], mesh.edge_tags)
 
 
 def test_tag_triangles_matches_generator():

@@ -286,23 +286,48 @@ def test_resume_extends_within_tail_bound():
 
 def test_resume_preserves_probe_history():
     sys_ = disk_system(8)
-    samplers = (CircleSampler(sys_.mesh, 0.75),)
-    first = evolve(sys_, eps=1e-4, samplers=samplers)
-    ext = evolve(sys_, eps=1e-6, samplers=samplers, resume=first)
+    first = evolve(sys_, eps=1e-4, probe=CircleSampler(sys_.mesh, 0.75))
+    ext = evolve(sys_, eps=1e-6, resume=first)
     old = len(first.times)
-    assert ext.probe_mean_u.shape == (len(ext.times), 1)
-    assert np.array_equal(ext.probe_mean_u[:old], first.probe_mean_u)
-    assert np.array_equal(ext.probe_dev_flux[:old], first.probe_dev_flux)
+    assert ext.probes.shape == (len(ext.times), 4)
+    assert np.array_equal(ext.probes[:old, 0], first.probes[:, 0])
+    assert np.array_equal(ext.probes[:old, 3], first.probes[:, 3])
+
+
+def test_resume_matches_an_uninterrupted_run_bitwise():
+    sys_ = disk_system(8, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    probe = CircleSampler(sys_.mesh, 0.75)
+    full = evolve(sys_, eps=1e-6, probe=probe)
+    first = evolve(sys_, eps=1e-4, probe=probe)
+    ext = evolve(sys_, eps=1e-6, resume=first)
+    assert ext.probe is probe
+    assert first.steps < ext.steps == full.steps
+    for name in ("times", "mass_norms", "probes", "v_field", "u_final"):
+        assert np.array_equal(getattr(ext, name), getattr(full, name)), name
+    assert full.probe_dev_max[1] > 0.0  # the displaced core shows on the probe
+    # a resume builds its current step factor again
+    assert ext.factorizations == full.factorizations + 1
+
+
+def test_probe_with_resume_is_rejected_and_no_probe_records_nothing():
+    sys_ = disk_system(8)
+    run = evolve(sys_, eps=1e-4)
+    assert run.probe is None
+    assert run.probes.shape == (len(run.times), 0)
+    assert run.probe_dev_max == (0.0, 0.0)
+    ext = evolve(sys_, eps=1e-5, resume=run)
+    assert ext.probes.shape == (len(ext.times), 0)
+    with pytest.raises(ValueError, match="resumed run keeps its own probe"):
+        evolve(sys_, eps=1e-5, probe=CircleSampler(sys_.mesh, 0.75), resume=run)
 
 
 def test_probe_traces_stay_radial_on_radial_data():
     sys_ = disk_system(12, sigma=2.0)
-    samplers = (CircleSampler(sys_.mesh, 0.75),)
-    run = evolve(sys_, eps=1e-6, samplers=samplers)
-    assert run.probe_dev_u.max(initial=0.0) < 1e-10
-    assert run.probe_dev_flux.max(initial=0.0) < 1e-9
+    run = evolve(sys_, eps=1e-6, probe=CircleSampler(sys_.mesh, 0.75))
+    assert run.probe_dev_max[0] < 1e-10
+    assert run.probe_dev_max[1] < 1e-9
     # means decay with the state
-    assert run.probe_mean_u[0, 0] > run.probe_mean_u[-1, 0] >= 0.0
+    assert run.probes[0, 0] > run.probes[-1, 0] >= 0.0
 
 
 def test_tail_bound_formula():

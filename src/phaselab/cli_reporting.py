@@ -112,10 +112,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # the name is a directory under the output root and a diagnostics.csv cell
-        if self.name in ("", ".", "..") or any(c in self.name for c in ",/\\\n\r"):
+        if self.name in ("", ".", "..") or any(c in ",/\\" or c < " " for c in self.name):
             raise ValueError(
                 "'name' must be a non-empty directory name other than '.' and '..', "
-                f"without ',', '/', '\\' or line breaks; got {self.name!r}"
+                f"without ',', '/', '\\' or control characters; got {self.name!r}"
             )
         if self.pipeline not in ("elliptic", "parabolic", "both"):
             raise ValueError(f"unknown pipeline {self.pipeline!r}")

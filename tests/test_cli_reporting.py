@@ -352,6 +352,7 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
         ({"name": "a\\b"}, "'name' must be a non-empty directory name"),
         ({"name": "a\nb"}, "'name' must be a non-empty directory name"),
         ({"name": "a\rb"}, "'name' must be a non-empty directory name"),
+        ({"name": "a\u0000b"}, "'name' must be a non-empty directory name"),
         ({"pipeline": "both", "probe_radius": -0.75}, "'probe_radius' must be positive"),
         ({"probe_radius": 0.0}, "'probe_radius' must be positive"),
         ({"tolerances": {"flux_symmetry": 0.0}}, "tolerance 'flux_symmetry' must be positive"),
@@ -381,6 +382,7 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
         "name-backslash",
         "name-newline",
         "name-return",
+        "name-nul",
         "probe-radius-negative",
         "probe-radius-zero",
         "flux-symmetry-zero",
@@ -415,6 +417,15 @@ def test_main_run_rejects_non_finite_number_with_exit_2(tmp_path, capsys, litera
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_run_rejects_overflowing_source_with_exit_2(tmp_path, capsys):
+    # finite coefficients whose polynomial overflows at the vertices
+    cfg = write_config(tmp_path / "overflow.json", source=[1e308, 1e308])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: the source must be finite at every mesh vertex" in err
     assert not (tmp_path / "out").exists()
 
 

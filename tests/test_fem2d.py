@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
+from phaselab.cli_reporting import build_preset, preset_names
 from phaselab.fem2d import (
     Mesh,
     CircleSampler,
+    _orbit_mean_solver,
     assemble_system,
     generate_mesh,
     l2_error_to_radial,
@@ -178,9 +183,86 @@ def test_galerkin_residual_small():
 
 
 def test_solver_iteration_cap():
-    sys_ = assemble_system(generate_mesh(ball_config(), 16), [1.0], 1.0)
+    # a concentric layout converges in one iteration; the displaced core needs more than 3
+    sys_ = assemble_system(generate_mesh(DISPLACED, 16), [1.0, 2.0], 1.0)
     with pytest.raises(RuntimeError):
         solve_elliptic(sys_, maxit=3)
+
+
+def test_solver_iterations_do_not_grow_with_n():
+    for n in (16, 32, 64):
+        sol = solve_elliptic(assemble_system(generate_mesh(DISPLACED, n), [1.0, 2.0], 1.0))
+        assert sol.iterations <= 50 and sol.rel_residual <= 1e-9, (n, sol)
+    for name in preset_names():
+        cfg = build_preset(name, n=16).config
+        if cfg.is_radially_layered():
+            sol = solve_elliptic(assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0))
+            assert sol.iterations == 1, name
+
+
+def _orbit_mean_stiffness(system):
+    """K̄ff built apart from the solver: one tag per rotation orbit, sigma averaged over it.
+
+    Rotating the polar mesh by a sector keeps every centroid's radius, and no
+    two (band, side) classes share one, so rounded centroid radii are the orbits.
+    """
+    mesh = system.mesh
+    radius = np.round(np.linalg.norm(mesh.centroids(), axis=1), 9)
+    _, orbit = np.unique(radius, return_inverse=True)
+    assert orbit.max() + 1 == mesh.nt // mesh.sectors  # one orbit per (band, side)
+    orbits = Mesh(
+        vertices=mesh.vertices,
+        triangles=mesh.triangles,
+        tri_tags=orbit,
+        boundary_edges=mesh.boundary_edges,
+        edge_tags=mesh.edge_tags,
+        sectors=mesh.sectors,
+    )
+    table = np.bincount(orbit, weights=system.sigma_e) / np.bincount(orbit)
+    return assemble_system(orbits, table, 1.0).Kff
+
+
+DISPLACED_IN_ANNULUS = PhaseConfig(
+    domain=DomainSpec("annulus", inner_radius=0.5),
+    phases=(PhaseRegion(shape="disk", sigma=3.0, center=(0.1, 0.72), radius=0.15),),
+)
+
+
+@pytest.mark.parametrize("cfg", [DISPLACED, DISPLACED_IN_ANNULUS], ids=["ball", "annulus"])
+def test_preconditioner_solves_with_the_orbit_mean_stiffness(cfg):
+    mesh = generate_mesh(cfg, 8)
+    sys_ = assemble_system(mesh, cfg.sigma_table(), 1.0)
+    assert len(np.unique(sys_.sigma_e)) == 2  # the displaced disk is resolved
+    Kbar = _orbit_mean_stiffness(sys_)
+    r = np.random.default_rng(7).standard_normal(len(sys_.free))
+    ref = spsolve(Kbar, r)
+    z = _orbit_mean_solver(sys_)(r)
+    assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(z - spsolve(sys_.Kff, r)) > 1e-3 * np.linalg.norm(ref)  # K̄ is not K
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    kind=st.sampled_from(["ball", "annulus"]),
+    n=st.integers(6, 16),
+    layers=st.lists(
+        st.tuples(st.integers(1, 9), st.floats(0.1, 10.0)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda layer: layer[0],
+    ),
+)
+def test_concentric_layouts_solve_in_one_iteration(kind, n, layers):
+    # nested centred disks, innermost first: every interface is a mesh ring, so K̄ is Kff
+    dom = DomainSpec(kind, inner_radius=0.5 if kind == "annulus" else 0.0)
+    r0, R = dom.inner_radius, dom.outer_radius
+    phases = tuple(
+        PhaseRegion(shape="disk", sigma=sigma, radius=r0 + (R - r0) * i / 10)
+        for i, sigma in sorted(layers)
+    )
+    cfg = PhaseConfig(domain=dom, phases=phases)
+    sol = solve_elliptic(assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0))
+    assert sol.iterations == 1 and sol.rel_residual <= 1e-10
 
 
 def test_center_value_against_layered_reference():

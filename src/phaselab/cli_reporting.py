@@ -30,6 +30,7 @@ from numpy.polynomial import polynomial as npoly
 from .fem2d import (
     CircleSampler,
     FemSystem,
+    _write_rows,
     assemble_system,
     generate_mesh,
     l2_error_to_radial,
@@ -564,18 +565,16 @@ def _diagnostics_row(res: ScenarioResult) -> list[str]:
 def _write_field_csv(path: Path, mesh, values: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("vertex_id,x,y,value\n")
-        for i, ((x, y), v) in enumerate(zip(mesh.vertices, values)):
-            fh.write(f"{i},{_fmt(x)},{_fmt(y)},{_fmt(v)}\n")
+        _write_rows(fh, "%d,%r,%r,%r\n", (np.arange(mesh.nv), *mesh.vertices.T, values))
 
 
 def _write_spectra_csv(path: Path, spectrum) -> None:
+    a, b = spectrum.cos_coeffs, spectrum.sin_coeffs
+    radius = np.repeat(spectrum.radii, a.shape[1])
+    k = np.tile(np.arange(a.shape[1]), a.shape[0])
     with open(path, "w") as fh:
         fh.write("radius,k,a_k,b_k\n")
-        for i, r in enumerate(spectrum.radii):
-            for k in range(spectrum.cos_coeffs.shape[1]):
-                a = spectrum.cos_coeffs[i, k]
-                b = spectrum.sin_coeffs[i, k]
-                fh.write(f"{_fmt(r)},{k},{_fmt(a)},{_fmt(b)}\n")
+        _write_rows(fh, "%r,%d,%r,%r\n", (radius, k, a.ravel(), b.ravel()))
 
 
 def _write_radial_csv(path: Path, profiles: dict[str, object]) -> None:
@@ -596,8 +595,8 @@ def _write_radial_csv(path: Path, profiles: dict[str, object]) -> None:
 def _write_timeseries_csv(path: Path, run) -> None:
     with open(path, "w") as fh:
         fh.write("t,mass_norm,probe_mean_u,probe_dev_u,probe_mean_flux,probe_dev_flux\n")
-        for row in np.column_stack([run.times, run.mass_norms, run.probes]):
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        table = np.column_stack([run.times, run.mass_norms, run.probes])
+        _write_rows(fh, ",".join(["%r"] * table.shape[1]) + "\n", table.T)
 
 
 def _summary_text(res: ScenarioResult) -> str:

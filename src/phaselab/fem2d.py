@@ -373,7 +373,10 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
     r = F.copy()
     z = precond(r)
     p = z.copy()
-    rz = r @ z
+    with np.errstate(over="ignore"):  # the check below reports the overflow
+        rz = r @ z
+    if not np.isfinite(rz):
+        raise ValueError("the load is too large to solve in double precision")
     f0 = np.linalg.norm(F)
     if f0 == 0.0:
         return x, 0
@@ -564,14 +567,26 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
 # -- plain-text mesh output --------------------------------------------------
 
 
+_BLOCK_ROWS = 1024  # rows per write; larger blocks cost memory and gain no speed
+
+
+def _write_rows(fh, fmt: str, columns) -> None:
+    """Write ``fmt % row`` for every row of equal-length 1-D ``columns``, a block at a time.
+
+    ``.tolist()`` yields Python floats and ints, so ``%r`` writes ``repr(float(x))``
+    (the shortest round-trip form) and ``%d`` writes ``str(int(x))``.
+    """
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[lo : lo + _BLOCK_ROWS].tolist() for col in columns]
+        values = [x for row in zip(*block) for x in row]
+        fh.write((fmt * len(block[0])) % tuple(values))
+
+
 def write_mesh(path, mesh: Mesh) -> None:
     """ASCII dump: header counts, vertex lines, triangle lines, boundary lines."""
     with open(path, "w") as fh:
         fh.write(f"{mesh.nv} {mesh.nt} {len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for (i, j, k), tag in zip(mesh.triangles, mesh.tri_tags):
-            fh.write(f"{i} {j} {k} {tag}\n")
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.edge_tags):
-            fh.write(f"{i} {j} {tag}\n")
+        _write_rows(fh, "%r %r\n", mesh.vertices.T)
+        _write_rows(fh, "%d %d %d %d\n", (*mesh.triangles.T, mesh.tri_tags))
+        _write_rows(fh, "%d %d %d\n", (*mesh.boundary_edges.T, mesh.edge_tags))
 

@@ -30,7 +30,10 @@ __all__ = [
     "probe_deviation",
 ]
 
-MEAN_GUARD = 1e-12  # below this the relative scaling of a deviation is meaningless
+# A mean below MEAN_GUARD times the flux's RMS makes a deviation relative to
+# it meaningless.  The probe compares its means with MEAN_GUARD itself: its flux
+# starts as round-off on a state of order one (see ``probe_deviation``).
+MEAN_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,10 @@ class FluxStats:
     measured per component and the worst one is reported.  ``mean`` is still
     the weighted mean over the whole boundary -- that is the quantity the
     divergence theorem pins down.  ``rel_deviation`` divides the deviation by
-    the component's |mean| unless that mean is essentially zero, in which
-    case the absolute value is reported unscaled and ``absolute_fallback``
-    is set.
+    the component's |mean| unless that mean is essentially zero against the
+    component's weighted RMS of the flux; then it is divided by that RMS, so
+    it stays free of units and of the source's scale, and
+    ``absolute_fallback`` is set.
     """
 
     mean: float
@@ -69,8 +73,10 @@ def flux_residual(flux: BoundaryFlux) -> FluxStats:
         wm, fm = w[m], f[m]
         cmean = float((wm * fm).sum() / wm.sum())
         cdev = float(np.sqrt((wm * (fm - cmean) ** 2).sum() / wm.sum()))
-        cfall = abs(cmean) < MEAN_GUARD
-        crel = cdev if cfall else cdev / abs(cmean)
+        crms = float(np.sqrt((wm * fm**2).sum() / wm.sum()))
+        cfall = not abs(cmean) > MEAN_GUARD * crms  # an all-zero flux falls back too
+        scale = crms if cfall else abs(cmean)
+        crel = cdev / scale if scale > 0.0 else 0.0
         comp_means.append(cmean)
         comp_rels.append(crel)
         worst_dev = max(worst_dev, cdev)
@@ -219,6 +225,9 @@ class ProbeStats:
     Deviations are sup-norm relative to the angular mean; when a mean is
     essentially zero the deviation is reported unscaled with the matching
     ``*_absolute`` flag set (a ratio against noise would be meaningless).
+    The guard is absolute: the heat flow's probe flux starts as round-off on
+    a state of order one, which a guard relative to the samples would turn
+    into a deviation of order one.
     """
 
     mean_u: float

@@ -2,10 +2,13 @@
 
 import filecmp
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phaselab import cli_reporting, fem2d, symmetry_checks
 from phaselab.cli_reporting import (
@@ -222,6 +225,90 @@ def test_artifact_floats_survive_round_trip(tmp_path):
         assert repr(float(cell)) == cell
 
 
+def _per_row_mesh(mesh) -> str:
+    """mesh.txt as the per-row writer first produced it: the format's reference."""
+    lines = [f"{mesh.nv} {mesh.nt} {len(mesh.boundary_edges)}\n"]
+    for x, y in mesh.vertices:
+        lines.append(f"{float(x)!r} {float(y)!r}\n")
+    for (i, j, k), tag in zip(mesh.triangles, mesh.tri_tags):
+        lines.append(f"{i} {j} {k} {tag}\n")
+    for (i, j), tag in zip(mesh.boundary_edges, mesh.edge_tags):
+        lines.append(f"{i} {j} {tag}\n")
+    return "".join(lines)
+
+
+def _per_row_field(mesh, values) -> str:
+    """u.csv as the per-row writer first produced it."""
+    lines = ["vertex_id,x,y,value\n"]
+    for i, ((x, y), v) in enumerate(zip(mesh.vertices, values)):
+        lines.append(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}\n")
+    return "".join(lines)
+
+
+def test_block_writers_match_the_per_row_format(tmp_path):
+    # awkward floats, and a row count that leaves a partial last block
+    awkward = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 0.1 + 0.2, 1.0 / 3.0, 2.0**60, 1e308]
+    awkward += [math.inf, -math.inf, math.nan]
+    rows = 2 * fem2d._BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    vertices = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-20, 20, (rows, 2))
+    vertices[: len(awkward), 0] = awkward
+    vertices[-len(awkward) :, 1] = awkward
+    values = rng.standard_normal(rows)
+    values[-len(awkward) :] = awkward
+    triangles = rng.integers(0, 2**40, (rows + 7, 3))
+    mesh = fem2d.Mesh(
+        vertices=vertices,
+        triangles=triangles,
+        tri_tags=rng.integers(0, 4, rows + 7),
+        boundary_edges=rng.integers(0, rows, (fem2d._BLOCK_ROWS, 2)),
+        edge_tags=rng.integers(0, 2, fem2d._BLOCK_ROWS),
+        sectors=0,
+    )
+    fem2d.write_mesh(tmp_path / "mesh.txt", mesh)
+    cli_reporting._write_field_csv(tmp_path / "u.csv", mesh, values)
+    assert (tmp_path / "mesh.txt").read_bytes() == _per_row_mesh(mesh).encode()
+    assert (tmp_path / "u.csv").read_bytes() == _per_row_field(mesh, values).encode()
+
+
+SCALED_PRESETS = ("two_phase_displaced", "multiphase_discrete", "one_phase_annulus")
+VERDICTS = (
+    "verdict_flux_symmetric",
+    "verdict_radial",
+    "verdict_transmission_symmetric",
+    "verdict_probes_symmetric",
+    "asymmetry_detected",
+    "expectation_match",
+)
+
+
+@pytest.fixture(scope="module")
+def unscaled_runs():
+    return {name: run_scenario(build_preset(name, n=16)) for name in SCALED_PRESETS}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(name=st.sampled_from(SCALED_PRESETS), k=st.integers(-60, 60))
+@example(name="multiphase_discrete", k=-40)  # its flux mean (~4.5e-13) once fell under the guard
+def test_scaling_the_source_scales_u_and_keeps_every_verdict(unscaled_runs, name, k):
+    # the problem is linear: a power-of-two source scale is exact in floating point
+    base = unscaled_runs[name]
+    sc = base.scenario
+    res = run_scenario(replace(sc, source=tuple(2.0**k * c for c in sc.source)))
+    assert np.array_equal(res.solution.u, 2.0**k * base.solution.u)
+    flux = fem2d.recover_boundary_flux(res.system, res.solution.u).values
+    base_flux = fem2d.recover_boundary_flux(base.system, base.solution.u).values
+    assert np.array_equal(flux, 2.0**k * base_flux)
+    assert res.solution.iterations == base.solution.iterations
+    for verdict in VERDICTS:
+        assert getattr(res, verdict) == getattr(base, verdict), verdict
+    # the scale-free diagnostics columns stay bitwise the same
+    assert res.flux_stats.rel_deviation == base.flux_stats.rel_deviation
+    assert res.flux_stats.absolute_fallback == base.flux_stats.absolute_fallback
+    assert res.spectrum.nonradial_fraction == base.spectrum.nonradial_fraction
+    assert res.transmission.residual == base.transmission.residual
+
+
 def test_merge_reports(tmp_path):
     run_scenario(build_preset("one_phase_disk", n=8), out_dir=tmp_path / "one_phase_disk")
     run_scenario(
@@ -421,12 +508,17 @@ def test_main_run_rejects_non_finite_number_with_exit_2(tmp_path, capsys, litera
 
 
 def test_main_run_rejects_overflowing_source_with_exit_2(tmp_path, capsys):
-    # finite coefficients whose polynomial overflows at the vertices
-    cfg = write_config(tmp_path / "overflow.json", source=[1e308, 1e308])
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "error: the source must be finite at every mesh vertex" in err
-    assert not (tmp_path / "out").exists()
+    for source, message in (
+        # finite coefficients whose polynomial overflows at the vertices
+        ([1e308, 1e308], "the source must be finite at every mesh vertex"),
+        # a finite load whose squares overflow inside the solve (1e154 still solves)
+        ([1e155], "the load is too large to solve in double precision"),
+        ([1e200], "the load is too large to solve in double precision"),
+    ):
+        cfg = write_config(tmp_path / "overflow.json", source=source)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2, source
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_tolerances_accept_zero_decay_slack():

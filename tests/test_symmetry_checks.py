@@ -53,8 +53,16 @@ def test_flux_residual_zero_mean_guard():
     th = 2 * np.pi * np.arange(64) / 64
     stats = flux_residual(synthetic_flux(0.3 * np.sin(th)))
     assert stats.absolute_fallback
-    # reported value is the absolute spread, not a ratio against noise
-    assert abs(stats.rel_deviation - 0.3 / math.sqrt(2)) < 1e-6
+    # reported value is the spread over the flux's RMS, not a ratio against noise;
+    # with a zero mean the spread is the RMS, so the scale-free value is 1
+    assert abs(stats.rel_deviation - 1.0) < 1e-6
+    # the guard is relative: a tiny but clean mean is not mistaken for zero ...
+    tiny = flux_residual(synthetic_flux(2.0**-60 * (1.0 + 0.1 * np.cos(th))))
+    assert not tiny.absolute_fallback
+    assert tiny.rel_deviation == flux_residual(synthetic_flux(1.0 + 0.1 * np.cos(th))).rel_deviation
+    # ... and an all-zero flux reports 0
+    zero = flux_residual(synthetic_flux(np.zeros(64)))
+    assert zero.absolute_fallback and zero.rel_deviation == 0.0
 
 
 def test_flux_residual_per_component():

@@ -7,10 +7,11 @@ group of the layout.  Displaced inclusions are captured by per-element
 tagging at centroids instead.
 
 Assembly is the classical piecewise-linear setup: element stiffness from
-edge coefficients, exact 3x3 mass blocks, vertex-rule load.  Each derived
-fact has one owner that builds it on first use: the mesh its element
-geometry, the assembled system its Dirichlet-free blocks.  The linear
-solve is a hand-rolled conjugate gradient with a deterministic zero start,
+edge coefficients, exact 3x3 mass blocks, vertex-rule load.  It runs a block
+of triangles at a time, so its temporaries do not grow with the mesh.  Each
+derived fact has one owner that builds it on first use: the mesh its element
+geometry, the assembled system its Dirichlet-free blocks.  The linear solve
+is a hand-rolled conjugate gradient with a deterministic zero start,
 preconditioned by an exact solve with the stiffness whose conductivity is
 averaged over each rotation orbit: an FFT in angle and one tridiagonal
 radial solve per mode, so the iteration count does not grow with n and a
@@ -228,8 +229,15 @@ class FemSystem:
         return float(np.sqrt(u_free @ (self.Mff @ u_free)))
 
 
+_BLOCK_TRIANGLES = 16384  # triangles per assembly block
+_TOO_SMALL = "the load is too small to solve in double precision"
+
+
 def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     """Assemble stiffness, mass, and load for one conductivity layout.
+
+    K and M are summed a block of triangles at a time, so the element blocks
+    and index arrays in flight never outgrow one block, whatever the mesh size.
 
     ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
     ``source`` may be a scalar, a per-vertex array, or a callable on (nv, 2)
@@ -245,13 +253,16 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
 
     V, T = mesh.vertices, mesh.triangles
     b, c, area = mesh.geometry
-    Ke = _element_stiffness(b, c, area, sigma_e)
-    ii = np.repeat(T, 3, axis=1).reshape(-1)
-    jj = np.tile(T, (1, 3)).reshape(-1)
     nv = len(V)
-    K = sp.coo_matrix((Ke.reshape(-1), (ii, jj)), shape=(nv, nv)).tocsr()
-    Me = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    M = sp.coo_matrix((Me.reshape(-1), (ii, jj)), shape=(nv, nv)).tocsr()
+    K = M = sp.csr_matrix((nv, nv))
+    for lo in range(0, len(T), _BLOCK_TRIANGLES):
+        blk = slice(lo, lo + _BLOCK_TRIANGLES)
+        Tb = T[blk].astype(np.int32)
+        ij = (np.repeat(Tb, 3, axis=1).reshape(-1), np.tile(Tb, (1, 3)).reshape(-1))
+        Ke = _element_stiffness(b[blk], c[blk], area[blk], sigma_e[blk])
+        Me = (area[blk, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+        K = K + sp.csr_matrix((Ke.reshape(-1), ij), shape=(nv, nv))
+        M = M + sp.csr_matrix((Me.reshape(-1), ij), shape=(nv, nv))
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if callable(source):
@@ -268,6 +279,8 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
         raise ValueError("the source must be finite at every mesh vertex")
     if not np.isfinite(F).all():
         raise ValueError("the assembled load must be finite")
+    if gv.any() and not F.any():  # every vertex's area/3 times its source underflowed
+        raise ValueError(_TOO_SMALL)
 
     bn = mesh.boundary_vertices()
     free = np.setdiff1d(np.arange(nv), bn)
@@ -370,6 +383,8 @@ def _orbit_mean_solver(system: FemSystem):
 def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
     """CG from a zero start, preconditioned by ``precond(r)``; deterministic by construction."""
     x = np.zeros_like(F)
+    if not F.any():
+        return x, 0
     r = F.copy()
     z = precond(r)
     p = z.copy()
@@ -377,12 +392,15 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
         rz = r @ z
     if not np.isfinite(rz):
         raise ValueError("the load is too large to solve in double precision")
+    if rz < np.finfo(float).tiny:
+        raise ValueError(_TOO_SMALL)
     f0 = np.linalg.norm(F)
-    if f0 == 0.0:
-        return x, 0
     for it in range(1, maxit + 1):
         Kp = K @ p
-        alpha = rz / (p @ Kp)
+        pKp = p @ Kp
+        if not pKp > 0.0:  # K is positive definite: only underflow or NaN gets here
+            raise ValueError(_TOO_SMALL)
+        alpha = rz / pKp
         x += alpha * p
         r -= alpha * Kp
         if np.linalg.norm(r) <= tol * f0:

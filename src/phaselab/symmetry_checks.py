@@ -193,22 +193,22 @@ class TransmissionStats:
 
 def transmission_residual(system: FemSystem, u: np.ndarray, aux_profile) -> TransmissionStats:
     mesh = system.mesh
-    core = mesh.tri_tags >= 1
-    if not core.any():
+    core = np.flatnonzero(mesh.tri_tags >= 1)
+    if not len(core):
         return TransmissionStats(residual=0.0, defined=False, core_area=0.0)
-    b, c, area = mesh.geometry
-    uT = u[mesh.triangles]
-    A2 = (2 * area)[:, None]
-    gx = (uT * b / A2).sum(axis=1)[core]
-    gy = (uT * c / A2).sum(axis=1)[core]
+    b, c, a_core = (a[core] for a in mesh.geometry)
+    corners = mesh.triangles[core]
+    uT = u[corners]
+    A2 = (2 * a_core)[:, None]
+    gx = (uT * b / A2).sum(axis=1)
+    gy = (uT * c / A2).sum(axis=1)
     sig = system.sigma_e[core]
 
-    cents = mesh.centroids()[core]
+    cents = mesh.vertices[corners].mean(axis=1)
     r_c = np.linalg.norm(cents, axis=1)
     qp = aux_profile.derivative(np.clip(r_c, aux_profile.r0, aux_profile.R))
     ex, ey = cents[:, 0] / r_c, cents[:, 1] / r_c
 
-    a_core = area[core]
     num = (a_core * ((sig * gx - qp * ex) ** 2 + (sig * gy - qp * ey) ** 2)).sum()
     den = (a_core * qp**2).sum()
     if den <= 0.0:

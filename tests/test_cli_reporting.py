@@ -521,6 +521,18 @@ def test_main_run_rejects_overflowing_source_with_exit_2(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_main_run_rejects_underflowing_source_with_exit_2(tmp_path, capsys):
+    # two_phase_displaced at n=16 with its source scaled down: at 1e-152 CG breaks
+    # down on NaN, from 1e-156 the first r @ z underflows, and at 1e-323 every
+    # entry of the load does; none may solve to u = 0 and claim symmetry
+    displaced = [{"shape": "disk", "sigma": 2.0, "center": [0.2, 0.0], "radius": 0.3}]
+    for scale in (1e-152, 1e-156, 1e-160, 1e-300, 1e-323):
+        cfg = write_config(tmp_path / "underflow.json", n=16, phases=displaced, source=[scale])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2, scale
+        assert "error: the load is too small to solve in double precision" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_tolerances_accept_zero_decay_slack():
     assert Tolerances(decay_slack=0.0).decay_slack == 0.0
 

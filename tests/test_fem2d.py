@@ -1,9 +1,11 @@
 """Mesh generation, P1 assembly, the elliptic solve, and flux recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
@@ -12,6 +14,8 @@ from phaselab.cli_reporting import build_preset, preset_names
 from phaselab.fem2d import (
     Mesh,
     CircleSampler,
+    _BLOCK_TRIANGLES,
+    _element_stiffness,
     _orbit_mean_solver,
     assemble_system,
     generate_mesh,
@@ -141,6 +145,42 @@ def test_stiffness_rows_sum_to_zero():
     sys_ = assemble_system(generate_mesh(CONCENTRIC, 8), [1.0, 2.0], 1.0)
     row_sums = np.asarray(sys_.stiffness.sum(axis=1)).ravel()
     assert np.max(np.abs(row_sums)) < 1e-13
+
+
+def test_blocked_assembly_matches_one_shot_reference():
+    mesh = generate_mesh(DISPLACED, 64)
+    assert mesh.nt > 2 * _BLOCK_TRIANGLES and mesh.nt % _BLOCK_TRIANGLES  # and a partial block
+    sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
+    # the reference: every element block at once, one COO matrix per operator
+    T, nv = mesh.triangles, mesh.nv
+    b, c, area = mesh.geometry
+    ij = (np.repeat(T, 3, axis=1).reshape(-1), np.tile(T, (1, 3)).reshape(-1))
+    Ke = _element_stiffness(b, c, area, sys_.sigma_e)
+    Me = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    for got, blocks in ((sys_.stiffness, Ke), (sys_.mass, Me)):
+        ref = sp.coo_matrix((blocks.reshape(-1), ij), shape=(nv, nv)).tocsr()
+        assert got.format == "csr" and got.has_canonical_format
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        assert abs(got - ref).max() <= 1e-15 * abs(ref).max()
+        # the same pattern, except that entries which cancel to exactly 0 may be dropped
+        assert got.nnz <= ref.nnz
+        got = got.copy()
+        for A in (got, ref):
+            A.eliminate_zeros()
+        assert (got.indptr == ref.indptr).all() and (got.indices == ref.indices).all()
+
+
+def test_assembly_temporaries_stay_within_twice_the_matrices():
+    mesh = generate_mesh(DISPLACED, 64)
+    mesh.geometry  # kept by the mesh, not an assembly temporary
+    tracemalloc.start()
+    try:
+        sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for A in (sys_.stiffness, sys_.mass) for a in (A.data, A.indices, A.indptr))
+    assert peak - live <= 2 * kept
 
 
 def test_geometry_and_free_blocks_are_cached_read_only():

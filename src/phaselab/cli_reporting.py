@@ -562,12 +562,6 @@ def _diagnostics_row(res: ScenarioResult) -> list[str]:
     return [_fmt(get(res)) for _, get in _DIAGNOSTICS]
 
 
-def _write_field_csv(path: Path, mesh, values: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("vertex_id,x,y,value\n")
-        _write_rows(fh, "%d,%r,%r,%r\n", (np.arange(mesh.nv), *mesh.vertices.T, values))
-
-
 def _write_spectra_csv(path: Path, spectrum) -> None:
     a, b = spectrum.cos_coeffs, spectrum.sin_coeffs
     radius = np.repeat(spectrum.radii, a.shape[1])
@@ -670,9 +664,7 @@ def _summary_text(res: ScenarioResult) -> str:
 def write_artifacts(res: ScenarioResult, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mesh = res.system.mesh
-    write_mesh(out / "mesh.txt", mesh)
-    _write_field_csv(out / "u.csv", mesh, res.solution.u)
+    write_mesh(out / "mesh.txt", res.system.mesh, (out / "u.csv", res.solution.u))
     _write_spectra_csv(out / "spectra.csv", res.spectrum)
     _write_radial_csv(
         out / "radial.csv",

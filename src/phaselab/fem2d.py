@@ -10,12 +10,13 @@ Assembly is the classical piecewise-linear setup: element stiffness from
 edge coefficients, exact 3x3 mass blocks, vertex-rule load.  It runs a block
 of triangles at a time, so its temporaries do not grow with the mesh.  Each
 derived fact has one owner that builds it on first use: the mesh its element
-geometry, the assembled system its Dirichlet-free blocks.  The linear solve
-is a hand-rolled conjugate gradient with a deterministic zero start,
-preconditioned by an exact solve with the stiffness whose conductivity is
-averaged over each rotation orbit: an FFT in angle and one tridiagonal
-radial solve per mode, so the iteration count does not grow with n and a
-concentric layout converges in one step.  Boundary fluxes are recovered
+geometry, the assembled system its mass matrix (only the heat flow reads
+it) and its Dirichlet-free blocks.  The linear solve is a hand-rolled
+conjugate gradient with a deterministic zero start, preconditioned by an
+exact solve with the stiffness whose conductivity is averaged over each
+rotation orbit: an FFT in angle and one tridiagonal radial solve per mode,
+so the iteration count does not grow with n and a concentric layout
+converges in one step.  Boundary fluxes are recovered
 variationally from the residual of the full (uneliminated) operator, which
 makes the discrete divergence identity hold to solver precision.
 
@@ -25,6 +26,7 @@ side test.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -194,18 +196,18 @@ def _element_stiffness(b, c, area, sigma) -> np.ndarray:
 
 @dataclass
 class FemSystem:
-    """Assembled operators: full (uneliminated) stiffness and mass, plus the load.
+    """Assembled operators: the full (uneliminated) stiffness and the load.
 
     The homogeneous boundary condition is applied by *index partitioning*
     (`free` vs `boundary`), never by rewriting rows, so the full operator
-    stays available for variational flux recovery.  Every solver works on
-    the free blocks `Kff` and `Mff`, sliced once on first use and kept in
-    CSC, the format SuperLU factors.
+    stays available for variational flux recovery.  The full mass matrix is
+    assembled on first use, so an elliptic run never builds it.  Every solver
+    works on the free blocks `Kff` and `Mff`, sliced once on first use and
+    kept in CSC, the format SuperLU factors.
     """
 
     mesh: Mesh
     stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
     load: np.ndarray
     g_vertex: np.ndarray  # nodal source values, also the default initial heat
     sigma_e: np.ndarray  # per-element conductivity
@@ -216,6 +218,11 @@ class FemSystem:
     @property
     def domain_area(self) -> float:
         return float(self.areas.sum())
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        block = np.ones((3, 3)) + np.eye(3)  # exact P1 mass: area (1 + I) / 12
+        return _assemble(self.mesh, lambda blk: (self.areas[blk, None, None] / 12.0) * block)
 
     @cached_property
     def Kff(self) -> sp.csc_matrix:
@@ -233,11 +240,28 @@ _BLOCK_TRIANGLES = 16384  # triangles per assembly block
 _TOO_SMALL = "the load is too small to solve in double precision"
 
 
-def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
-    """Assemble stiffness, mass, and load for one conductivity layout.
+def _assemble(mesh: Mesh, element_blocks) -> sp.csr_matrix:
+    """Sum ``element_blocks(blk)``, the (len, 3, 3) blocks of triangles ``blk``, into CSR.
 
-    K and M are summed a block of triangles at a time, so the element blocks
-    and index arrays in flight never outgrow one block, whatever the mesh size.
+    It runs a block of triangles at a time, so the element blocks and index
+    arrays in flight never outgrow one block, whatever the mesh size; the
+    result is canonical CSR with int32 indices.
+    """
+    T, nv = mesh.triangles, mesh.nv
+    A = sp.csr_matrix((nv, nv))
+    for lo in range(0, len(T), _BLOCK_TRIANGLES):
+        blk = slice(lo, lo + _BLOCK_TRIANGLES)
+        Tb = T[blk].astype(np.int32)
+        ij = (np.repeat(Tb, 3, axis=1).reshape(-1), np.tile(Tb, (1, 3)).reshape(-1))
+        A = A + sp.csr_matrix((element_blocks(blk).reshape(-1), ij), shape=(nv, nv))
+    return A
+
+
+def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
+    """Assemble the stiffness and the load for one conductivity layout.
+
+    K is summed a block of triangles at a time by `_assemble`; the mass
+    matrix M is assembled the same way on first use of `FemSystem.mass`.
 
     ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
     ``source`` may be a scalar, a per-vertex array, or a callable on (nv, 2)
@@ -254,15 +278,7 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     V, T = mesh.vertices, mesh.triangles
     b, c, area = mesh.geometry
     nv = len(V)
-    K = M = sp.csr_matrix((nv, nv))
-    for lo in range(0, len(T), _BLOCK_TRIANGLES):
-        blk = slice(lo, lo + _BLOCK_TRIANGLES)
-        Tb = T[blk].astype(np.int32)
-        ij = (np.repeat(Tb, 3, axis=1).reshape(-1), np.tile(Tb, (1, 3)).reshape(-1))
-        Ke = _element_stiffness(b[blk], c[blk], area[blk], sigma_e[blk])
-        Me = (area[blk, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-        K = K + sp.csr_matrix((Ke.reshape(-1), ij), shape=(nv, nv))
-        M = M + sp.csr_matrix((Me.reshape(-1), ij), shape=(nv, nv))
+    K = _assemble(mesh, lambda blk: _element_stiffness(b[blk], c[blk], area[blk], sigma_e[blk]))
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if callable(source):
@@ -283,16 +299,16 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
         raise ValueError(_TOO_SMALL)
 
     bn = mesh.boundary_vertices()
-    free = np.setdiff1d(np.arange(nv), bn)
+    keep = np.ones(nv, dtype=bool)
+    keep[bn] = False
     return FemSystem(
         mesh=mesh,
         stiffness=K,
-        mass=M,
         load=F,
         g_vertex=gv,
         sigma_e=sigma_e,
         areas=area,
-        free=free,
+        free=np.flatnonzero(keep),
         boundary=bn,
     )
 
@@ -600,11 +616,24 @@ def _write_rows(fh, fmt: str, columns) -> None:
         fh.write((fmt * len(block[0])) % tuple(values))
 
 
-def write_mesh(path, mesh: Mesh) -> None:
-    """ASCII dump: header counts, vertex lines, triangle lines, boundary lines."""
-    with open(path, "w") as fh:
+def write_mesh(path, mesh: Mesh, field=None) -> None:
+    """ASCII dump: header counts, vertex lines, triangle lines, boundary lines.
+
+    ``field``, an optional ``(path, values)`` pair, also writes the nodal CSV
+    ``vertex_id,x,y,value`` in the same pass.  Each coordinate goes through
+    ``repr`` once, a block of vertices at a time, and both files take their
+    x and y from the same strings.
+    """
+    with open(path, "w") as fh, (open(field[0], "w") if field else nullcontext()) as csv:
         fh.write(f"{mesh.nv} {mesh.nt} {len(mesh.boundary_edges)}\n")
-        _write_rows(fh, "%r %r\n", mesh.vertices.T)
+        if csv is not None:
+            csv.write("vertex_id,x,y,value\n")
+        for lo in range(0, mesh.nv, _BLOCK_ROWS):
+            blk = slice(lo, lo + _BLOCK_ROWS)
+            xs, ys = (list(map(repr, col[blk].tolist())) for col in mesh.vertices.T)
+            fh.write("".join([f"{x} {y}\n" for x, y in zip(xs, ys)]))
+            if csv is not None:
+                rows = zip(range(lo, lo + len(xs)), xs, ys, field[1][blk].tolist())
+                csv.write("".join([f"{i},{x},{y},{v!r}\n" for i, x, y, v in rows]))
         _write_rows(fh, "%d %d %d %d\n", (*mesh.triangles.T, mesh.tri_tags))
         _write_rows(fh, "%d %d %d\n", (*mesh.boundary_edges.T, mesh.edge_tags))
-

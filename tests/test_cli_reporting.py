@@ -3,6 +3,7 @@
 import filecmp
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from phaselab.cli_reporting import (
     merge_reports,
     preset_names,
     run_scenario,
+    write_artifacts,
 )
 from phaselab.geometry import DomainSpec, PhaseConfig
 
@@ -265,10 +267,38 @@ def test_block_writers_match_the_per_row_format(tmp_path):
         edge_tags=rng.integers(0, 2, fem2d._BLOCK_ROWS),
         sectors=0,
     )
-    fem2d.write_mesh(tmp_path / "mesh.txt", mesh)
-    cli_reporting._write_field_csv(tmp_path / "u.csv", mesh, values)
-    assert (tmp_path / "mesh.txt").read_bytes() == _per_row_mesh(mesh).encode()
+    fem2d.write_mesh(tmp_path / "alone.txt", mesh)
+    fem2d.write_mesh(tmp_path / "mesh.txt", mesh, (tmp_path / "u.csv", values))
+    for name in ("alone.txt", "mesh.txt"):
+        assert (tmp_path / name).read_bytes() == _per_row_mesh(mesh).encode()
     assert (tmp_path / "u.csv").read_bytes() == _per_row_field(mesh, values).encode()
+
+
+def test_artifact_writing_holds_one_block_of_strings(tmp_path):
+    res = run_scenario(build_preset("two_phase_displaced", n=64))
+    tracemalloc.start()
+    try:
+        write_artifacts(res, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 49k coordinate strings of the whole mesh would take 3.2 MB at once
+    assert peak < 2**20
+
+
+def test_only_the_heat_flow_assembles_the_mass_matrix(monkeypatch):
+    calls = []
+
+    def counting_assemble(mesh, element_blocks):
+        calls.append(mesh.nt)
+        return real_assemble(mesh, element_blocks)
+
+    real_assemble = fem2d._assemble
+    monkeypatch.setattr(fem2d, "_assemble", counting_assemble)
+    res = run_scenario(build_preset("two_phase_displaced", n=8, pipeline="elliptic"))
+    assert "mass" not in res.system.__dict__ and len(calls) == 1  # K only
+    res = run_scenario(build_preset("two_phase_displaced", n=8, pipeline="both"))
+    assert "mass" in res.system.__dict__ and len(calls) == 3  # K, then M once
 
 
 SCALED_PRESETS = ("two_phase_displaced", "multiphase_discrete", "one_phase_annulus")

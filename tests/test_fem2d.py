@@ -179,8 +179,17 @@ def test_assembly_temporaries_stay_within_twice_the_matrices():
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for A in (sys_.stiffness, sys_.mass) for a in (A.data, A.indices, A.indptr))
-    assert peak - live <= 2 * kept
+    # only K: the mass matrix is assembled on first use, outside this window
+    K = sys_.stiffness
+    assert peak - live <= 2 * sum(a.nbytes for a in (K.data, K.indices, K.indptr))
+
+
+@pytest.mark.parametrize("cfg", [CONCENTRIC, ANNULUS], ids=["ball", "annulus"])
+def test_free_vertices_are_the_sorted_complement_of_the_boundary(cfg):
+    mesh = generate_mesh(cfg, 8)
+    free = assemble_system(mesh, [1.0, 2.0], 1.0).free
+    expect = np.setdiff1d(np.arange(mesh.nv), mesh.boundary_vertices())
+    assert free.dtype == expect.dtype and np.array_equal(free, expect)
 
 
 def test_geometry_and_free_blocks_are_cached_read_only():

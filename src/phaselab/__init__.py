@@ -22,7 +22,6 @@ from .geometry import (
     validate_configuration,
 )
 from .radial_core import (
-    BoundaryFluxes,
     RadialProfile,
     build_auxiliary_profile,
     mean_flux_identity,

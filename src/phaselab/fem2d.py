@@ -211,18 +211,18 @@ class FemSystem:
     load: np.ndarray
     g_vertex: np.ndarray  # nodal source values, also the default initial heat
     sigma_e: np.ndarray  # per-element conductivity
-    areas: np.ndarray
     free: np.ndarray
     boundary: np.ndarray
 
     @property
     def domain_area(self) -> float:
-        return float(self.areas.sum())
+        return float(self.mesh.geometry[2].sum())
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
         block = np.ones((3, 3)) + np.eye(3)  # exact P1 mass: area (1 + I) / 12
-        return _assemble(self.mesh, lambda blk: (self.areas[blk, None, None] / 12.0) * block)
+        area = self.mesh.geometry[2]
+        return _assemble(self.mesh, lambda blk: (area[blk, None, None] / 12.0) * block)
 
     @cached_property
     def Kff(self) -> sp.csc_matrix:
@@ -307,7 +307,6 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
         load=F,
         g_vertex=gv,
         sigma_e=sigma_e,
-        areas=area,
         free=np.flatnonzero(keep),
         boundary=bn,
     )
@@ -463,10 +462,6 @@ class BoundaryFlux:
     @property
     def weighted_mean(self) -> float:
         return self.total / float(self.weights.sum())
-
-    def component_mean(self, tag: int) -> float:
-        m = self.component == tag
-        return float((self.weights[m] * self.values[m]).sum() / self.weights[m].sum())
 
 
 def recover_boundary_flux(system: FemSystem, u: np.ndarray) -> BoundaryFlux:

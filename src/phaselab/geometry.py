@@ -54,17 +54,6 @@ class DomainSpec:
     def boundary_length(self) -> float:
         return 2.0 * math.pi * (self.outer_radius + self.inner_radius)
 
-    def boundary_distance(self, points) -> np.ndarray:
-        """Signed distance to the boundary; positive inside the domain."""
-        r = np.linalg.norm(np.atleast_2d(np.asarray(points, float)), axis=1)
-        d = self.outer_radius - r
-        if self.kind == "annulus":
-            d = np.minimum(d, r - self.inner_radius)
-        return d
-
-    def contains(self, points) -> np.ndarray:
-        return self.boundary_distance(points) > 0.0
-
     def circle_to_boundary(self, rho: float) -> float:
         """Distance from the circle |x| = rho to the domain boundary."""
         d = self.outer_radius - rho

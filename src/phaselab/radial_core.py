@@ -2,16 +2,15 @@
 
 When the conductivity depends on |x| alone, the equilibrium equation
 ``-div(sigma grad u) = g`` with zero boundary data reduces to a first-order
-relation for the co-normal flux through the sphere of radius r:
+relation for the co-normal flux through the circle of radius r:
 
-    sigma(r) * r**(d-1) * U'(r) = c0 - int_{r0}^{r} g(s) s**(d-1) ds.
+    sigma(r) * r * U'(r) = c0 - int_{r0}^{r} g(s) s ds.
 
-On a ball c0 = 0 (nothing can flow through the origin); on an annulus c0 is
+On a disk c0 = 0 (nothing can flow through the origin); on an annulus c0 is
 fixed by the inner Dirichlet condition.  For polynomial g each layer then
-integrates in closed form: a polynomial plus a multiple of log(r) in the
-plane, or of r**(2-d) in dimension d >= 3.  This module builds that piecewise
-representation exactly and evaluates it, its derivative, and its boundary
-fluxes.
+integrates in closed form: a polynomial plus a multiple of log(r).  This
+module builds that piecewise representation exactly and evaluates it and its
+derivative.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from numpy.polynomial import polynomial as npoly
 __all__ = [
     "RadialPiece",
     "RadialProfile",
-    "BoundaryFluxes",
     "solve_radial",
     "radial_layers",
     "build_auxiliary_profile",
@@ -35,10 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialPiece:
-    """One layer of the solution: ``poly(r) + alpha * special(r)`` on [lo, hi].
+    """One layer of the solution: ``poly(r) + alpha * log(r)`` on [lo, hi].
 
-    ``special`` is log(r) in dimension two and r**(2-d) otherwise; ``poly``
-    holds ascending coefficients.
+    ``poly`` holds ascending coefficients.
     """
 
     lo: float
@@ -50,12 +47,9 @@ class RadialPiece:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    dim: int
     r0: float
     R: float
     pieces: tuple[RadialPiece, ...]
-    flux_constant: float  # c0 in the flux relation
-    g_coeffs: tuple[float, ...]
     g_positive: bool  # sampled sign check on [r0, R]; advisory only
 
     # -- evaluation --------------------------------------------------------
@@ -64,18 +58,6 @@ class RadialProfile:
         lows = np.array([p.lo for p in self.pieces])
         idx = np.searchsorted(lows, r, side="right") - 1
         return np.clip(idx, 0, len(self.pieces) - 1)
-
-    def _special(self, r: np.ndarray) -> np.ndarray:
-        if self.dim == 2:
-            # pieces with alpha != 0 never reach r = 0, but guard the eval anyway
-            return np.log(np.maximum(r, 1e-300))
-        return np.maximum(r, 1e-300) ** (2 - self.dim)
-
-    def _special_deriv(self, r: np.ndarray) -> np.ndarray:
-        safe = np.maximum(r, 1e-300)
-        if self.dim == 2:
-            return 1.0 / safe
-        return (2 - self.dim) * safe ** (1 - self.dim)
 
     def _check_range(self, r: np.ndarray) -> None:
         tol = 1e-12 * max(1.0, self.R)
@@ -88,7 +70,8 @@ class RadialProfile:
         self._check_range(flat)
         idx = self._piece_index(flat)
         out = np.empty_like(flat)
-        spec = self._special(flat)
+        # pieces with alpha != 0 never reach r = 0, but guard the log anyway
+        spec = np.log(np.maximum(flat, 1e-300))
         for k, piece in enumerate(self.pieces):
             m = idx == k
             if m.any():
@@ -101,65 +84,24 @@ class RadialProfile:
         self._check_range(flat)
         idx = self._piece_index(flat)
         out = np.empty_like(flat)
-        dspec = self._special_deriv(flat)
+        dspec = 1.0 / np.maximum(flat, 1e-300)
         for k, piece in enumerate(self.pieces):
             m = idx == k
             if m.any():
                 out[m] = npoly.polyval(flat[m], npoly.polyder(piece.poly)) + piece.alpha * dspec[m]
         return out.reshape(rr.shape) if rr.shape else float(out[0])
 
-    def conormal_flux(self, r) -> np.ndarray:
-        """sigma(r) * U'(r), from the flux relation (continuous across layers)."""
-        rr = np.asarray(r, float)
-        flat = np.atleast_1d(rr)
-        self._check_range(flat)
-        val = (self.flux_constant - _eval_G(self.g_coeffs, self.dim, self.r0, flat)) / np.maximum(
-            flat, 1e-300
-        ) ** (self.dim - 1)
-        return val.reshape(rr.shape) if rr.shape else float(val[0])
 
-    def boundary_fluxes(self) -> "BoundaryFluxes":
-        """Outward co-normal fluxes on each boundary component.
-
-        On the inner circle of an annulus the outward normal points toward
-        the origin, so the outward flux is minus the radial derivative there.
-        """
-        outer = float(self.conormal_flux(self.R))
-        if self.r0 > 0.0:
-            inner = -float(self.conormal_flux(self.r0))
-            wo = self.R ** (self.dim - 1)
-            wi = self.r0 ** (self.dim - 1)
-            mean = (wo * outer + wi * inner) / (wo + wi)
-            return BoundaryFluxes(outer=outer, inner=inner, mean=mean)
-        return BoundaryFluxes(outer=outer, inner=None, mean=outer)
-
-
-@dataclass(frozen=True)
-class BoundaryFluxes:
-    outer: float
-    inner: float | None
-    mean: float  # area-weighted over all boundary components
-
-
-def _eval_G(g_coeffs, dim: int, r0: float, r: np.ndarray) -> np.ndarray:
-    """int_{r0}^{r} g(s) s**(d-1) ds for polynomial g (ascending coefficients)."""
-    g = np.asarray(g_coeffs, float)
-    expo = np.arange(len(g)) + dim
-    coef = g / expo
-    rr = np.asarray(r, float)[..., None]
-    return (coef * rr**expo).sum(-1) - float((coef * r0**expo).sum())
-
-
-def solve_radial(breaks, sigmas, g_coeffs, dim: int = 2) -> RadialProfile:
+def solve_radial(breaks, sigmas, g_coeffs) -> RadialProfile:
     """Solve the layered radial problem exactly.
 
     ``breaks`` are the layer boundaries ``r0 < r1 < ... < R`` (r0 = 0 for a
-    ball); ``sigmas[i]`` is the conductivity on ``(breaks[i], breaks[i+1])``;
+    disk); ``sigmas[i]`` is the conductivity on ``(breaks[i], breaks[i+1])``;
     ``g_coeffs`` are ascending polynomial coefficients of the source g(r).
 
     Each layer's indefinite integral of U' is accumulated outside-in, chaining
     the integration constants so the profile is continuous and vanishes at the
-    outer boundary; the co-normal flux ``sigma r^(d-1) U'`` is continuous by
+    outer boundary; the co-normal flux ``sigma r U'`` is continuous by
     construction.  All operations are linear in g with scale factors built
     from g-independent quantities, so doubling g doubles every stored
     coefficient exactly in floating point.
@@ -176,44 +118,31 @@ def solve_radial(breaks, sigmas, g_coeffs, dim: int = 2) -> RadialProfile:
         raise ValueError("layer boundaries must be nonnegative")
     if any(not (s > 0.0 and math.isfinite(s)) for s in sigmas):
         raise ValueError("conductivity must be positive in every layer")
-    if not isinstance(dim, int) or dim < 2:
-        raise ValueError("dimension must be an integer >= 2")
     g = np.asarray(g_coeffs, float)
     if g.ndim != 1 or len(g) == 0:
         raise ValueError("source must be a nonempty coefficient sequence")
 
     r0, R = breaks[0], breaks[-1]
     if r0 == 0.0:
-        c0 = 0.0
-        pieces = _chain_pieces(breaks, sigmas, g, dim, c0)
+        pieces = _chain_pieces(breaks, sigmas, g, 0.0)
     else:
         # superposition: particular part (c0 = 0) plus c0 times the
         # source-free unit-flux solution, with c0 matching U(r0) = 0
-        part = _chain_pieces(breaks, sigmas, g, dim, 0.0)
-        homog = _chain_pieces(breaks, sigmas, np.zeros(1), dim, 1.0)
-        up0 = _eval_pieces(part, dim, r0)
-        uh0 = _eval_pieces(homog, dim, r0)
-        c0 = -up0 / uh0
-        pieces = _chain_pieces(breaks, sigmas, g, dim, c0)
+        part = _chain_pieces(breaks, sigmas, g, 0.0)
+        homog = _chain_pieces(breaks, sigmas, np.zeros(1), 1.0)
+        c0 = -_eval_pieces(part, r0) / _eval_pieces(homog, r0)
+        pieces = _chain_pieces(breaks, sigmas, g, c0)
 
     r_samp = np.linspace(r0 if r0 > 0 else 0.0, R, 4097)
     g_positive = bool(npoly.polyval(r_samp, g).min() > 0.0)
 
-    return RadialProfile(
-        dim=dim,
-        r0=r0,
-        R=R,
-        pieces=tuple(pieces),
-        flux_constant=c0,
-        g_coeffs=tuple(float(c) for c in g),
-        g_positive=g_positive,
-    )
+    return RadialProfile(r0=r0, R=R, pieces=tuple(pieces), g_positive=g_positive)
 
 
-def _chain_pieces(breaks, sigmas, g, dim, c0) -> list[RadialPiece]:
+def _chain_pieces(breaks, sigmas, g, c0) -> list[RadialPiece]:
     """Integrate U' layer by layer from the outer boundary inward."""
-    # numerator of U': n0 - sum_k Gc_k r**(k+d)  with n0 = c0 + P_G(r0)
-    expo = np.arange(len(g)) + dim
+    # numerator of U': n0 - sum_k Gc_k r**(k+2)  with n0 = c0 + P_G(r0)
+    expo = np.arange(len(g)) + 2
     Gc = g / expo
     n0 = c0 + float((Gc * breaks[0] ** expo).sum())
 
@@ -222,27 +151,25 @@ def _chain_pieces(breaks, sigmas, g, dim, c0) -> list[RadialPiece]:
     for i in reversed(range(len(sigmas))):
         lo, hi, sig = breaks[i], breaks[i + 1], sigmas[i]
         poly = np.zeros(len(g) + 2)
-        poly[2:] = -Gc / ((np.arange(len(g)) + 2) * sig)
-        alpha = n0 / sig if dim == 2 else n0 / ((2 - dim) * sig)
-        body_hi = npoly.polyval(hi, poly) + alpha * _special_value(hi, dim)
+        poly[2:] = -Gc / (expo * sig)
+        alpha = n0 / sig
+        body_hi = npoly.polyval(hi, poly) + alpha * _log(hi)
         poly[0] = target - body_hi
         pieces.append(RadialPiece(lo=lo, hi=hi, sigma=sig, poly=tuple(poly), alpha=alpha))
-        target = npoly.polyval(lo, poly) + alpha * _special_value(lo, dim)
+        target = npoly.polyval(lo, poly) + alpha * _log(lo)
     pieces.reverse()
     return pieces
 
 
-def _special_value(r: float, dim: int) -> float:
-    if r == 0.0:
-        # only reachable for the innermost ball layer, where alpha is exactly 0
-        return 0.0
-    return math.log(r) if dim == 2 else r ** (2 - dim)
+def _log(r: float) -> float:
+    # r = 0 only for the innermost disk layer, where alpha is exactly 0
+    return math.log(r) if r > 0.0 else 0.0
 
 
-def _eval_pieces(pieces, dim, r: float) -> float:
+def _eval_pieces(pieces, r: float) -> float:
     for p in pieces:
         if p.lo <= r <= p.hi:
-            return float(npoly.polyval(r, p.poly)) + p.alpha * _special_value(r, dim)
+            return float(npoly.polyval(r, p.poly)) + p.alpha * _log(r)
     raise ValueError("radius outside the layered range")
 
 
@@ -263,12 +190,12 @@ def radial_layers(config) -> tuple[list[float], list[float]]:
     return breaks, sigmas
 
 
-def build_auxiliary_profile(domain, g_coeffs, dim: int = 2) -> RadialProfile:
+def build_auxiliary_profile(domain, g_coeffs) -> RadialProfile:
     """Reference equilibrium of the same domain with conductivity one everywhere."""
-    return solve_radial([domain.inner_radius, domain.outer_radius], [1.0], g_coeffs, dim=dim)
+    return solve_radial([domain.inner_radius, domain.outer_radius], [1.0], g_coeffs)
 
 
-def mean_flux_identity(domain, g_coeffs, dim: int = 2) -> float:
+def mean_flux_identity(domain, g_coeffs) -> float:
     """Boundary-average outward co-normal flux forced by the divergence theorem.
 
     Integrating ``-div(sigma grad u) = g`` gives
@@ -276,5 +203,8 @@ def mean_flux_identity(domain, g_coeffs, dim: int = 2) -> float:
     domains the angular factors cancel, leaving moments of g.
     """
     r0, R = domain.inner_radius, domain.outer_radius
-    total = float(_eval_G(g_coeffs, dim, r0, np.array(R)))
-    return -total / (R ** (dim - 1) + r0 ** (dim - 1))
+    g = np.asarray(g_coeffs, float)
+    expo = np.arange(len(g)) + 2
+    coef = g / expo  # int_{r0}^{R} g(s) s ds, term by term
+    total = float((coef * R**expo).sum()) - float((coef * r0**expo).sum())
+    return -total / (R + r0)

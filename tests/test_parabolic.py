@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from phaselab import parabolic
 from phaselab.fem2d import (
     CircleSampler,
     assemble_system,
@@ -16,6 +17,7 @@ from phaselab.fem2d import (
 )
 from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
 from phaselab.parabolic import (
+    _step_size,
     decay_certificate,
     evolve,
     monotone_decay,
@@ -86,6 +88,13 @@ def test_step_schedule_uniform_then_geometric_then_capped():
     # one factorization per distinct step size
     assert run.factorizations == len({round(float(d), 15) for d in dts})
     assert run.mass_norms[-1] <= 1e-6 < run.mass_norms[-2]
+
+
+def test_step_size_caps_its_exponent_and_keeps_every_earlier_bit():
+    # the uncapped power 1.05 ** (k - 19) overflows once k passes about 14,550
+    assert _step_size(10**6) == 2e-3
+    for k in range(20, 14_000, 7):
+        assert _step_size(k) == min(5e-4 * 1.05 ** (k - 19), 2e-3), k
 
 
 @pytest.fixture
@@ -193,9 +202,11 @@ def test_initial_norm_matches_source_interpolant():
 
 
 def test_doubled_start_doubles_everything_exactly():
-    sys_ = disk_system(8)
-    a = evolve(sys_, eps=1e-5)
-    b = evolve(sys_, 2.0 * sys_.g_vertex, eps=2e-5)
+    # the run starts from the nodal source values, so a doubled source
+    # doubles the start
+    mesh = generate_mesh(PhaseConfig(domain=DomainSpec("ball")), 8)
+    a = evolve(assemble_system(mesh, [1.0], 1.0), eps=1e-5)
+    b = evolve(assemble_system(mesh, [1.0], 2.0), eps=2e-5)
     assert b.steps == a.steps
     assert np.array_equal(b.v_field, 2.0 * a.v_field)
     assert np.array_equal(b.u_final, 2.0 * a.u_final)
@@ -217,22 +228,16 @@ def semi_discrete_integral(sys_):
     return spla.splu(Kff).solve(Mff @ sys_.g_vertex[free])
 
 
-def test_trapezoid_is_exact_for_crank_nicolson():
-    # per mode, Crank-Nicolson + trapezoid telescopes to x0/lambda exactly,
-    # so V matches the algebraic limit up to the stopped tail (eps / lambda)
-    sys_ = disk_system(16)
-    v_star = semi_discrete_integral(sys_)
-    run = evolve(sys_, theta=0.5, eps=1e-8)
-    gap = sys_.mass_norm(run.v_field[sys_.free] - v_star)
-    assert gap < 2e-9
-
-
-def test_backward_euler_integral_is_first_order():
+def test_backward_euler_integral_is_first_order(monkeypatch):
     sys_ = disk_system(12)
     v_star = semi_discrete_integral(sys_)
     free = sys_.free
     coarse = evolve(sys_, eps=1e-9)
-    fine = evolve(sys_, eps=1e-9, dt0=2.5e-4, uniform_steps=40, dt_max=1e-3)
+    # the same schedule at half the step sizes
+    monkeypatch.setattr(parabolic, "DT0", 2.5e-4)
+    monkeypatch.setattr(parabolic, "WARMUP_STEPS", 40)
+    monkeypatch.setattr(parabolic, "DT_MAX", 1e-3)
+    fine = evolve(sys_, eps=1e-9)
     e_coarse = sys_.mass_norm(coarse.v_field[free] - v_star)
     e_fine = sys_.mass_norm(fine.v_field[free] - v_star)
     assert 1.6 < e_coarse / e_fine < 2.4
@@ -245,24 +250,10 @@ def test_time_integral_inherits_boundary_flux():
     assert abs(flux.weighted_mean - (-0.5)) < 0.01
 
 
-def test_crank_nicolson_also_decays_and_integrates():
-    sys_ = disk_system(16)
-    run = evolve(sys_, theta=0.5, eps=1e-8)
-    assert monotone_decay(run)
-    err = v_error_vs_elliptic(sys_, run, solve_elliptic(sys_).u)
-    assert err < 1e-2
-
-
-def test_theta_validation():
-    with pytest.raises(ValueError):
-        evolve(disk_system(8), theta=0.0)
-    with pytest.raises(ValueError):
-        evolve(disk_system(8), theta=1.2)
-
-
-def test_max_steps_guard():
+def test_max_steps_guard(monkeypatch):
+    monkeypatch.setattr(parabolic, "MAX_STEPS", 5)
     with pytest.raises(RuntimeError):
-        evolve(disk_system(8), eps=1e-12, max_steps=5)
+        evolve(disk_system(8), eps=1e-12)
 
 
 def test_resume_extends_within_tail_bound():
@@ -274,7 +265,7 @@ def test_resume_extends_within_tail_bound():
     assert np.array_equal(ext.times[: len(first.times)], first.times)
     assert monotone_decay(ext)
     # the extra contribution to the time integral obeys the certified tail
-    # bound from the truncation point (up to the theta-scheme quadrature
+    # bound from the truncation point (up to the backward-Euler quadrature
     # factor 1 + lam * dt / 2)
     free = sys_.free
     diff = ext.v_field[free] - first.v_field[free]

@@ -4,9 +4,13 @@ The evolution is backward Euler for ``M du/dt + K u = 0`` on the
 Dirichlet-eliminated block, started from the nodal source values so that the
 running time integral converges to the elliptic equilibrium.  Step sizes
 follow one fixed schedule: a uniform warm-up resolving the initial transient,
-then geometric growth up to a cap.  The schedule never shrinks a step, so only
-the factorization of the current step matrix is kept: it is reused while dt
-stays put and dropped before the next one is built.
+then geometric growth up to a cap.  Only the two sizes that repeat are
+factored: ``M + DT0*K`` for the warm-up and ``M + DT_MAX*K`` for the cap.  Each
+growth size serves one step, which is solved by conjugate gradient
+preconditioned with the cap factor; the preconditioned spectrum lies in
+``[dt/DT_MAX, 1]``, so a handful of iterations reach round-off.  The
+schedule never shrinks a step, so one factor is alive at a time: the
+warm-up factor is dropped before the cap factor is built.
 
 Both pencil matrices, ``K`` and ``M + dt*K``, are symmetric positive
 definite.  SuperLU factors them in symmetric mode, without pivoting, under a
@@ -24,10 +28,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem2d import CircleSampler, FemSystem
-from .symmetry_checks import probe_deviation
+from .fem2d import CircleSampler, FemSystem, _pcg
+from .symmetry_checks import _probe_stats
 
 __all__ = [
     "EigenResult",
@@ -56,6 +61,12 @@ WARMUP_STEPS = 20
 GROWTH = 1.05
 DT_MAX = 2e-3
 MAX_STEPS = 200_000
+
+# A growth step's CG stops at this residual relative to its right-hand side;
+# the preconditioned condition number is at most DT_MAX/DT0 = 4, so CG_MAXIT
+# is far beyond the 3-14 iterations a step takes.
+CG_TOL = 1e-12
+CG_MAXIT = 100
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,8 @@ class Evolution:
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
-    factorizations: int
+    factorizations: int  # step matrices factored: the warm-up and the cap size, resumes included
+    cg_iterations: int  # CG iterations over the growth steps
 
     @property
     def initial_norm(self) -> float:
@@ -157,31 +169,37 @@ def evolve(
     nv = system.mesh.nv
     Kff, Mff = system.Kff, system.Mff
 
+    probe = resume.probe if resume is not None else probe
+    P = _probe_matrix(system, probe)
     if resume is not None:
-        probe = resume.probe
         u = resume.u_final[free]
         V = resume.v_field[free]
         t = resume.final_time
-        k0, nfact = resume.steps, resume.factorizations
+        k0, nfact, cg_its = resume.steps, resume.factorizations, resume.cg_iterations
         times, norms, rows = list(resume.times), list(resume.mass_norms), list(resume.probes)
     else:
         u = system.g_vertex[free]
         V = np.zeros(len(free))
         t = 0.0
-        k0 = nfact = 0
-        times, norms, rows = [0.0], [system.mass_norm(u)], [_probe_row(system, probe, u)]
+        k0 = nfact = cg_its = 0
+        times, norms, rows = [0.0], [system.mass_norm(u)], [_probe_row(P, u)]
 
     Mu = Mff @ u  # carried from step to step: the mass norm and the next rhs
-    factor: tuple[float, spla.SuperLU] | None = None  # (rounded dt, its LU)
+    factor: tuple[float, spla.SuperLU] | None = None  # (factored dt, its LU)
     k = k0
     while norms[-1] > eps:
         dt = _step_size(k)
-        key = round(dt, 15)
-        if factor is None or factor[0] != key:
+        size = dt if dt == DT0 else DT_MAX  # a growth step is preconditioned by the cap
+        if factor is None or factor[0] != size:
             factor = None  # free it before the next is built: dt never shrinks
-            factor = (key, spla.splu(Mff + dt * Kff, **_SPD_LU))
+            factor = (size, spla.splu(Mff + size * Kff, **_SPD_LU))
             nfact += 1
-        u_new = factor[1].solve(Mu)
+        if dt == size:
+            u_new = factor[1].solve(Mu)
+        else:
+            # the step matrix is exactly symmetric: its transpose is the same matrix in CSR
+            u_new, its = _pcg((Mff + dt * Kff).T, Mu, CG_TOL, CG_MAXIT, factor[1].solve)
+            cg_its += its
         V += dt * (u + u_new) / 2.0
         u = u_new
         t += dt
@@ -189,7 +207,7 @@ def evolve(
         times.append(t)
         Mu = Mff @ u
         norms.append(float(np.sqrt(u @ Mu)))
-        rows.append(_probe_row(system, probe, u))
+        rows.append(_probe_row(P, u))
         if k - k0 > MAX_STEPS:
             raise RuntimeError("heat flow did not reach the stopping norm")
 
@@ -206,16 +224,38 @@ def evolve(
         u_final=u_full,
         steps=k,
         factorizations=nfact,
+        cg_iterations=cg_its,
     )
 
 
-def _probe_row(system: FemSystem, probe: CircleSampler | None, u_free: np.ndarray) -> tuple:
-    """Mean u, deviation of u, mean flux and deviation of the flux on the probe; () without one."""
+def _probe_matrix(system: FemSystem, probe: CircleSampler | None) -> sp.csr_matrix | None:
+    """The probe's samples of u and of its radial flux as one ``(2*count, free)`` matrix.
+
+    Rows ``0..count-1`` interpolate u, rows ``count..`` give sigma times its
+    radial derivative; boundary columns are dropped, since u is zero there.
+    """
     if probe is None:
+        return None
+    sigma = system.sigma_e[probe.tri_idx][:, None]
+    flux = sigma * (probe.grad_x * probe.radial[:, :1] + probe.grad_y * probe.radial[:, 1:])
+    weights = np.vstack([probe.bary, flux])
+    column = np.full(system.mesh.nv, -1)
+    column[system.free] = np.arange(len(system.free))
+    cols = column[np.vstack([probe.corners, probe.corners])]
+    rows = np.broadcast_to(np.arange(2 * probe.count)[:, None], cols.shape)
+    keep = cols >= 0
+    return sp.csr_matrix(
+        (weights[keep], (rows[keep], cols[keep])), shape=(2 * probe.count, len(system.free))
+    )
+
+
+def _probe_row(P: sp.csr_matrix | None, u_free: np.ndarray) -> tuple:
+    """Mean u, deviation of u, mean flux and deviation of the flux on the probe; () without one."""
+    if P is None:
         return ()
-    z = np.zeros(system.mesh.nv)
-    z[system.free] = u_free
-    ps = probe_deviation(probe, z, system.sigma_e)
+    samples = P @ u_free
+    count = P.shape[0] // 2
+    ps = _probe_stats(samples[:count], samples[count:])
     return ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux
 
 

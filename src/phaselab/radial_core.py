@@ -50,7 +50,6 @@ class RadialProfile:
     r0: float
     R: float
     pieces: tuple[RadialPiece, ...]
-    g_positive: bool  # sampled sign check on [r0, R]; advisory only
 
     # -- evaluation --------------------------------------------------------
 
@@ -133,10 +132,7 @@ def solve_radial(breaks, sigmas, g_coeffs) -> RadialProfile:
         c0 = -_eval_pieces(part, r0) / _eval_pieces(homog, r0)
         pieces = _chain_pieces(breaks, sigmas, g, c0)
 
-    r_samp = np.linspace(r0 if r0 > 0 else 0.0, R, 4097)
-    g_positive = bool(npoly.polyval(r_samp, g).min() > 0.0)
-
-    return RadialProfile(r0=r0, R=R, pieces=tuple(pieces), g_positive=g_positive)
+    return RadialProfile(r0=r0, R=R, pieces=tuple(pieces))
 
 
 def _chain_pieces(breaks, sigmas, g, c0) -> list[RadialPiece]:

@@ -239,10 +239,13 @@ class ProbeStats:
 
 
 def probe_deviation(sampler: CircleSampler, u: np.ndarray, sigma_e=None) -> ProbeStats:
+    return _probe_stats(sampler.values(u), sampler.radial_flux(u, sigma_e))
+
+
+def _probe_stats(values: np.ndarray, flux: np.ndarray) -> ProbeStats:
+    """Means and deviations of the samples of u and of its flux on one probe circle."""
     out = []
-    vals = sampler.values(u)
-    flux = sampler.radial_flux(u, sigma_e)
-    for v in (vals, flux):
+    for v in (values, flux):
         mean = float(v.mean())
         dev = float(np.abs(v - mean).max())
         fallback = abs(mean) < MEAN_GUARD

@@ -25,6 +25,7 @@ from phaselab.parabolic import (
     tail_bound,
     v_error_vs_elliptic,
 )
+from phaselab.symmetry_checks import _probe_stats, probe_deviation
 
 from oracles import DISK_LAMBDA_EXACT, fd_annulus_eigenvalue
 
@@ -85,8 +86,10 @@ def test_step_schedule_uniform_then_geometric_then_capped():
         expect = min(5e-4 * 1.05 ** (k - 19), 2e-3)
         assert abs(dts[k] - expect) < 1e-15
     assert abs(dts[-1] - 2e-3) < 1e-15
-    # one factorization per distinct step size
-    assert run.factorizations == len({round(float(d), 15) for d in dts})
+    # the warm-up and the cap size are factored; the 28 growth steps in
+    # between solve by CG, at least one iteration each
+    assert run.factorizations == 2
+    assert run.cg_iterations >= 28
     assert run.mass_norms[-1] <= 1e-6 < run.mass_norms[-2]
 
 
@@ -128,16 +131,21 @@ def live_factors(monkeypatch):
     return tally
 
 
-def distinct_steps(times):
-    return len({round(float(d), 15) for d in np.diff(times)})
+def same_matrix(A, B):
+    return A.shape == B.shape and abs(A - B).max() == 0.0
 
 
 def test_evolve_keeps_one_step_factor_alive(live_factors):
     sys_ = disk_system(8)
+    Kff, Mff = sys_.Kff, sys_.Mff
     full = evolve(sys_, eps=1e-6)
     assert live_factors.peak == 1
-    assert full.factorizations == len(live_factors.built) == distinct_steps(full.times)
-    assert full.factorizations > 2  # warm-up, growth and cap all took part
+    # exactly two factors: the warm-up size, then the cap that also
+    # preconditions the growth steps
+    assert full.factorizations == len(live_factors.built) == 2
+    (warm, _), (cap, _) = live_factors.built
+    assert same_matrix(warm, Mff + parabolic.DT0 * Kff)
+    assert same_matrix(cap, Mff + parabolic.DT_MAX * Kff)
 
     # stop inside the geometric growth, then resume through it to the cap
     first = evolve(sys_, eps=full.mass_norms[30])
@@ -145,11 +153,77 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     built = len(live_factors.built)
     ext = evolve(sys_, eps=1e-6, resume=first)
     assert live_factors.peak == 1
-    new = ext.factorizations - first.factorizations
-    assert new == len(live_factors.built) - built
-    assert new == distinct_steps(ext.times[first.steps :])
+    # the resume builds the cap factor only
+    assert len(live_factors.built) == built + 1
+    assert same_matrix(live_factors.built[-1][0], Mff + parabolic.DT_MAX * Kff)
+    assert ext.factorizations == first.factorizations + 1
     assert ext.steps == full.steps
     assert np.array_equal(ext.times, full.times)
+
+
+def factor_every_size(sys_, eps):
+    """Backward Euler on the same schedule, every step size factored and solved directly."""
+    free = sys_.free
+    Kff, Mff = sys_.Kff, sys_.Mff
+    u = sys_.g_vertex[free]
+    V = np.zeros(len(free))
+    times, norms = [0.0], [sys_.mass_norm(u)]
+    factors = {}
+    k = 0
+    while norms[-1] > eps:
+        dt = _step_size(k)
+        if dt not in factors:
+            factors[dt] = spla.splu(Mff + dt * Kff)
+        u_new = factors[dt].solve(Mff @ u)
+        V += dt * (u + u_new) / 2.0
+        u = u_new
+        k += 1
+        times.append(times[-1] + dt)
+        norms.append(sys_.mass_norm(u))
+    assert len(factors) == 30
+    return SimpleNamespace(steps=k, times=np.array(times), mass_norms=np.array(norms), u=u, V=V)
+
+
+def test_growth_steps_by_cg_match_a_factor_for_every_size():
+    sys_ = disk_system(16, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    free = sys_.free
+    run = evolve(sys_, eps=1e-8)
+    ref = factor_every_size(sys_, eps=1e-8)
+    assert run.steps == ref.steps
+    assert np.array_equal(run.times, ref.times)
+
+    def rel(x, y):
+        return np.abs(x - y).max() / np.abs(y).max()
+
+    assert rel(run.u_final[free], ref.u) <= 1e-12
+    assert rel(run.v_field[free], ref.V) <= 1e-12
+    np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-12, atol=0.0)
+    # the cap factor keeps CG short: a handful of iterations per growth step
+    assert 28 <= run.cg_iterations <= 28 * 20
+
+
+@pytest.mark.parametrize("radius", [0.4, 0.97])  # crosses the core; meets the boundary
+def test_probe_matrix_reproduces_probe_deviation(radius):
+    sys_ = disk_system(16, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    probe = CircleSampler(sys_.mesh, radius)
+    P = parabolic._probe_matrix(sys_, probe)
+    assert P.shape == (2 * probe.count, len(sys_.free))
+    rng = np.random.default_rng(7)
+    branches = set()
+    for scale, offset in ((1.0, 1.0), (1e-14, 0.0)):  # relative, then absolute fallback
+        u = scale * (offset + rng.standard_normal(len(sys_.free)))
+        z = np.zeros(sys_.mesh.nv)
+        z[sys_.free] = u
+        want = probe_deviation(probe, z, sys_.sigma_e)
+        samples = P @ u
+        ps = _probe_stats(samples[: probe.count], samples[probe.count :])
+        assert (ps.u_absolute, ps.flux_absolute) == (want.u_absolute, want.flux_absolute)
+        branches.add((want.u_absolute, want.flux_absolute))
+        got = parabolic._probe_row(P, u)
+        assert got == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
+        expect = (want.mean_u, want.dev_u, want.mean_flux, want.dev_flux)
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+    assert branches == {(False, False), (True, True)}
 
 
 def test_step_factor_uses_fill_reducing_ordering(live_factors):

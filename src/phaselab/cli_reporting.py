@@ -634,7 +634,7 @@ def _summary_text(res: ScenarioResult) -> str:
         lines += [
             f"smallest eigenvalue: {res.eigen.value!r} ({res.eigen.iterations} iterations)",
             f"heat flow: {res.run.steps} steps to t={res.run.final_time!r}, "
-            f"{res.run.factorizations} factorization(s), "
+            f"{res.run.factorizations} factorization(s) ({res.run.step_solver}), "
             f"{res.run.cg_iterations} CG iteration(s)",
             f"decay certificate: max ratio {res.decay.max_ratio:.6f} "
             f"(slack {res.decay.slack}), tail slope ratio {res.decay.slope_ratio:.4f}, "

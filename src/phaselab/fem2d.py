@@ -16,7 +16,9 @@ conjugate gradient with a deterministic zero start, preconditioned by an
 exact solve with the stiffness whose conductivity is averaged over each
 rotation orbit: an FFT in angle and one tridiagonal radial solve per mode,
 so the iteration count does not grow with n and a concentric layout
-converges in one step.  Boundary fluxes are recovered
+converges in one step.  With the mass blocks added, the same solver is the
+heat flow's exact step solve on layouts whose sigma is constant on every
+rotation orbit.  Boundary fluxes are recovered
 variationally from the residual of the full (uneliminated) operator, which
 makes the discrete divergence identity hold to solver precision.
 
@@ -114,6 +116,16 @@ def _triangle_index(m: int, fan: int, band, sector, side):
     return np.where(band < fan, sector, 2 * (band * m + sector) + side - fan * m)
 
 
+def _orbits(mesh: Mesh) -> np.ndarray:
+    """Triangle numbers indexed (band, sector, side); each (band, side) is one rotation orbit.
+
+    The ball's centre fan has no side 1; its side-1 entries repeat side 0.
+    """
+    m = mesh.sectors
+    bands = np.arange(m // 6)[:, None, None]
+    return _triangle_index(m, mesh.nv % m, bands, np.arange(m)[:, None], np.arange(2))
+
+
 def generate_mesh(config, n: int) -> Mesh:
     """Structured polar mesh of the layout with 6n sectors and n radial intervals.
 
@@ -194,6 +206,11 @@ def _element_stiffness(b, c, area, sigma) -> np.ndarray:
     )
 
 
+def _element_mass(area) -> np.ndarray:
+    """Exact P1 element mass blocks area (1 + I) / 12, shape (..., 3, 3)."""
+    return (area / 12.0)[..., None, None] * (np.ones((3, 3)) + np.eye(3))
+
+
 @dataclass
 class FemSystem:
     """Assembled operators: the full (uneliminated) stiffness and the load.
@@ -220,9 +237,8 @@ class FemSystem:
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
-        block = np.ones((3, 3)) + np.eye(3)  # exact P1 mass: area (1 + I) / 12
         area = self.mesh.geometry[2]
-        return _assemble(self.mesh, lambda blk: (area[blk, None, None] / 12.0) * block)
+        return _assemble(self.mesh, lambda blk: _element_mass(area[blk]))
 
     @cached_property
     def Kff(self) -> sp.csc_matrix:
@@ -231,6 +247,12 @@ class FemSystem:
     @cached_property
     def Mff(self) -> sp.csc_matrix:
         return self.mass[self.free][:, self.free].tocsc()
+
+    @cached_property
+    def rotation_invariant(self) -> bool:
+        """Is sigma constant on every rotation orbit of the polar mesh, so that K̄ is Kff?"""
+        sigma = self.sigma_e[_orbits(self.mesh)]
+        return bool((sigma == sigma[:, :1]).all())
 
     def mass_norm(self, u_free: np.ndarray) -> float:
         return float(np.sqrt(u_free @ (self.Mff @ u_free)))
@@ -319,9 +341,11 @@ class EllipticSolution:
     rel_residual: float  # Galerkin residual on the free block, relative to the load
 
 
-def _orbit_mean_solver(system: FemSystem):
+def _orbit_mean_solver(system: FemSystem, dt: float | None = None):
     """Exact solve by K̄, the free stiffness with sigma averaged over each rotation orbit.
 
+    Given ``dt``, it solves by the step matrix ``Mff + dt*K̄`` instead: the
+    mass matrix holds no sigma, so it is already constant on every orbit.
     A rotation by one sector maps the polar mesh onto itself, so K̄ is
     block-circulant in angle: ring r couples only to rings r-1, r, r+1, at
     angular offsets 0 and ±1.  An FFT along the angle splits it into one
@@ -331,18 +355,22 @@ def _orbit_mean_solver(system: FemSystem):
     eliminated by one Schur-complement scalar.  K and K̄ sum the same element
     matrices with weights sigma and its orbit mean, so the preconditioned
     condition number is at most (max sigma / min sigma)^2 at any n; on a
-    concentric layout K̄ is K and CG stops after one iteration.
+    rotation-invariant layout K̄ is K, the solve is exact and CG stops after
+    one iteration.
     """
     mesh = system.mesh
     m = mesh.sectors
     fan = mesh.nv % m  # a ball's one centre vertex
     n = m // 6
-    bands = np.arange(n)[:, None]
-    idx = _triangle_index(m, fan, bands[..., None], np.arange(m)[:, None], np.arange(2))
-    # orbit mean per (band, side); the ball's centre fan has no side 1 (its index repeats side 0)
-    sigma_bar = system.sigma_e[idx].mean(axis=1) * (bands >= fan * np.arange(2))
+    idx = _orbits(mesh)
+    # the ball's centre fan has no side 1: its (band, side) block is masked out
+    present = np.arange(n)[:, None] >= fan * np.arange(2)
+    sigma_bar = system.sigma_e[idx].mean(axis=1) * present
     t0 = idx[:, 0]  # the (band, side) elements of sector 0
-    Ke = _element_stiffness(*(a[t0] for a in mesh.geometry), sigma_bar)
+    b, c, area = (a[t0] for a in mesh.geometry)
+    Ke = _element_stiffness(b, c, area, sigma_bar)
+    if dt is not None:
+        Ke = _element_mass(area * present) + dt * Ke
     V = mesh.triangles[t0]
     ring, sector = (V - fan) // m + fan, np.where(V < fan, 0, (V - fan) % m)
     # stencil[row ring, column ring, angular offset + 1]: each rotated copy of a

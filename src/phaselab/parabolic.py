@@ -12,10 +12,14 @@ preconditioned with the cap factor; the preconditioned spectrum lies in
 schedule never shrinks a step, so one factor is alive at a time: the
 warm-up factor is dropped before the cap factor is built.
 
-Both pencil matrices, ``K`` and ``M + dt*K``, are symmetric positive
-definite.  SuperLU factors them in symmetric mode, without pivoting, under a
-minimum-degree ordering of ``A + A^T``, which stores about half the fill of
-its default column ordering.
+One factory, ``_factor``, builds every solve by ``K`` or by a step matrix
+``M + dt*K``.  On a rotation-invariant layout (sigma constant on every
+rotation orbit of the polar mesh) both are block-circulant in angle, and
+``fem2d._orbit_mean_solver`` solves them exactly by an FFT in angle and one
+tridiagonal radial sweep per mode.  Otherwise SuperLU factors them: both are
+symmetric positive definite, so it runs in symmetric mode, without pivoting,
+under a minimum-degree ordering of ``A + A^T``, which stores about half the
+fill of its default column ordering.
 
 The smallest generalized eigenvalue of (K, M) certifies exponential decay of
 the mass norm and bounds the tail of the time integral after truncation.
@@ -31,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem2d import CircleSampler, FemSystem, _pcg
+from .fem2d import CircleSampler, FemSystem, _orbit_mean_solver, _pcg
 from .symmetry_checks import _probe_stats
 
 __all__ = [
@@ -61,12 +65,26 @@ WARMUP_STEPS = 20
 GROWTH = 1.05
 DT_MAX = 2e-3
 MAX_STEPS = 200_000
+# the first growth level whose step reaches DT_MAX; the exponent stops there
+CAP_LEVEL = math.ceil(math.log(DT_MAX / DT0, GROWTH))
 
 # A growth step's CG stops at this residual relative to its right-hand side;
 # the preconditioned condition number is at most DT_MAX/DT0 = 4, so CG_MAXIT
 # is far beyond the 3-14 iterations a step takes.
 CG_TOL = 1e-12
 CG_MAXIT = 100
+
+
+def _factor(system: FemSystem, dt: float | None = None):
+    """The solve by ``Mff + dt*Kff``, or by ``Kff`` without ``dt``.
+
+    A rotation-invariant layout solves by FFT in angle, where the orbit-mean
+    stiffness is ``Kff`` itself; any other is factored by SuperLU.
+    """
+    if system.rotation_invariant:
+        return _orbit_mean_solver(system, dt)
+    A = system.Kff if dt is None else system.Mff + dt * system.Kff
+    return spla.splu(A, **_SPD_LU).solve
 
 
 @dataclass(frozen=True)
@@ -78,16 +96,16 @@ class EigenResult:
 def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) -> EigenResult:
     """Smallest eigenvalue of K x = lambda M x on the free block.
 
-    Inverse power iteration with one sparse LU of K, M-normalized iterates,
-    the all-ones start vector, and a relative Rayleigh-quotient stopping
-    test.  Everything is deterministic.
+    Inverse power iteration with one solve by K from `_factor`, M-normalized
+    iterates, the all-ones start vector, and a relative Rayleigh-quotient
+    stopping test.  Everything is deterministic.
     """
     Kff, Mff = system.Kff, system.Mff
-    lu = spla.splu(Kff, **_SPD_LU)
+    solve = _factor(system)
     x = np.ones(Kff.shape[0])
     lam_old = 0.0
     for it in range(1, maxit + 1):
-        y = lu.solve(Mff @ x)
+        y = solve(Mff @ x)
         y /= math.sqrt(y @ (Mff @ y))
         lam = float((y @ (Kff @ y)) / (y @ (Mff @ y)))
         if abs(lam - lam_old) <= tol * lam:
@@ -117,8 +135,9 @@ class Evolution:
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
-    factorizations: int  # step matrices factored: the warm-up and the cap size, resumes included
+    factorizations: int  # step solvers built: the warm-up and the cap size, resumes included
     cg_iterations: int  # CG iterations over the growth steps
+    step_solver: str  # "angular FFT" on a rotation-invariant layout, else "SuperLU"
 
     @property
     def initial_norm(self) -> float:
@@ -144,8 +163,7 @@ def _step_size(k: int) -> float:
     """
     if k < WARMUP_STEPS:
         return DT0
-    cap_level = math.ceil(math.log(DT_MAX / DT0, GROWTH))
-    return min(DT0 * GROWTH ** min(k - WARMUP_STEPS + 1, cap_level), DT_MAX)
+    return min(DT0 * GROWTH ** min(k - WARMUP_STEPS + 1, CAP_LEVEL), DT_MAX)
 
 
 def evolve(
@@ -185,20 +203,20 @@ def evolve(
         times, norms, rows = [0.0], [system.mass_norm(u)], [_probe_row(P, u)]
 
     Mu = Mff @ u  # carried from step to step: the mass norm and the next rhs
-    factor: tuple[float, spla.SuperLU] | None = None  # (factored dt, its LU)
+    factor = None  # (factored dt, its solve)
     k = k0
     while norms[-1] > eps:
         dt = _step_size(k)
         size = dt if dt == DT0 else DT_MAX  # a growth step is preconditioned by the cap
         if factor is None or factor[0] != size:
             factor = None  # free it before the next is built: dt never shrinks
-            factor = (size, spla.splu(Mff + size * Kff, **_SPD_LU))
+            factor = (size, _factor(system, size))
             nfact += 1
         if dt == size:
-            u_new = factor[1].solve(Mu)
+            u_new = factor[1](Mu)
         else:
             # the step matrix is exactly symmetric: its transpose is the same matrix in CSR
-            u_new, its = _pcg((Mff + dt * Kff).T, Mu, CG_TOL, CG_MAXIT, factor[1].solve)
+            u_new, its = _pcg((Mff + dt * Kff).T, Mu, CG_TOL, CG_MAXIT, factor[1])
             cg_its += its
         V += dt * (u + u_new) / 2.0
         u = u_new
@@ -225,6 +243,7 @@ def evolve(
         steps=k,
         factorizations=nfact,
         cg_iterations=cg_its,
+        step_solver="angular FFT" if system.rotation_invariant else "SuperLU",
     )
 
 

@@ -189,16 +189,17 @@ def test_run_scenario_parabolic_adds_timeseries(tmp_path):
 
 
 def test_heat_flow_summary_counts_factors_and_cg_iterations(tmp_path, capsys):
-    res = run_scenario(build_preset("two_phase_displaced", n=8, pipeline="both"), out_dir=tmp_path / "out")
-    assert capsys.readouterr().out == ""  # the counts go to summary.txt, never to stdout
-    run = res.run
-    assert run.factorizations == 2
-    assert run.cg_iterations >= 28  # at least one per growth step
-    line = (
-        f"heat flow: {run.steps} steps to t={run.final_time!r}, "
-        f"2 factorization(s), {run.cg_iterations} CG iteration(s)"
-    )
-    assert line in (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    for name, solver in (("two_phase_displaced", "SuperLU"), ("two_phase_concentric", "angular FFT")):
+        out = tmp_path / name
+        run = run_scenario(build_preset(name, n=8, pipeline="both"), out_dir=out).run
+        assert capsys.readouterr().out == ""  # the counts go to summary.txt, never to stdout
+        assert (run.factorizations, run.step_solver) == (2, solver)
+        assert run.cg_iterations >= 28  # at least one per growth step
+        line = (
+            f"heat flow: {run.steps} steps to t={run.final_time!r}, "
+            f"2 factorization(s) ({solver}), {run.cg_iterations} CG iteration(s)"
+        )
+        assert line in (out / "summary.txt").read_text().splitlines()
 
 
 def test_run_scenario_rejects_probe_through_inclusion():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,8 +310,28 @@ def test_concentric_layouts_solve_in_one_iteration(kind, n, layers):
         for i, sigma in sorted(layers)
     )
     cfg = PhaseConfig(domain=dom, phases=phases)
-    sol = solve_elliptic(assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0))
+    sys_ = assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+    assert sys_.rotation_invariant
+    sol = solve_elliptic(sys_)
     assert sol.iterations == 1 and sol.rel_residual <= 1e-10
+
+
+def test_rotation_invariance_needs_sigma_constant_on_every_orbit():
+    for name in preset_names():
+        cfg = build_preset(name, n=16).config
+        sys_ = assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0)
+        assert sys_.rotation_invariant == cfg.is_radially_layered(), name
+    # the displaced core turned by three of the 6n = 96 sectors is still not invariant
+    turn = 2 * math.pi * 3 / 96
+    center = (0.2 * math.cos(turn), 0.2 * math.sin(turn))
+    turned = ball_config((PhaseRegion(shape="disk", sigma=2.0, center=center, radius=0.3),))
+    for cfg in (DISPLACED, turned):
+        assert not assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0).rotation_invariant
+    sys_ = assemble_system(generate_mesh(CONCENTRIC, 16), CONCENTRIC.sigma_table(), 1.0)
+    assert sys_.rotation_invariant
+    sigma_e = sys_.sigma_e.copy()
+    sigma_e[sys_.mesh.nt // 2] *= 1.0 + 1e-15
+    assert not replace(sys_, sigma_e=sigma_e).rotation_invariant
 
 
 def test_center_value_against_layered_reference():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import spsolve
 
 from phaselab import parabolic
 from phaselab.fem2d import (
@@ -136,9 +137,10 @@ def same_matrix(A, B):
 
 
 def test_evolve_keeps_one_step_factor_alive(live_factors):
-    sys_ = disk_system(8)
+    sys_ = disk_system(8, sigma=2.0, center=(0.2, 0.0), radius=0.3)
     Kff, Mff = sys_.Kff, sys_.Mff
     full = evolve(sys_, eps=1e-6)
+    assert full.step_solver == "SuperLU"
     assert live_factors.peak == 1
     # exactly two factors: the warm-up size, then the cap that also
     # preconditions the growth steps
@@ -159,6 +161,29 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     assert ext.factorizations == first.factorizations + 1
     assert ext.steps == full.steps
     assert np.array_equal(ext.times, full.times)
+
+    # a rotation-invariant layout solves by FFT in angle: SuperLU never runs
+    built = len(live_factors.built)
+    concentric = disk_system(8, sigma=2.0)
+    run = evolve(concentric, eps=1e-6)
+    smallest_eigenvalue(concentric)
+    assert (run.step_solver, run.factorizations) == ("angular FFT", 2)
+    assert len(live_factors.built) == built
+
+
+@pytest.mark.parametrize("kind", ["ball", "annulus"])
+@pytest.mark.parametrize("dt", [None, parabolic.DT0, parabolic.DT_MAX, 0.5])
+def test_invariant_layout_solves_exactly_by_fft(kind, dt):
+    domain = DomainSpec("ball") if kind == "ball" else DomainSpec("annulus", inner_radius=0.3)
+    ring = PhaseRegion(shape="ring", sigma=3.0, r_inner=0.45, r_outer=0.6)
+    cfg = PhaseConfig(domain=domain, phases=(ring,))
+    sys_ = assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0)
+    assert sys_.rotation_invariant
+    A = sys_.Kff if dt is None else sys_.Mff + dt * sys_.Kff
+    r = np.random.default_rng(7).standard_normal(len(sys_.free))
+    ref = spsolve(A, r)
+    z = parabolic._factor(sys_, dt)(r)
+    assert np.abs(z - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def factor_every_size(sys_, eps):
@@ -184,6 +209,10 @@ def factor_every_size(sys_, eps):
     return SimpleNamespace(steps=k, times=np.array(times), mass_norms=np.array(norms), u=u, V=V)
 
 
+def rel(x, y):
+    return np.abs(x - y).max() / np.abs(y).max()
+
+
 def test_growth_steps_by_cg_match_a_factor_for_every_size():
     sys_ = disk_system(16, sigma=2.0, center=(0.2, 0.0), radius=0.3)
     free = sys_.free
@@ -191,15 +220,26 @@ def test_growth_steps_by_cg_match_a_factor_for_every_size():
     ref = factor_every_size(sys_, eps=1e-8)
     assert run.steps == ref.steps
     assert np.array_equal(run.times, ref.times)
-
-    def rel(x, y):
-        return np.abs(x - y).max() / np.abs(y).max()
-
     assert rel(run.u_final[free], ref.u) <= 1e-12
     assert rel(run.v_field[free], ref.V) <= 1e-12
     np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-12, atol=0.0)
     # the cap factor keeps CG short: a handful of iterations per growth step
     assert 28 <= run.cg_iterations <= 28 * 20
+
+
+def test_fft_steps_match_a_factor_for_every_size():
+    sys_ = disk_system(16, sigma=2.0)
+    free = sys_.free
+    run = evolve(sys_, eps=1e-8)
+    assert run.step_solver == "angular FFT"
+    ref = factor_every_size(sys_, eps=1e-8)
+    assert run.steps == ref.steps
+    assert np.array_equal(run.times, ref.times)
+    # u_final has decayed to 1e-8 of the start, so its round-off is relatively
+    # larger: about 4e-12 here, and 1e-12 with SuperLU steps
+    assert rel(run.u_final[free], ref.u) <= 1e-11
+    assert rel(run.v_field[free], ref.V) <= 1e-12
+    np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize("radius", [0.4, 0.97])  # crosses the core; meets the boundary
@@ -227,7 +267,7 @@ def test_probe_matrix_reproduces_probe_deviation(radius):
 
 
 def test_step_factor_uses_fill_reducing_ordering(live_factors):
-    sys_ = disk_system(32)
+    sys_ = disk_system(32, sigma=2.0, center=(0.2, 0.0), radius=0.3)
     evolve(sys_, eps=0.99 * sys_.mass_norm(sys_.g_vertex[sys_.free]))
     A, lu = live_factors.built[0]
     assert A.shape == (len(sys_.free),) * 2

@@ -14,11 +14,11 @@ geometry, the assembled system its mass matrix (only the heat flow reads
 it) and its Dirichlet-free blocks.  The linear solve is a hand-rolled
 conjugate gradient with a deterministic zero start, preconditioned by an
 exact solve with the stiffness whose conductivity is averaged over each
-rotation orbit: an FFT in angle and one tridiagonal radial solve per mode,
-so the iteration count does not grow with n and a concentric layout
-converges in one step.  With the mass blocks added, the same solver is the
-heat flow's exact step solve on layouts whose sigma is constant on every
-rotation orbit.  Boundary fluxes are recovered
+rotation orbit: an FFT in angle and one LAPACK solve over every mode's
+tridiagonal radial system, so the iteration count does not grow with n and
+a concentric layout converges in one step.  The same angular-Fourier
+coefficients (`_AngularModes`) carry the heat flow's state on layouts whose
+sigma is constant on every rotation orbit.  Boundary fluxes are recovered
 variationally from the residual of the full (uneliminated) operator, which
 makes the discrete divergence identity hold to solver precision.
 
@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import zpttrf, zpttrs
 
 __all__ = [
     "Mesh",
@@ -341,86 +342,115 @@ class EllipticSolution:
     rel_residual: float  # Galerkin residual on the free block, relative to the load
 
 
-def _orbit_mean_solver(system: FemSystem, dt: float | None = None):
+class _AngularModes:
+    """Mode-major angular Fourier coefficients of free nodal vectors on a polar mesh.
+
+    A rotation by one sector maps the polar mesh onto itself, so an operator
+    summed from element matrices that are constant on every rotation orbit
+    is block-circulant in angle: ring r couples only to rings r-1, r, r+1,
+    at angular offsets 0 and ±1.  An rfft along every free ring splits it
+    into one Hermitian tridiagonal radial system per mode (Swarztrauber,
+    SIAM Review 19, 1977).  The coefficients are stored mode by mode, each
+    mode's rings innermost first, so the modes' systems lie end to end in
+    one tridiagonal chain with zero couplings between them, and one LAPACK
+    ``zpttrf`` or ``zpttrs`` call factors or solves them all.  A ball's
+    centre couples only to mode 0 of ring 1, so it heads mode 0's stretch,
+    scaled by sqrt(m) to keep the chain Hermitian.  ``weights`` give the
+    mass-norm by Parseval: ``x^T M y`` is ``Re(sum(weights * conj(X) * MY))``.
+    """
+
+    def __init__(self, mesh: Mesh):
+        m = self.m = mesh.sectors
+        fan = self.fan = mesh.nv % m  # a ball's one centre vertex
+        n = m // 6
+        self.rings, self.modes = n - 1, m // 2 + 1
+        self.root_m = np.sqrt(m)
+        # the ball's centre fan has no side 1: its (band, side) blocks are masked out
+        self._present = np.arange(n)[:, None] >= fan * np.arange(2)
+        V = mesh.triangles[_orbits(mesh)[:, 0]]  # the (band, side) elements of sector 0
+        self._ring = (V - fan) // m + fan
+        sector = np.where(V < fan, 0, (V - fan) % m)
+        self._offset = sector[..., None, :] - sector[..., :, None] + 1
+        # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m)
+        self._phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(self.modes)) / m)
+        w = np.full((self.modes, self.rings), 2.0 / m)
+        w[[0, -1]] = 1.0 / m  # modes 0 and m/2 appear once in the full spectrum
+        self.weights = np.concatenate([np.full(fan, 1.0 / m), w.reshape(-1)])
+
+    def symbol(self, blocks: np.ndarray):
+        """The chain ``(diagonal, subdiagonal)`` of the operator that sums every
+        rotated copy of ``blocks``, the (n, 2, 3, 3) element matrices of sector 0."""
+        n, fan = self.rings + 1, self.fan
+        # stencil[row ring, column ring, angular offset + 1]: each rotated copy of a
+        # sector-0 element adds the same entries one sector further on
+        S = np.zeros((n + 1, n + 1, 3))
+        where = (self._ring[..., :, None], self._ring[..., None, :], self._offset)
+        np.add.at(S, where, blocks * self._present[..., None, None])
+        rings = np.arange(1, n)  # the free rings
+        diag = (S[rings, rings] @ self._phase).real
+        sub = np.zeros((self.modes, self.rings), complex)
+        sub[:, :-1] = (S[rings[1:], rings[:-1]] @ self._phase).T
+        # a ball's centre row: its diagonal summed over the m fan elements, and
+        # its coupling to every ring-1 vertex, seen by mode 0 as m times one vertex
+        centre_d, centre_e = [self.m * S[0, 0].sum()], [self.root_m * S[0, 1].sum()]
+        return (
+            np.concatenate([centre_d[:fan], diag.T.reshape(-1)]),
+            np.concatenate([centre_e[:fan], sub.reshape(-1)[:-1]]),
+        )
+
+    @staticmethod
+    def factor(d: np.ndarray, e: np.ndarray):
+        """The exact solve by the positive definite chain ``(d, e)``."""
+        df, ef, info = zpttrf(d, e)
+        if info != 0:
+            raise ValueError("the angular-mode system is not positive definite")
+        return lambda X: zpttrs(df, ef, X, lower=1)[0]
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        """Coefficients of the free nodal vector ``v``."""
+        fan = self.fan
+        X = np.empty(fan + self.modes * self.rings, complex)
+        X[:fan] = self.root_m * v[:fan]
+        rings = v[fan:].reshape(self.rings, self.m).T  # (sector, ring)
+        np.fft.rfft(rings, axis=0, out=X[fan:].reshape(self.modes, self.rings))
+        return X
+
+    def inverse(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Free nodal values of ``X``: the centre, if any, then ring rows ``rows`` (default all)."""
+        fan = self.fan
+        Y = X[fan:].reshape(self.modes, self.rings)[:, rows].T  # (ring, mode)
+        v = np.empty(fan + Y.shape[0] * self.m)
+        v[:fan] = X[:fan].real / self.root_m
+        np.fft.irfft(Y, n=self.m, axis=1, out=v[fan:].reshape(-1, self.m))
+        return v
+
+
+def _sector_blocks(system: FemSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Sector 0's mass and orbit-mean stiffness element matrices, (n, 2, 3, 3) each.
+
+    The stiffness weights each (band, side) block with sigma averaged over
+    the block's rotation orbit; on a rotation-invariant layout that is sigma.
+    """
+    orbits = _orbits(system.mesh)
+    b, c, area = (a[orbits[:, 0]] for a in system.mesh.geometry)
+    sigma_bar = system.sigma_e[orbits].mean(axis=1)
+    return _element_mass(area), _element_stiffness(b, c, area, sigma_bar)
+
+
+def _orbit_mean_solver(system: FemSystem):
     """Exact solve by K̄, the free stiffness with sigma averaged over each rotation orbit.
 
-    Given ``dt``, it solves by the step matrix ``Mff + dt*K̄`` instead: the
-    mass matrix holds no sigma, so it is already constant on every orbit.
-    A rotation by one sector maps the polar mesh onto itself, so K̄ is
-    block-circulant in angle: ring r couples only to rings r-1, r, r+1, at
-    angular offsets 0 and ±1.  An FFT along the angle splits it into one
-    Hermitian tridiagonal radial system per mode (Swarztrauber, SIAM Review
-    19, 1977), solved by a Thomas sweep over the rings that runs over all
-    modes at once.  A ball's centre couples only to mode 0 of ring 1 and is
-    eliminated by one Schur-complement scalar.  K and K̄ sum the same element
-    matrices with weights sigma and its orbit mean, so the preconditioned
-    condition number is at most (max sigma / min sigma)^2 at any n; on a
-    rotation-invariant layout K̄ is K, the solve is exact and CG stops after
-    one iteration.
+    K̄ sums rotated copies of sector 0's elements, so it is block-circulant
+    in angle and solves mode by mode in `_AngularModes`' coefficients, with
+    one LAPACK call over every mode's radial tridiagonal.  K and K̄ sum the
+    same element matrices with weights sigma and its orbit mean, so the
+    preconditioned condition number is at most (max sigma / min sigma)^2 at
+    any n; on a rotation-invariant layout K̄ is K, the solve is exact and CG
+    stops after one iteration.
     """
-    mesh = system.mesh
-    m = mesh.sectors
-    fan = mesh.nv % m  # a ball's one centre vertex
-    n = m // 6
-    idx = _orbits(mesh)
-    # the ball's centre fan has no side 1: its (band, side) block is masked out
-    present = np.arange(n)[:, None] >= fan * np.arange(2)
-    sigma_bar = system.sigma_e[idx].mean(axis=1) * present
-    t0 = idx[:, 0]  # the (band, side) elements of sector 0
-    b, c, area = (a[t0] for a in mesh.geometry)
-    Ke = _element_stiffness(b, c, area, sigma_bar)
-    if dt is not None:
-        Ke = _element_mass(area * present) + dt * Ke
-    V = mesh.triangles[t0]
-    ring, sector = (V - fan) // m + fan, np.where(V < fan, 0, (V - fan) % m)
-    # stencil[row ring, column ring, angular offset + 1]: each rotated copy of a
-    # sector-0 element adds the same entries one sector further on
-    S = np.zeros((n + 1, n + 1, 3))
-    offset = sector[..., None, :] - sector[..., :, None] + 1
-    np.add.at(S, (ring[..., :, None], ring[..., None, :], offset), Ke)
-
-    # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m)
-    phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(m // 2 + 1)) / m)
-    rings = np.arange(1, n)  # the free rings
-    diag = S[rings, rings] @ phase
-    upper = S[rings[:-1], rings[1:]] @ phase
-    lower = S[rings[1:], rings[:-1]] @ phase
-
-    # Thomas factors of every mode: inv = 1 / pivot, cp = upper / pivot, elim = lower / pivot
-    inv = np.empty_like(diag)
-    cp = np.empty_like(upper)
-    inv[0] = 1 / diag[0]
-    for i in range(1, n - 1):
-        cp[i - 1] = upper[i - 1] * inv[i - 1]
-        inv[i] = 1 / (diag[i] - lower[i - 1] * cp[i - 1])
-    elim = lower * inv[:-1]
-
-    def thomas(Y):
-        for i in range(1, n - 1):
-            Y[i] -= elim[i - 1] * Y[i - 1]
-        Y[-1] *= inv[-1]
-        for i in range(n - 3, -1, -1):
-            Y[i] = Y[i] * inv[i] - cp[i] * Y[i + 1]
-        return Y
-
-    if fan:
-        gamma, beta = m * S[0, 0].sum(), S[0, 1].sum()  # centre diagonal, centre-to-ring-1
-        e1 = np.zeros_like(diag)
-        e1[0, 0] = 1.0
-        w = thomas(e1)[:, 0].real  # mode 0 of K̄'s ring block, solved against ring 1
-        schur = gamma - beta * beta * m * w[0]
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        Y = thomas(np.fft.rfft(r[fan:].reshape(n - 1, m), axis=1))
-        z = np.empty_like(r)
-        if fan:
-            # mode 0 of ring 1 is ring 1's sum over the sectors, all the centre couples to
-            z[0] = (r[0] - beta * Y[0, 0].real) / schur
-            Y[:, 0] -= z[0] * beta * m * w
-        z[fan:] = np.fft.irfft(Y, n=m, axis=1).reshape(-1)
-        return z
-
-    return solve
+    modes = _AngularModes(system.mesh)
+    solve = modes.factor(*modes.symbol(_sector_blocks(system)[1]))
+    return lambda r: modes.inverse(solve(modes.forward(r)))
 
 
 def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
@@ -437,7 +467,11 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
         raise ValueError("the load is too large to solve in double precision")
     if rz < np.finfo(float).tiny:
         raise ValueError(_TOO_SMALL)
-    f0 = np.linalg.norm(F)
+    # the stop test compares norms scaled by an exact power of two that takes
+    # the load near one, so a residual norm cannot underflow to zero; the
+    # exponent stops where the power would overflow
+    scale = 2.0 ** -max(int(np.frexp(np.abs(F).max())[1]), -1023)
+    f0 = np.linalg.norm(scale * F)
     for it in range(1, maxit + 1):
         Kp = K @ p
         pKp = p @ Kp
@@ -446,7 +480,7 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
         alpha = rz / pKp
         x += alpha * p
         r -= alpha * Kp
-        if np.linalg.norm(r) <= tol * f0:
+        if np.linalg.norm(scale * r) <= tol * f0:
             return x, it
         z = precond(r)
         rz_new = r @ z
@@ -454,7 +488,7 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
         rz = rz_new
     raise RuntimeError(
         f"conjugate gradient did not converge in {maxit} iterations "
-        f"(relative residual {np.linalg.norm(r) / f0:.3e})"
+        f"(relative residual {np.linalg.norm(scale * r) / f0:.3e})"
     )
 
 

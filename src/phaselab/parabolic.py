@@ -4,20 +4,25 @@ The evolution is backward Euler for ``M du/dt + K u = 0`` on the
 Dirichlet-eliminated block, started from the nodal source values so that the
 running time integral converges to the elliptic equilibrium.  Step sizes
 follow one fixed schedule: a uniform warm-up resolving the initial transient,
-then geometric growth up to a cap.  Only the two sizes that repeat are
-factored: ``M + DT0*K`` for the warm-up and ``M + DT_MAX*K`` for the cap.  Each
-growth size serves one step, which is solved by conjugate gradient
-preconditioned with the cap factor; the preconditioned spectrum lies in
-``[dt/DT_MAX, 1]``, so a handful of iterations reach round-off.  The
-schedule never shrinks a step, so one factor is alive at a time: the
-warm-up factor is dropped before the cap factor is built.
+then geometric growth up to a cap.
 
-One factory, ``_factor``, builds every solve by ``K`` or by a step matrix
-``M + dt*K``.  On a rotation-invariant layout (sigma constant on every
-rotation orbit of the polar mesh) both are block-circulant in angle, and
-``fem2d._orbit_mean_solver`` solves them exactly by an FFT in angle and one
-tridiagonal radial sweep per mode.  Otherwise SuperLU factors them: both are
-symmetric positive definite, so it runs in symmetric mode, without pivoting,
+One time-stepping loop serves two bases for the state.  On a
+rotation-invariant layout (sigma constant on every rotation orbit of the
+polar mesh) M and K are block-circulant in angle, so the run keeps its state
+as angular-Fourier ring coefficients (``fem2d._AngularModes``) from start to
+finish: a step is one tridiagonal mass product per mode and one LAPACK
+solve over every mode's radial tridiagonal, the mass norm comes by
+Parseval, and the probe reads only the rings its triangles touch.  Every
+step size is factored exactly, in microseconds, and the state goes back to
+nodal values once, at the end.  On any other layout the state is the free
+nodal vector, and only the two sizes that repeat are factored, by SuperLU:
+``M + DT0*K`` for the warm-up and ``M + DT_MAX*K`` for the cap.  Each growth
+size serves one step, which is solved by conjugate gradient preconditioned
+with the cap factor; the preconditioned spectrum lies in ``[dt/DT_MAX, 1]``,
+so a handful of iterations reach round-off.  The schedule never shrinks a
+step, so one factor is alive at a time: the warm-up factor is dropped before
+the cap factor is built.  Both step matrices and ``K`` are symmetric
+positive definite, so SuperLU runs in symmetric mode, without pivoting,
 under a minimum-degree ordering of ``A + A^T``, which stores about half the
 fill of its default column ordering.
 
@@ -35,7 +40,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem2d import CircleSampler, FemSystem, _orbit_mean_solver, _pcg
+from .fem2d import (
+    CircleSampler,
+    FemSystem,
+    _AngularModes,
+    _orbit_mean_solver,
+    _pcg,
+    _sector_blocks,
+)
 from .symmetry_checks import _probe_stats
 
 __all__ = [
@@ -78,11 +90,13 @@ CG_MAXIT = 100
 def _factor(system: FemSystem, dt: float | None = None):
     """The solve by ``Mff + dt*Kff``, or by ``Kff`` without ``dt``.
 
-    A rotation-invariant layout solves by FFT in angle, where the orbit-mean
-    stiffness is ``Kff`` itself; any other is factored by SuperLU.
+    SuperLU factors it, except ``Kff`` on a rotation-invariant layout, where
+    the orbit-mean stiffness is ``Kff`` itself and the FFT-in-angle solve is
+    exact.  Heat-flow steps on such a layout never come here: they are taken
+    in angular-Fourier coefficients.
     """
-    if system.rotation_invariant:
-        return _orbit_mean_solver(system, dt)
+    if dt is None and system.rotation_invariant:
+        return _orbit_mean_solver(system)
     A = system.Kff if dt is None else system.Mff + dt * system.Kff
     return spla.splu(A, **_SPD_LU).solve
 
@@ -135,9 +149,9 @@ class Evolution:
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
-    factorizations: int  # step solvers built: the warm-up and the cap size, resumes included
-    cg_iterations: int  # CG iterations over the growth steps
-    step_solver: str  # "angular FFT" on a rotation-invariant layout, else "SuperLU"
+    factorizations: int  # step matrices factored, resumes included
+    cg_iterations: int  # CG iterations over the growth steps; none in angular-Fourier steps
+    step_solver: str  # the step basis: "angular Fourier" if rotation-invariant, else "SuperLU"
 
     @property
     def initial_norm(self) -> float:
@@ -166,6 +180,88 @@ def _step_size(k: int) -> float:
     return min(DT0 * GROWTH ** min(k - WARMUP_STEPS + 1, CAP_LEVEL), DT_MAX)
 
 
+# The two bases of the heat-flow state.  Each maps free nodal values to its
+# state and back, applies the mass matrix, takes the mass norm, factors a step
+# size and samples the probe; `evolve` runs the schedule.
+
+
+class _NodalSteps:
+    """Free nodal state: SuperLU factors of the warm-up and cap sizes, CG for the growth sizes."""
+
+    label = "SuperLU"
+    every_size = False
+
+    def __init__(self, system: FemSystem, probe: CircleSampler | None):
+        self.system = system
+        self.P = _probe_matrix(system, probe)
+
+    def state(self, u_free: np.ndarray) -> np.ndarray:
+        return u_free
+
+    nodal = state
+
+    def mass(self, u: np.ndarray) -> np.ndarray:
+        return self.system.Mff @ u
+
+    def norm(self, u: np.ndarray, Mu: np.ndarray) -> float:
+        return float(np.sqrt(u @ Mu))
+
+    def factor(self, size: float):
+        return _factor(self.system, size)
+
+    def probe_row(self, u: np.ndarray) -> tuple:
+        return _probe_row(self.P, u)
+
+
+class _FourierSteps:
+    """Angular-Fourier state on a rotation-invariant layout: every step size factored exactly.
+
+    The probe matrix keeps only the columns of the rings its triangles touch
+    (and a ball's centre), so a probe row needs the inverse FFT of those
+    rings alone.
+    """
+
+    label = "angular Fourier"
+    every_size = True
+
+    def __init__(self, system: FemSystem, probe: CircleSampler | None):
+        modes = self.modes = _AngularModes(system.mesh)
+        self.blocks = _sector_blocks(system)
+        self.d_mass, self.e_mass = modes.symbol(self.blocks[0])
+        self.e_mass_conj = self.e_mass.conj()
+        self.P = _probe_matrix(system, probe)
+        if self.P is not None:
+            m, fan = modes.m, modes.fan
+            cols = self.P.indices
+            self.rows = np.unique((cols[cols >= fan] - fan) // m)
+            ring_cols = fan + self.rows[:, None] * m + np.arange(m)
+            self.P = self.P[:, np.concatenate([np.arange(fan), ring_cols.ravel()])]
+
+    def state(self, u_free: np.ndarray) -> np.ndarray:
+        return self.modes.forward(u_free)
+
+    def nodal(self, X: np.ndarray) -> np.ndarray:
+        return self.modes.inverse(X)
+
+    def mass(self, X: np.ndarray) -> np.ndarray:
+        MX = self.d_mass * X
+        MX[1:] += self.e_mass * X[:-1]
+        MX[:-1] += self.e_mass_conj * X[1:]
+        return MX
+
+    def norm(self, X: np.ndarray, MX: np.ndarray) -> float:
+        return float(np.sqrt(np.vdot(X, self.modes.weights * MX).real))
+
+    def factor(self, size: float):
+        mass, stiffness = self.blocks
+        return self.modes.factor(*self.modes.symbol(mass + size * stiffness))
+
+    def probe_row(self, X: np.ndarray) -> tuple:
+        if self.P is None:
+            return ()
+        return _probe_row(self.P, self.modes.inverse(X, self.rows))
+
+
 def evolve(
     system: FemSystem,
     *,
@@ -185,54 +281,54 @@ def evolve(
         raise ValueError("a resumed run keeps its own probe; pass no other")
     free = system.free
     nv = system.mesh.nv
-    Kff, Mff = system.Kff, system.Mff
 
     probe = resume.probe if resume is not None else probe
-    P = _probe_matrix(system, probe)
+    basis = (_FourierSteps if system.rotation_invariant else _NodalSteps)(system, probe)
     if resume is not None:
-        u = resume.u_final[free]
-        V = resume.v_field[free]
+        u = basis.state(resume.u_final[free])
+        V = basis.state(resume.v_field[free])
         t = resume.final_time
         k0, nfact, cg_its = resume.steps, resume.factorizations, resume.cg_iterations
         times, norms, rows = list(resume.times), list(resume.mass_norms), list(resume.probes)
     else:
-        u = system.g_vertex[free]
-        V = np.zeros(len(free))
+        u = basis.state(system.g_vertex[free])
+        V = np.zeros_like(u)
         t = 0.0
         k0 = nfact = cg_its = 0
-        times, norms, rows = [0.0], [system.mass_norm(u)], [_probe_row(P, u)]
+        times, norms, rows = [0.0], [basis.norm(u, basis.mass(u))], [basis.probe_row(u)]
+    Mu = basis.mass(u)  # carried from step to step: the mass norm and the next rhs
 
-    Mu = Mff @ u  # carried from step to step: the mass norm and the next rhs
-    factor = None  # (factored dt, its solve)
+    factor = None  # (factored size, its solve)
     k = k0
     while norms[-1] > eps:
         dt = _step_size(k)
-        size = dt if dt == DT0 else DT_MAX  # a growth step is preconditioned by the cap
+        # a nodal growth step is preconditioned by the cap
+        size = dt if basis.every_size or dt == DT0 else DT_MAX
         if factor is None or factor[0] != size:
             factor = None  # free it before the next is built: dt never shrinks
-            factor = (size, _factor(system, size))
+            factor = (size, basis.factor(size))
             nfact += 1
         if dt == size:
             u_new = factor[1](Mu)
         else:
             # the step matrix is exactly symmetric: its transpose is the same matrix in CSR
-            u_new, its = _pcg((Mff + dt * Kff).T, Mu, CG_TOL, CG_MAXIT, factor[1])
+            u_new, its = _pcg((system.Mff + dt * system.Kff).T, Mu, CG_TOL, CG_MAXIT, factor[1])
             cg_its += its
         V += dt * (u + u_new) / 2.0
         u = u_new
         t += dt
         k += 1
         times.append(t)
-        Mu = Mff @ u
-        norms.append(float(np.sqrt(u @ Mu)))
-        rows.append(_probe_row(P, u))
+        Mu = basis.mass(u)
+        norms.append(basis.norm(u, Mu))
+        rows.append(basis.probe_row(u))
         if k - k0 > MAX_STEPS:
             raise RuntimeError("heat flow did not reach the stopping norm")
 
     u_full = np.zeros(nv)
-    u_full[free] = u
+    u_full[free] = basis.nodal(u)
     v_full = np.zeros(nv)
-    v_full[free] = V
+    v_full[free] = basis.nodal(V)
     return Evolution(
         times=np.array(times),
         mass_norms=np.array(norms),
@@ -243,7 +339,7 @@ def evolve(
         steps=k,
         factorizations=nfact,
         cg_iterations=cg_its,
-        step_solver="angular FFT" if system.rotation_invariant else "SuperLU",
+        step_solver=basis.label,
     )
 
 

@@ -189,15 +189,23 @@ def test_run_scenario_parabolic_adds_timeseries(tmp_path):
 
 
 def test_heat_flow_summary_counts_factors_and_cg_iterations(tmp_path, capsys):
-    for name, solver in (("two_phase_displaced", "SuperLU"), ("two_phase_concentric", "angular FFT")):
+    # a displaced layout factors the warm-up and the cap and takes its growth
+    # steps by CG; a concentric one steps in angular-Fourier coefficients,
+    # factoring each of its 30 step sizes exactly, with no CG
+    cases = (("two_phase_displaced", "SuperLU"), ("two_phase_concentric", "angular Fourier"))
+    for name, basis in cases:
         out = tmp_path / name
         run = run_scenario(build_preset(name, n=8, pipeline="both"), out_dir=out).run
         assert capsys.readouterr().out == ""  # the counts go to summary.txt, never to stdout
-        assert (run.factorizations, run.step_solver) == (2, solver)
-        assert run.cg_iterations >= 28  # at least one per growth step
+        assert run.step_solver == basis
+        if basis == "SuperLU":
+            assert run.factorizations == 2
+            assert run.cg_iterations >= 28  # at least one per growth step
+        else:
+            assert (run.factorizations, run.cg_iterations) == (30, 0)
         line = (
             f"heat flow: {run.steps} steps to t={run.final_time!r}, "
-            f"2 factorization(s) ({solver}), {run.cg_iterations} CG iteration(s)"
+            f"{run.factorizations} factorization(s) ({basis}), {run.cg_iterations} CG iteration(s)"
         )
         assert line in (out / "summary.txt").read_text().splitlines()
 
@@ -351,6 +359,39 @@ def test_scaling_the_source_scales_u_and_keeps_every_verdict(unscaled_runs, name
     assert res.flux_stats.absolute_fallback == base.flux_stats.absolute_fallback
     assert res.spectrum.nonradial_fraction == base.spectrum.nonradial_fraction
     assert res.transmission.residual == base.transmission.residual
+
+
+@pytest.fixture(scope="module")
+def displaced_runs():
+    return {n: run_scenario(build_preset("two_phase_displaced", n=n)) for n in (8, 12, 16)}
+
+
+def rotated_by_sectors(scenario, k):
+    """The scenario with every phase centre turned by k of the mesh's 6n sectors."""
+    angle = 2.0 * math.pi * k / (6 * scenario.n)
+    c, s = math.cos(angle), math.sin(angle)
+    phases = tuple(
+        replace(ph, center=(c * ph.center[0] - s * ph.center[1], s * ph.center[0] + c * ph.center[1]))
+        for ph in scenario.config.phases
+    )
+    return replace(scenario, config=replace(scenario.config, phases=phases))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.sampled_from([8, 12, 16]), k=st.integers(0, 95))
+def test_rotating_a_displaced_layout_by_whole_sectors_keeps_every_verdict(displaced_runs, n, k):
+    # a turn by whole sectors maps the polar mesh onto itself, so the turned
+    # layout is the same discrete problem up to the round-off of the vertices
+    base = displaced_runs[n]
+    res = run_scenario(rotated_by_sectors(base.scenario, k % (6 * n)))
+    assert (res.system.mesh.tri_tags >= 1).sum() == (base.system.mesh.tri_tags >= 1).sum()
+    for verdict in VERDICTS:
+        assert getattr(res, verdict) == getattr(base, verdict), verdict
+    for name, value in (
+        ("flux_rel_deviation", lambda r: r.flux_stats.rel_deviation),
+        ("transmission_residual", lambda r: r.transmission.residual),
+    ):
+        assert value(res) == pytest.approx(value(base), rel=1e-10, abs=0.0), name
 
 
 def test_merge_reports(tmp_path):
@@ -575,6 +616,20 @@ def test_main_run_rejects_underflowing_source_with_exit_2(tmp_path, capsys):
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2, scale
         assert "error: the load is too small to solve in double precision" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_cg_stop_test_survives_an_underflowing_residual_norm():
+    # two_phase_displaced at n=16: from about 1e-151 the load is too small for
+    # CG's products.  At 1e-153 the first r @ z still passes, but ||r|| once
+    # underflowed to 0 and stopped CG early with a residual of 0; the stop test
+    # now compares norms scaled by a power of two, so the breakdown shows.
+    sc = build_preset("two_phase_displaced", n=16)
+    for scale in (1.0, 1e-150):
+        sol = run_scenario(replace(sc, source=(scale,))).solution
+        assert sol.iterations == 18 and 0.0 < sol.rel_residual <= 1e-10, scale
+    for scale in (1e-151, 1e-152, 1e-153, 1.5e-153):
+        with pytest.raises(ValueError, match="the load is too small to solve in double precision"):
+            run_scenario(replace(sc, source=(scale,)))
 
 
 def test_tolerances_accept_zero_decay_slack():

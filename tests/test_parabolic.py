@@ -87,10 +87,10 @@ def test_step_schedule_uniform_then_geometric_then_capped():
         expect = min(5e-4 * 1.05 ** (k - 19), 2e-3)
         assert abs(dts[k] - expect) < 1e-15
     assert abs(dts[-1] - 2e-3) < 1e-15
-    # the warm-up and the cap size are factored; the 28 growth steps in
-    # between solve by CG, at least one iteration each
-    assert run.factorizations == 2
-    assert run.cg_iterations >= 28
+    # this rotation-invariant layout factors each distinct step size once:
+    # the warm-up, the 28 growth sizes and the cap, with no CG
+    assert run.step_solver == "angular Fourier"
+    assert (run.factorizations, run.cg_iterations) == (30, 0)
     assert run.mass_norms[-1] <= 1e-6 < run.mass_norms[-2]
 
 
@@ -162,28 +162,46 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     assert ext.steps == full.steps
     assert np.array_equal(ext.times, full.times)
 
-    # a rotation-invariant layout solves by FFT in angle: SuperLU never runs
+    # a rotation-invariant layout steps in angular-Fourier coefficients and
+    # solves the eigen-solver's Kff by FFT in angle: SuperLU never runs, no
+    # step takes CG, and each distinct step size is factored once
     built = len(live_factors.built)
     concentric = disk_system(8, sigma=2.0)
     run = evolve(concentric, eps=1e-6)
     smallest_eigenvalue(concentric)
-    assert (run.step_solver, run.factorizations) == ("angular FFT", 2)
+    assert run.step_solver == "angular Fourier"
     assert len(live_factors.built) == built
+    assert run.cg_iterations == 0
+    assert run.factorizations == len({_step_size(k) for k in range(run.steps)}) == 30
+
+
+def ring_system(kind, n=16):
+    """A ball, or an annulus of inner radius 0.3, with a concentric ring of sigma 3."""
+    domain = DomainSpec("ball") if kind == "ball" else DomainSpec("annulus", inner_radius=0.3)
+    ring = PhaseRegion(shape="ring", sigma=3.0, r_inner=0.45, r_outer=0.6)
+    cfg = PhaseConfig(domain=domain, phases=(ring,))
+    return assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
 
 
 @pytest.mark.parametrize("kind", ["ball", "annulus"])
 @pytest.mark.parametrize("dt", [None, parabolic.DT0, parabolic.DT_MAX, 0.5])
-def test_invariant_layout_solves_exactly_by_fft(kind, dt):
-    domain = DomainSpec("ball") if kind == "ball" else DomainSpec("annulus", inner_radius=0.3)
-    ring = PhaseRegion(shape="ring", sigma=3.0, r_inner=0.45, r_outer=0.6)
-    cfg = PhaseConfig(domain=domain, phases=(ring,))
-    sys_ = assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0)
+def test_invariant_layout_solves_exactly_by_fft(kind, dt, live_factors):
+    sys_ = ring_system(kind)
     assert sys_.rotation_invariant
-    A = sys_.Kff if dt is None else sys_.Mff + dt * sys_.Kff
-    r = np.random.default_rng(7).standard_normal(len(sys_.free))
-    ref = spsolve(A, r)
-    z = parabolic._factor(sys_, dt)(r)
-    assert np.abs(z - ref).max() <= 1e-12 * np.abs(ref).max()
+    u = np.random.default_rng(7).standard_normal(len(sys_.free))
+    if dt is None:  # the eigen-solver's solve by Kff
+        ref = spsolve(sys_.Kff, u)
+        z = parabolic._factor(sys_)(u)
+    else:  # one heat-flow step, taken in angular-Fourier coefficients
+        ref = spsolve(sys_.Mff + dt * sys_.Kff, sys_.Mff @ u)
+        basis = parabolic._FourierSteps(sys_, None)
+        X = basis.state(u)
+        MX = basis.mass(X)
+        z = basis.nodal(basis.factor(dt)(MX))
+        assert rel(basis.nodal(MX), sys_.Mff @ u) <= 1e-13
+        assert basis.norm(X, MX) == pytest.approx(sys_.mass_norm(u), rel=1e-14)
+    assert rel(z, ref) <= 1e-12
+    assert live_factors.built == []
 
 
 def factor_every_size(sys_, eps):
@@ -227,19 +245,23 @@ def test_growth_steps_by_cg_match_a_factor_for_every_size():
     assert 28 <= run.cg_iterations <= 28 * 20
 
 
-def test_fft_steps_match_a_factor_for_every_size():
-    sys_ = disk_system(16, sigma=2.0)
-    free = sys_.free
-    run = evolve(sys_, eps=1e-8)
-    assert run.step_solver == "angular FFT"
-    ref = factor_every_size(sys_, eps=1e-8)
-    assert run.steps == ref.steps
-    assert np.array_equal(run.times, ref.times)
-    # u_final has decayed to 1e-8 of the start, so its round-off is relatively
-    # larger: about 4e-12 here, and 1e-12 with SuperLU steps
-    assert rel(run.u_final[free], ref.u) <= 1e-11
-    assert rel(run.v_field[free], ref.V) <= 1e-12
-    np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-11, atol=0.0)
+def test_fft_steps_match_a_factor_for_every_size(live_factors):
+    for kind in ("ball", "annulus"):
+        sys_ = ring_system(kind)
+        free = sys_.free
+        run = evolve(sys_, eps=1e-8)
+        assert live_factors.built == []  # no SuperLU factor
+        assert run.step_solver == "angular Fourier"
+        assert (run.factorizations, run.cg_iterations) == (30, 0)
+        ref = factor_every_size(sys_, eps=1e-8)
+        assert run.steps == ref.steps
+        assert np.array_equal(run.times, ref.times)
+        # u_final has decayed to 1e-8 of the start, so its round-off is relatively
+        # larger: about 1e-12 on the ball and 4e-14 on the annulus
+        assert rel(run.u_final[free], ref.u) <= 1e-11, kind
+        assert rel(run.v_field[free], ref.V) <= 1e-12, kind
+        np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-11, atol=0.0)
+        live_factors.built.clear()  # the reference's own factors
 
 
 @pytest.mark.parametrize("radius", [0.4, 0.97])  # crosses the core; meets the boundary
@@ -264,6 +286,19 @@ def test_probe_matrix_reproduces_probe_deviation(radius):
         expect = (want.mean_u, want.dev_u, want.mean_flux, want.dev_flux)
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
     assert branches == {(False, False), (True, True)}
+
+
+@pytest.mark.parametrize("radius", [0.02, 0.4, 0.97])  # in the centre fan; mid-way; by the rim
+def test_fourier_probe_rows_match_the_nodal_probe(radius):
+    # the Fourier basis samples only the rings the probe touches, and a ball's centre
+    sys_ = disk_system(16, sigma=2.0)
+    probe = CircleSampler(sys_.mesh, radius)
+    basis = parabolic._FourierSteps(sys_, probe)
+    u = 1.0 + np.random.default_rng(7).standard_normal(len(sys_.free))
+    got = basis.probe_row(basis.state(u))
+    want = parabolic._probe_row(parabolic._probe_matrix(sys_, probe), u)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert basis.P.shape[1] == 1 + len(basis.rows) * sys_.mesh.sectors < len(sys_.free) // 4
 
 
 def test_step_factor_uses_fill_reducing_ordering(live_factors):
@@ -411,6 +446,25 @@ def test_resume_matches_an_uninterrupted_run_bitwise():
         assert np.array_equal(getattr(ext, name), getattr(full, name)), name
     assert full.probe_dev_max[1] > 0.0  # the displaced core shows on the probe
     # a resume builds its current step factor again
+    assert ext.factorizations == full.factorizations + 1
+
+
+def test_resume_on_an_invariant_layout_matches_an_uninterrupted_run():
+    # the resume carries nodal u and V back into Fourier coefficients, so it
+    # need not match the uninterrupted run bit for bit; it must within round-off
+    sys_ = disk_system(8, sigma=2.0)
+    probe = CircleSampler(sys_.mesh, 0.75)
+    full = evolve(sys_, eps=1e-6, probe=probe)
+    first = evolve(sys_, eps=1e-4, probe=probe)
+    ext = evolve(sys_, eps=1e-6, resume=first)
+    assert full.step_solver == ext.step_solver == "angular Fourier"
+    assert first.steps < ext.steps == full.steps
+    assert np.array_equal(ext.times, full.times)
+    assert rel(ext.u_final, full.u_final) <= 1e-13
+    assert rel(ext.v_field, full.v_field) <= 1e-14
+    np.testing.assert_allclose(ext.mass_norms, full.mass_norms, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(ext.probes[:, ::2], full.probes[:, ::2], rtol=1e-13, atol=0.0)
+    # the first run stops in the cap's stretch, whose factor the resume builds again
     assert ext.factorizations == full.factorizations + 1
 
 

@@ -415,13 +415,18 @@ class _AngularModes:
         np.fft.rfft(rings, axis=0, out=X[fan:].reshape(self.modes, self.rings))
         return X
 
-    def inverse(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Free nodal values of ``X``: the centre, if any, then ring rows ``rows`` (default all)."""
-        fan = self.fan
-        Y = X[fan:].reshape(self.modes, self.rings)[:, rows].T  # (ring, mode)
-        v = np.empty(fan + Y.shape[0] * self.m)
-        v[:fan] = X[:fan].real / self.root_m
-        np.fft.irfft(Y, n=self.m, axis=1, out=v[fan:].reshape(-1, self.m))
+    def inverse(self, X: np.ndarray) -> np.ndarray:
+        """Nodal values of coefficients ``X``, shape (..., fan + modes * rings).
+
+        The last axis holds the centre, if any, then mode-major coefficients
+        of every free ring or of a subset of rings, innermost first; the
+        nodal values follow in the same order, a ring at a time.
+        """
+        fan, lead = self.fan, X.shape[:-1]
+        Y = X[..., fan:].reshape(*lead, self.modes, -1).swapaxes(-1, -2)  # (..., ring, mode)
+        v = np.empty(lead + (fan + Y.shape[-2] * self.m,))
+        v[..., :fan] = X[..., :fan].real / self.root_m
+        np.fft.irfft(Y, n=self.m, axis=-1, out=v[..., fan:].reshape(*Y.shape[:-1], self.m))
         return v
 
 
@@ -658,7 +663,10 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
 # -- plain-text mesh output --------------------------------------------------
 
 
-_BLOCK_ROWS = 1024  # rows per write; larger blocks cost memory and gain no speed
+# Rows per write block.  A block's strings and digit arrays stay far below a
+# MiB, and larger blocks gain no speed: formatting the whole mesh at once
+# was slower and raised the peak memory of an n=128 run by half.
+_BLOCK_ROWS = 1024
 
 
 def _write_rows(fh, fmt: str, columns) -> None:
@@ -673,24 +681,69 @@ def _write_rows(fh, fmt: str, columns) -> None:
         fh.write((fmt * len(block[0])) % tuple(values))
 
 
+def _reprs(v: np.ndarray) -> np.ndarray:
+    """``repr`` of every float of ``v`` as an object array, each distinct magnitude formatted once.
+
+    Equal to ``list(map(repr, v.tolist()))``: the sign goes in front wherever
+    the sign bit is set, except on NaN, which Python prints as ``nan`` whatever
+    its sign.
+    """
+    mags, where = np.unique(np.abs(v), return_inverse=True)
+    text = np.array(list(map(repr, mags.tolist())), dtype=object)[where]
+    neg = np.signbit(v) & ~np.isnan(v)
+    text[neg] = "-" + text[neg]
+    return text
+
+
+def _int_rows(columns) -> str:
+    """Rows ``"%d %d ... %d\\n"`` of equal-length non-negative integer ``columns``.
+
+    Each value's decimal digits go right-aligned into a NUL-padded byte array,
+    one cell per value and a separator after it; dropping the NULs leaves
+    the text.
+    """
+    rest = np.column_stack(columns).astype(np.uint64)  # unsigned division is the faster
+    width = len(str(int(rest.max(initial=0))))
+    text = np.zeros(rest.shape + (width + 1,), np.uint8)
+    text[..., -1] = ord(" ")
+    text[:, -1, -1] = ord("\n")
+    text[..., width - 1] = ord("0") + rest % 10
+    for k in range(width - 2, -1, -1):
+        rest //= 10
+        text[..., k] = (ord("0") + rest % 10) * (rest > 0)
+    text = text.reshape(-1)
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def write_mesh(path, mesh: Mesh, field=None) -> None:
     """ASCII dump: header counts, vertex lines, triangle lines, boundary lines.
 
     ``field``, an optional ``(path, values)`` pair, also writes the nodal CSV
-    ``vertex_id,x,y,value`` in the same pass.  Each coordinate goes through
-    ``repr`` once, a block of vertices at a time, and both files take their
-    x and y from the same strings.
+    ``vertex_id,x,y,value`` in the same pass.  The output is the same bytes
+    as ``repr`` and ``%d`` row by row, with far less work per cell.  Vertices
+    go a block of whole rings at a time, after a ball's centre: a polar
+    ring repeats its coordinates' magnitudes across the mirror lines, so
+    `_reprs` formats each distinct magnitude among a block's x, y and values
+    once, and both files share the strings.  Integer rows come from digit
+    arrays (`_int_rows`).
     """
+    nv, m = mesh.nv, mesh.sectors
+    first = nv % m if m else 0  # a ball's centre vertex
+    step = m * max(1, _BLOCK_ROWS // m) if m else _BLOCK_ROWS
+    edges = sorted({0, *range(first, nv, step), nv})
     with open(path, "w") as fh, (open(field[0], "w") if field else nullcontext()) as csv:
-        fh.write(f"{mesh.nv} {mesh.nt} {len(mesh.boundary_edges)}\n")
+        fh.write(f"{nv} {mesh.nt} {len(mesh.boundary_edges)}\n")
         if csv is not None:
             csv.write("vertex_id,x,y,value\n")
-        for lo in range(0, mesh.nv, _BLOCK_ROWS):
-            blk = slice(lo, lo + _BLOCK_ROWS)
-            xs, ys = (list(map(repr, col[blk].tolist())) for col in mesh.vertices.T)
+        for lo, hi in zip(edges, edges[1:]):
+            cols = [*mesh.vertices[lo:hi].T] + ([field[1][lo:hi]] if csv is not None else [])
+            text = _reprs(np.concatenate(cols)).reshape(len(cols), -1)
+            xs, ys = text[0].tolist(), text[1].tolist()
             fh.write("".join([f"{x} {y}\n" for x, y in zip(xs, ys)]))
             if csv is not None:
-                rows = zip(range(lo, lo + len(xs)), xs, ys, field[1][blk].tolist())
-                csv.write("".join([f"{i},{x},{y},{v!r}\n" for i, x, y, v in rows]))
-        _write_rows(fh, "%d %d %d %d\n", (*mesh.triangles.T, mesh.tri_tags))
-        _write_rows(fh, "%d %d %d\n", (*mesh.boundary_edges.T, mesh.edge_tags))
+                rows = zip(range(lo, hi), xs, ys, text[2].tolist())
+                csv.write("".join([f"{i},{x},{y},{v}\n" for i, x, y, v in rows]))
+        for ids, tags in ((mesh.triangles, mesh.tri_tags), (mesh.boundary_edges, mesh.edge_tags)):
+            for lo in range(0, len(ids), _BLOCK_ROWS):
+                blk = slice(lo, lo + _BLOCK_ROWS)
+                fh.write(_int_rows([*ids[blk].T, tags[blk]]))

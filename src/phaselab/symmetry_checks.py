@@ -244,13 +244,27 @@ def probe_deviation(sampler: CircleSampler, u: np.ndarray, sigma_e=None) -> Prob
 
 def _probe_stats(values: np.ndarray, flux: np.ndarray) -> ProbeStats:
     """Means and deviations of the samples of u and of its flux on one probe circle."""
+    mu, du, mf, df = _probe_table(values, flux).tolist()
+    return ProbeStats(
+        mean_u=mu,
+        dev_u=du,
+        u_absolute=abs(mu) < MEAN_GUARD,
+        mean_flux=mf,
+        dev_flux=df,
+        flux_absolute=abs(mf) < MEAN_GUARD,
+    )
+
+
+def _probe_table(values: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    """Mean u, deviation of u, mean flux and deviation of the flux, shape (..., 4).
+
+    ``values`` and ``flux`` hold one probe circle's samples along their last
+    axis.  Each mean is numpy's pairwise sum of one row when that axis is
+    contiguous, so a block of rows gives the same bits as one row at a time.
+    """
     out = []
     for v in (values, flux):
-        mean = float(v.mean())
-        dev = float(np.abs(v - mean).max())
-        fallback = abs(mean) < MEAN_GUARD
-        out.append((mean, dev if fallback else dev / abs(mean), fallback))
-    (mu, du, fu), (mf, df, ff) = out
-    return ProbeStats(
-        mean_u=mu, dev_u=du, u_absolute=fu, mean_flux=mf, dev_flux=df, flux_absolute=ff
-    )
+        mean = v.mean(axis=-1)
+        dev = np.abs(v - mean[..., None]).max(axis=-1)
+        out += [mean, dev / np.where(np.abs(mean) < MEAN_GUARD, 1.0, np.abs(mean))]
+    return np.stack(out, axis=-1)

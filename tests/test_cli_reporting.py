@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phaselab import cli_reporting, fem2d, symmetry_checks
 from phaselab.cli_reporting import (
@@ -296,6 +297,43 @@ def test_block_writers_match_the_per_row_format(tmp_path):
     assert (tmp_path / "u.csv").read_bytes() == _per_row_field(mesh, values).encode()
 
 
+NEG_NAN = np.copysign(np.nan, -1.0)
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_subnormal=True)))
+@example(np.array([0.0, -0.0, math.inf, -math.inf, math.nan, NEG_NAN, 5e-324, -5e-324, 1e16, -1e-5]))
+def test_reprs_equal_python_repr(v):
+    assert fem2d._reprs(v).tolist() == list(map(repr, v.tolist()))
+
+
+@st.composite
+def int_columns(draw):
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(1, 5))
+    block = draw(hnp.arrays(np.int64, (rows, cols), elements=st.integers(0, 2**62)))
+    block[:, draw(hnp.arrays(bool, cols))] = 0  # some all-zero columns
+    return list(block.T)
+
+
+@settings(deadline=None)
+@given(int_columns())
+@example([np.array([0, 9, 10, 2**62]), np.zeros(4, np.int64)])
+def test_int_rows_equal_the_percent_d_rows(columns):
+    fmt = " ".join(["%d"] * len(columns)) + "\n"
+    want = "".join(fmt % row for row in zip(*(col.tolist() for col in columns)))
+    assert fem2d._int_rows(columns) == want
+
+
+@pytest.mark.parametrize("name", ["one_phase_annulus", "two_phase_displaced"])  # no centre; a centre
+def test_write_mesh_matches_the_per_row_format_on_polar_meshes(tmp_path, name):
+    res = run_scenario(build_preset(name, n=16))
+    mesh = res.system.mesh
+    assert (mesh.nv // mesh.sectors) % (fem2d._BLOCK_ROWS // mesh.sectors)  # a partial last block
+    fem2d.write_mesh(tmp_path / "mesh.txt", mesh, (tmp_path / "u.csv", res.solution.u))
+    assert (tmp_path / "mesh.txt").read_bytes() == _per_row_mesh(mesh).encode()
+    assert (tmp_path / "u.csv").read_bytes() == _per_row_field(mesh, res.solution.u).encode()
+
+
 def test_artifact_writing_holds_one_block_of_strings(tmp_path):
     res = run_scenario(build_preset("two_phase_displaced", n=64))
     tracemalloc.start()
@@ -306,6 +344,15 @@ def test_artifact_writing_holds_one_block_of_strings(tmp_path):
         tracemalloc.stop()
     # the 49k coordinate strings of the whole mesh would take 3.2 MB at once
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("name", EXPECTED_PRESETS)
+def test_every_preset_meets_its_expectation_with_the_heat_flow(name):
+    # the decay certificate follows backward Euler's own rate, so a layout whose
+    # lam*dt is large (the annulus: lam ~ 39) is not failed for the scheme's lag
+    res = run_scenario(build_preset(name, n=16, pipeline="both"))
+    assert res.decay.ok, res.decay.max_ratio
+    assert res.expectation_match
 
 
 def test_only_the_heat_flow_assembles_the_mass_matrix(monkeypatch):

@@ -281,7 +281,7 @@ def test_probe_matrix_reproduces_probe_deviation(radius):
         ps = _probe_stats(samples[: probe.count], samples[probe.count :])
         assert (ps.u_absolute, ps.flux_absolute) == (want.u_absolute, want.flux_absolute)
         branches.add((want.u_absolute, want.flux_absolute))
-        got = parabolic._probe_row(P, u)
+        got = tuple(parabolic._probe_rows(P, u[None])[0])
         assert got == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
         expect = (want.mean_u, want.dev_u, want.mean_flux, want.dev_flux)
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
@@ -295,10 +295,42 @@ def test_fourier_probe_rows_match_the_nodal_probe(radius):
     probe = CircleSampler(sys_.mesh, radius)
     basis = parabolic._FourierSteps(sys_, probe)
     u = 1.0 + np.random.default_rng(7).standard_normal(len(sys_.free))
-    got = basis.probe_row(basis.state(u))
-    want = parabolic._probe_row(parabolic._probe_matrix(sys_, probe), u)
+    got = basis.probe_rows(basis.state(u)[basis.support][None])[0]
+    want = parabolic._probe_rows(parabolic._probe_matrix(sys_, probe), u[None])[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    assert basis.P.shape[1] == 1 + len(basis.rows) * sys_.mesh.sectors < len(sys_.free) // 4
+    rings = (len(basis.support) - 1) // (sys_.mesh.sectors // 2 + 1)
+    assert basis.P.shape[1] == 1 + rings * sys_.mesh.sectors < len(sys_.free) // 4
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # Fourier basis; nodal basis
+def test_probe_rows_of_a_block_match_each_step_bitwise(monkeypatch, center):
+    sys_ = disk_system(8, sigma=2.0, center=center, radius=0.3)
+    probe = CircleSampler(sys_.mesh, 0.75)
+    blocks = []
+    for cls in (parabolic._NodalSteps, parabolic._FourierSteps):
+
+        def spy(self, reads, real=cls.probe_rows):
+            rows = real(self, reads)
+            blocks.append((self, reads, rows))
+            return rows
+
+        monkeypatch.setattr(cls, "probe_rows", spy)
+    first = evolve(sys_, eps=1e-4, probe=probe)
+    ext = evolve(sys_, eps=1e-6, resume=first)
+    # neither run ends on a whole block, and the resume starts a fresh one
+    block = parabolic.PROBE_BLOCK
+    assert len(first.times) % block and (ext.steps - first.steps) % block
+    assert [len(reads) for _, reads, _ in blocks].count(block) == len(blocks) - 2
+    assert np.array_equal(ext.probes, np.concatenate([rows for *_, rows in blocks]))
+    for basis, reads, rows in blocks:
+        for read, row in zip(reads, rows):
+            samples = basis.P @ (basis.modes.inverse(read) if center == (0.0, 0.0) else read)
+            ps = _probe_stats(samples[: probe.count], samples[probe.count :])
+            assert tuple(row) == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
+    # the last read is the final state
+    basis, reads, _ = blocks[-1]
+    want = basis.state(ext.u_final[sys_.free])[basis.support]
+    np.testing.assert_allclose(reads[-1], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_step_factor_uses_fill_reducing_ordering(live_factors):

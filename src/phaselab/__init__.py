@@ -48,7 +48,6 @@ from .symmetry_checks import (
     ProbeStats,
     TransmissionStats,
     angular_spectrum,
-    angular_spectrum_of,
     flux_residual,
     probe_deviation,
     radiality_verdict,

@@ -772,7 +772,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             merged, all_match = merge_reports(args.merge)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
         sys.stdout.write(f"merged diagnostics written to {merged}\n")
@@ -792,7 +792,7 @@ def main(argv=None) -> int:
     out = _default_out(scenario.name, args.out)
     try:
         res = run_scenario(scenario, out_dir=out)
-    except ValueError as exc:  # input only the pipeline can reject, e.g. n < 4
+    except (ValueError, OSError) as exc:  # only the pipeline sees these: n < 4, an --out file
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _print_result(res)

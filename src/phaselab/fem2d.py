@@ -23,7 +23,8 @@ variationally from the residual of the full (uneliminated) operator, which
 makes the discrete divergence identity hold to solver precision.
 
 Point location is closed-form on the generated layout: sector, band, one
-side test.
+side test.  Values on a circle at the vertex angles need no location: they
+blend the two rings around the circle.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class Mesh:
 
     def boundary_vertices(self) -> np.ndarray:
         return np.unique(self.boundary_edges)
-
-    def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,10 +229,6 @@ class FemSystem:
     sigma_e: np.ndarray  # per-element conductivity
     free: np.ndarray
     boundary: np.ndarray
-
-    @property
-    def domain_area(self) -> float:
-        return float(self.mesh.geometry[2].sum())
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
@@ -526,10 +520,6 @@ class BoundaryFlux:
     component: np.ndarray
     total: float
 
-    @property
-    def weighted_mean(self) -> float:
-        return self.total / float(self.weights.sum())
-
 
 def recover_boundary_flux(system: FemSystem, u: np.ndarray) -> BoundaryFlux:
     """Flux through the boundary from the residual of the full operator.
@@ -578,6 +568,29 @@ def _ring_radii(mesh: Mesh) -> np.ndarray:
     return np.concatenate([np.zeros(first), mesh.vertices[first :: mesh.sectors, 0]])
 
 
+def _vertex_angle_values(mesh: Mesh, u: np.ndarray, radii) -> np.ndarray:
+    """A nodal field on circles of the given radii at the m vertex angles 2 pi j / m.
+
+    Every sector ray is a mesh edge, so on a circle between rings i and i+1
+    the P1 field at those angles is exactly (1 - w) ring_i + w ring_{i+1},
+    with w linear in the radius.  Shape (len(radii), m).
+    """
+    m = mesh.sectors
+    rings = _ring_radii(mesh)
+    r = np.atleast_1d(np.asarray(radii, float))
+    if not ((r >= rings[0]) & (r <= rings[-1])).all():
+        raise ValueError(f"circle radii must lie in [{rings[0]}, {rings[-1]}], the mesh's span")
+    band = np.clip(np.searchsorted(rings, r) - 1, 0, len(rings) - 2)
+    w = (r - rings[band]) / (rings[band + 1] - rings[band])
+    first = mesh.nv % m  # a ball's centre vertex stands for its ring 0
+    rows = u[first:].reshape(-1, m)
+
+    def ring(i):
+        return rows[i - first] if i >= first else np.full(m, u[0])
+
+    return np.vstack([(1 - wi) * ring(i) + wi * ring(i + 1) for i, wi in zip(band, w)])
+
+
 def locate_points(mesh: Mesh, points: np.ndarray):
     """Containing triangles and barycentric coordinates, in closed form on the polar mesh.
 
@@ -614,15 +627,15 @@ def locate_points(mesh: Mesh, points: np.ndarray):
 class CircleSampler:
     """Repeated sampling of fields and radial fluxes on one probe circle.
 
-    The sample count defaults to the mesh's sector count with a half-sector
-    angular offset, so samples sit identically relative to the mesh pattern
-    in every sector: discrete rotational symmetry of the layout then shows
-    up as floating-point-level agreement across samples.
+    One sample per sector, at its mid-angle 2 pi (j + 1/2) / m, so samples
+    sit identically relative to the mesh pattern in every sector: discrete
+    rotational symmetry of the layout then shows up as floating-point-level
+    agreement across samples.
     """
 
-    def __init__(self, mesh: Mesh, radius: float, count: int | None = None):
+    def __init__(self, mesh: Mesh, radius: float):
         self.radius = float(radius)
-        self.count = int(mesh.sectors if count is None else count)
+        self.count = mesh.sectors
         th = 2 * np.pi * (np.arange(self.count) + 0.5) / self.count
         pts = radius * np.column_stack([np.cos(th), np.sin(th)])
         self.tri_idx, self.bary = locate_points(mesh, pts)
@@ -631,7 +644,6 @@ class CircleSampler:
         self.grad_x = b / (2 * area)[:, None]
         self.grad_y = c / (2 * area)[:, None]
         self.radial = np.column_stack([np.cos(th), np.sin(th)])
-        self.angles = th
 
     def values(self, u: np.ndarray) -> np.ndarray:
         return (u[self.corners] * self.bary).sum(axis=1)

@@ -46,14 +46,6 @@ class DomainSpec:
         elif not 0.0 < self.inner_radius < self.outer_radius:
             raise ValueError("annulus requires 0 < inner_radius < outer_radius")
 
-    @property
-    def area(self) -> float:
-        return math.pi * (self.outer_radius**2 - self.inner_radius**2)
-
-    @property
-    def boundary_length(self) -> float:
-        return 2.0 * math.pi * (self.outer_radius + self.inner_radius)
-
     def circle_to_boundary(self, rho: float) -> float:
         """Distance from the circle |x| = rho to the domain boundary."""
         d = self.outer_radius - rho

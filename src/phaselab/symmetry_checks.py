@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem2d import BoundaryFlux, CircleSampler, FemSystem, Mesh
+from .fem2d import BoundaryFlux, CircleSampler, FemSystem, Mesh, _vertex_angle_values
 
 __all__ = [
     "FluxStats",
@@ -23,12 +23,15 @@ __all__ = [
     "ProbeStats",
     "flux_residual",
     "angular_spectrum",
-    "angular_spectrum_of",
     "spectrum_from_samples",
     "radiality_verdict",
     "transmission_residual",
     "probe_deviation",
 ]
+
+# Highest angular mode a spectrum reports.  Fewer than 2 * (K_MAX + 1) samples
+# cap it at m/2 - 1: 3n - 1 on a mesh of 6n sectors, so below n = 6.
+K_MAX = 16
 
 # A mean below MEAN_GUARD times the flux's RMS makes a deviation relative to
 # it meaningless.  The probe compares its means with MEAN_GUARD itself: its flux
@@ -97,10 +100,11 @@ class ModeSpectrum:
     """Angular Fourier content of a field sampled on concentric circles.
 
     ``cos_coeffs[i, k]`` and ``sin_coeffs[i, k]`` hold a_k, b_k on the i-th
-    circle, with row k = 0 storing the plain angular mean in ``cos_coeffs``.
-    Energies weight each circle by its radius (arc-length measure), count the
-    mean with the squared-norm factor 2, and the non-radial fraction is the
-    amplitude ratio sqrt(E_perp / E_total).
+    circle for the angles 2 pi j / m of the m samples, with row k = 0 storing
+    the plain angular mean in ``cos_coeffs``.  Modes run up to K_MAX, or up to
+    m/2 - 1 when the samples are fewer.  Energies weight each circle by its
+    radius (arc-length measure), count the mean with the squared-norm factor
+    2, and the non-radial fraction is the amplitude ratio sqrt(E_perp / E_total).
     """
 
     radii: tuple[float, ...]
@@ -112,22 +116,16 @@ class ModeSpectrum:
     dominant_mode: int
 
 
-def spectrum_from_samples(radii, samples: np.ndarray, k_max: int = 16) -> ModeSpectrum:
-    """Build the spectrum from uniformly spaced angular samples, one row per circle."""
+def spectrum_from_samples(radii, samples: np.ndarray) -> ModeSpectrum:
+    """Build the spectrum from samples at the angles 2 pi j / m, one row per circle."""
     samples = np.atleast_2d(np.asarray(samples, float))
     radii = tuple(float(r) for r in np.atleast_1d(radii))
     if len(radii) != len(samples):
         raise ValueError("one sample row per circle is required")
     m = samples.shape[1]
-    if k_max >= m // 2:
-        raise ValueError("k_max must stay below half the angular sample count")
-    j = np.arange(m)
-    theta = 2 * np.pi * (j + 0.5) / m
-    ks = np.arange(k_max + 1)
-    cosm = np.cos(np.outer(ks, theta))
-    sinm = np.sin(np.outer(ks, theta))
-    a = (2.0 / m) * samples @ cosm.T
-    b = (2.0 / m) * samples @ sinm.T
+    c = np.fft.rfft(samples, axis=1)[:, : min(K_MAX, m // 2 - 1) + 1]
+    a = (2.0 / m) * c.real
+    b = (-2.0 / m) * c.imag
     a[:, 0] = samples.mean(axis=1)
     b[:, 0] = 0.0
 
@@ -151,23 +149,13 @@ def spectrum_from_samples(radii, samples: np.ndarray, k_max: int = 16) -> ModeSp
     )
 
 
-def angular_spectrum(
-    mesh: Mesh, u: np.ndarray, radii, n_angles: int = 256, k_max: int = 16
-) -> ModeSpectrum:
-    """Spectrum of a nodal field, interpolated onto circles of the given radii."""
-    rows = [CircleSampler(mesh, r, count=n_angles).values(u) for r in np.atleast_1d(radii)]
-    return spectrum_from_samples(radii, np.vstack(rows), k_max=k_max)
+def angular_spectrum(mesh: Mesh, u: np.ndarray, radii) -> ModeSpectrum:
+    """Spectrum of a nodal field on circles of the given radii, at the mesh's vertex angles.
 
-
-def angular_spectrum_of(fn, radii, n_angles: int = 256, k_max: int = 16) -> ModeSpectrum:
-    """Spectrum of a callable on (n, 2) coordinates; for analytic cross-checks."""
-    radii = np.atleast_1d(radii)
-    theta = 2 * np.pi * (np.arange(n_angles) + 0.5) / n_angles
-    rows = []
-    for r in radii:
-        pts = r * np.column_stack([np.cos(theta), np.sin(theta)])
-        rows.append(np.asarray(fn(pts), float))
-    return spectrum_from_samples(radii, np.vstack(rows), k_max=k_max)
+    The samples are exact values of the P1 field, so a turn of the field by
+    whole sectors is a cyclic shift of them and leaves every amplitude in place.
+    """
+    return spectrum_from_samples(radii, _vertex_angle_values(mesh, u, radii))
 
 
 def radiality_verdict(spectrum: ModeSpectrum, tol: float = 1e-3) -> bool:

@@ -12,8 +12,8 @@ import numpy as np
 from phaselab.cli_reporting import build_preset, run_scenario
 from phaselab.geometry import DomainSpec
 from phaselab.parabolic import evolve, tail_bound
-from phaselab.symmetry_checks import angular_spectrum_of
 
+from conftest import angular_spectrum_of
 from oracles import DISK_LAMBDA_EXACT, displaced_disk_flux_spread
 
 SYMMETRIC_PRESETS = ("one_phase_disk", "one_phase_annulus", "two_phase_concentric")
@@ -131,7 +131,7 @@ def test_c6_time_integral_reaches_equilibrium_within_tail(parabolic64):
     gap = res.system.mass_norm(ext.v_field[free] - res.run.v_field[free])
     assert 0.0 < gap <= res.tail, f"gap {gap:.3e} vs tail {res.tail:.3e}"
     area_form = tail_bound(
-        math.sqrt(res.system.domain_area), res.eigen.value, res.run.final_time
+        math.sqrt(res.system.mesh.geometry[2].sum()), res.eigen.value, res.run.final_time
     )
     assert res.tail <= area_form
 

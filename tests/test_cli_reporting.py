@@ -439,6 +439,10 @@ def test_rotating_a_displaced_layout_by_whole_sectors_keeps_every_verdict(displa
         ("transmission_residual", lambda r: r.transmission.residual),
     ):
         assert value(res) == pytest.approx(value(base), rel=1e-10, abs=0.0), name
+    # the spectrum samples the vertex angles, so the turn is a cyclic shift of
+    # its samples and leaves every mode amplitude in place
+    amp, base_amp = (np.hypot(r.spectrum.cos_coeffs, r.spectrum.sin_coeffs) for r in (res, base))
+    assert np.max(np.abs(amp - base_amp)) <= 1e-12 * base_amp.max()
 
 
 def test_merge_reports(tmp_path):
@@ -507,6 +511,21 @@ def test_main_run_config_and_mismatch_exit(tmp_path, capsys):
     bad = write_config(tmp_path / "bad.json", resolution=8)
     assert main(["run", str(bad)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_main_report_on_a_missing_or_plain_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file.txt").write_text("not a directory\n")
+    for path in (tmp_path / "missing", tmp_path / "file.txt"):
+        assert main(["report", "--merge", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_preset_into_a_plain_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "README.md"
+    out.write_text("a file, not a directory\n")
+    assert main(["preset", "one_phase_disk", "--n", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_text() == "a file, not a directory\n"
 
 
 def test_main_preset_rejects_coarse_resolution_with_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from phaselab.cli_reporting import build_preset, run_scenario
 from phaselab.fem2d import (
     BoundaryFlux,
     CircleSampler,
@@ -16,14 +17,16 @@ from phaselab.fem2d import (
 from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
 from phaselab.radial_core import build_auxiliary_profile, solve_radial
 from phaselab.symmetry_checks import (
+    K_MAX,
     angular_spectrum,
-    angular_spectrum_of,
     flux_residual,
     probe_deviation,
     radiality_verdict,
     spectrum_from_samples,
     transmission_residual,
 )
+
+from conftest import angular_spectrum_of
 
 
 def synthetic_flux(values, weights=None, component=None):
@@ -142,8 +145,52 @@ def test_spectrum_scale_invariance():
 def test_spectrum_input_validation():
     with pytest.raises(ValueError):
         spectrum_from_samples([0.5, 0.75], np.ones((1, 64)))
-    with pytest.raises(ValueError):
-        spectrum_from_samples([0.5], np.ones((1, 16)), k_max=8)
+    # modes stop at K_MAX, or below half the sample count when that is smaller
+    assert spectrum_from_samples([0.5], np.ones((1, 64))).cos_coeffs.shape == (1, K_MAX + 1)
+    assert spectrum_from_samples([0.5], np.ones((1, 16))).cos_coeffs.shape == (1, 8)
+    assert spectrum_from_samples([0.5], np.ones((1, 17))).sin_coeffs.shape == (1, 8)
+
+
+RING_LAYOUTS = {
+    "ball": PhaseConfig(domain=DomainSpec("ball")),
+    "annulus": PhaseConfig(domain=DomainSpec("annulus", inner_radius=0.3)),
+    "nested_rings": PhaseConfig(
+        domain=DomainSpec("ball"),
+        phases=(
+            PhaseRegion(shape="disk", sigma=2.0, radius=0.3),
+            PhaseRegion(shape="ring", sigma=3.0, r_inner=0.5, r_outer=0.7),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+@pytest.mark.parametrize("layout", RING_LAYOUTS)
+def test_mesh_spectrum_of_x_is_mode_one_with_coefficient_r(layout, n):
+    # x is linear in r along every sector ray, so the ring blend is exact;
+    # at n=4 the modes stop at 3n - 1 = 11
+    mesh = generate_mesh(RING_LAYOUTS[layout], n)
+    r0, R = RING_LAYOUTS[layout].domain.inner_radius, 1.0
+    radii = [r0 + f * (R - r0) for f in (0.0, 0.05, 0.25, 0.5, 0.7, 1.0)]
+    spec = angular_spectrum(mesh, mesh.vertices[:, 0], radii)
+    assert spec.cos_coeffs.shape == (len(radii), min(K_MAX, 3 * n - 1) + 1)
+    expect = np.zeros_like(spec.cos_coeffs)
+    expect[:, 1] = radii
+    assert np.max(np.abs(spec.cos_coeffs - expect)) < 1e-15
+    assert np.max(np.abs(spec.sin_coeffs)) < 1e-15
+
+
+def test_mesh_spectrum_rejects_radii_off_the_mesh():
+    ball = generate_mesh(RING_LAYOUTS["ball"], 4)
+    annulus = generate_mesh(RING_LAYOUTS["annulus"], 4)
+    for mesh, r in ((ball, -0.1), (ball, 1.0 + 1e-9), (annulus, 0.29), (annulus, 1.5), (ball, np.nan)):
+        with pytest.raises(ValueError, match="radii must lie in"):
+            angular_spectrum(mesh, np.zeros(mesh.nv), [0.5, r])
+
+
+def test_concentric_disk_spectrum_is_round_off_at_n8():
+    # the under-resolved n=8 disk once read a spurious "dominant mode 16" of 2.7e-5
+    assert run_scenario(build_preset("one_phase_disk", n=8)).spectrum.nonradial_fraction < 1e-14
 
 
 def test_mesh_spectrum_concentric_vs_displaced():

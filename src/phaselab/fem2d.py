@@ -3,15 +3,17 @@
 Meshes are rings of 6n sectors whose radii conform exactly to every
 concentric material interface, so layered conductivities are resolved
 without interface error and the mesh inherits the full discrete rotation
-group of the layout.  Displaced inclusions are captured by per-element
-tagging at centroids instead.
+group of the layout.  Every ring is one unit circle, built from its first
+quadrant, scaled: it is bitwise mirror-exact across both axes.  Displaced
+inclusions are captured by per-element tagging at centroids instead.
 
 Assembly is the classical piecewise-linear setup: element stiffness from
-edge coefficients, exact 3x3 mass blocks, vertex-rule load.  It runs a block
-of triangles at a time, so its temporaries do not grow with the mesh.  Each
-derived fact has one owner that builds it on first use: the mesh its element
-geometry, the assembled system its mass matrix (only the heat flow reads
-it) and its Dirichlet-free blocks.  The linear solve is a hand-rolled
+edge coefficients (one weight per triangle times two outer products), exact
+3x3 mass blocks, vertex-rule load.  It runs a block of triangles at a time,
+so its temporaries do not grow with the mesh.  Each derived fact has one
+owner that builds it on first use: the mesh its element geometry, the
+assembled system its mass matrix (only the heat flow reads it) and its
+Dirichlet-free blocks.  The linear solve is a hand-rolled
 conjugate gradient with a deterministic zero start, preconditioned by an
 exact solve with the stiffness whose conductivity is averaged over each
 rotation orbit: an FFT in angle and one LAPACK solve over every mode's
@@ -20,7 +22,9 @@ a concentric layout converges in one step.  The same angular-Fourier
 coefficients (`_AngularModes`) carry the heat flow's state on layouts whose
 sigma is constant on every rotation orbit.  Boundary fluxes are recovered
 variationally from the residual of the full (uneliminated) operator, which
-makes the discrete divergence identity hold to solver precision.
+makes the discrete divergence identity hold to solver precision.  Inner
+products and norms of mesh-sized vectors are summed by numpy's own loop
+(`_dot`), never by BLAS, so no result depends on the BLAS thread count.
 
 Point location is closed-form on the generated layout: sector, band, one
 side test.  Values on a circle at the vertex angles need no location: they
@@ -29,6 +33,7 @@ blend the two rings around the circle.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -131,7 +136,11 @@ def generate_mesh(config, n: int) -> Mesh:
     Ring radii conform to every concentric interface of the configuration;
     interfaces of displaced inclusions are *not* meshed and rely on centroid
     tagging.  Counts: a ball gives 1 + n*6n vertices and 6n*(2n - 1)
-    triangles; an annulus gives (n + 1)*6n and 2n*6n.
+    triangles; an annulus gives (n + 1)*6n and 2n*6n.  Every ring scales
+    `_unit_circle`, so its vertices are bitwise mirror images across both
+    axes and the points on the axes are exact; for even n the ring is also
+    mirror-exact across the diagonals and has 6n/4 + 1 distinct coordinate
+    magnitudes.
     """
     if n < 4:
         raise ValueError("resolution n must be at least 4")
@@ -148,9 +157,7 @@ def generate_mesh(config, n: int) -> Mesh:
     spans = [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(marks, marks[1:], counts)]
     rings = np.concatenate([[r0], *spans])[fan:]
 
-    theta = 2 * np.pi * np.arange(m) / m
-    circle = np.column_stack([np.cos(theta), np.sin(theta)])
-
+    circle = _unit_circle(m)
     V = np.vstack([np.zeros((fan, 2)), *(r * circle for r in rings)])
     # vertex id of ring i at sector j; the ball's centre stands in for ring 0
     ids = np.vstack([np.zeros((fan, m), np.int64), np.arange(fan, len(V)).reshape(-1, m)])
@@ -178,6 +185,26 @@ def generate_mesh(config, n: int) -> Mesh:
     )
 
 
+def _unit_circle(m: int) -> np.ndarray:
+    """The m points (cos, sin)(2 pi j / m), j < m, as (m, 2), for even m.
+
+    The first quadrant is computed once: cos and sin directly up to pi/4 and
+    swapped beyond, with both set to cos(pi/4) on the diagonal.  The other
+    quadrants mirror it across both axes, so the circle is bitwise
+    mirror-exact, the points on the axes are exact, and its zeros are +0.0.
+    """
+    j = np.arange(m // 4 + 1)  # 0 <= angle <= pi/2
+    near = np.minimum(4 * j, m - 4 * j)  # angle to the nearer axis, in units of pi/(2m)
+    c, s = np.cos(np.pi * near / (2 * m)), np.sin(np.pi * near / (2 * m))
+    s[8 * j == m] = c[8 * j == m]
+    past = 8 * j > m  # past the diagonal: the angle was taken from the y-axis
+    c[past], s[past] = s[past], c[past]
+    left = m // 2 - m // 4  # the second quadrant's angles, below pi, mirror the first's
+    x = np.concatenate([c, -c[:left][::-1]])  # angles 0 .. pi
+    y = np.concatenate([s, s[:left][::-1]])
+    return np.column_stack([np.concatenate([x, x[-2:0:-1]]), np.concatenate([y, -y[-2:0:-1]])])
+
+
 def tag_triangles(vertices: np.ndarray, triangles: np.ndarray, config) -> np.ndarray:
     """Region tag per triangle, decided at the centroid."""
     cents = vertices[triangles].mean(axis=1)
@@ -197,12 +224,15 @@ def _tri_geometry(vertices: np.ndarray, triangles: np.ndarray):
 
 
 def _element_stiffness(b, c, area, sigma) -> np.ndarray:
-    """P1 element stiffness blocks sigma (b b^T + c c^T) / (4 area), shape (..., 3, 3)."""
-    return (
-        (b[..., :, None] * b[..., None, :] + c[..., :, None] * c[..., None, :])
-        / (4 * area)[..., None, None]
-        * sigma[..., None, None]
-    )
+    """P1 element stiffness blocks sigma / (4 area) (b b^T + c c^T), shape (..., 3, 3).
+
+    One weight per triangle scales the sum of two outer products; each
+    block is exactly symmetric.
+    """
+    K = np.einsum("...i,...j->...ij", b, b)
+    K += np.einsum("...i,...j->...ij", c, c)
+    K *= (sigma / (4 * area))[..., None, None]
+    return K
 
 
 def _element_mass(area) -> np.ndarray:
@@ -250,7 +280,7 @@ class FemSystem:
         return bool((sigma == sigma[:, :1]).all())
 
     def mass_norm(self, u_free: np.ndarray) -> float:
-        return float(np.sqrt(u_free @ (self.Mff @ u_free)))
+        return math.sqrt(_dot(u_free, self.Mff @ u_free))
 
 
 _BLOCK_TRIANGLES = 16384  # triangles per assembly block
@@ -365,8 +395,10 @@ class _AngularModes:
         self._ring = (V - fan) // m + fan
         sector = np.where(V < fan, 0, (V - fan) % m)
         self._offset = sector[..., None, :] - sector[..., :, None] + 1
-        # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m)
-        self._phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(self.modes)) / m)
+        # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m);
+        # the phases are kept as interleaved real and imaginary parts, so a real sum forms it
+        phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(self.modes)) / m)
+        self._phase = phase.view(float)
         w = np.full((self.modes, self.rings), 2.0 / m)
         w[[0, -1]] = 1.0 / m  # modes 0 and m/2 appear once in the full spectrum
         self.weights = np.concatenate([np.full(fan, 1.0 / m), w.reshape(-1)])
@@ -381,14 +413,18 @@ class _AngularModes:
         where = (self._ring[..., :, None], self._ring[..., None, :], self._offset)
         np.add.at(S, where, blocks * self._present[..., None, None])
         rings = np.arange(1, n)  # the free rings
-        diag = (S[rings, rings] @ self._phase).real
+
+        def by_mode(stencil):  # (rings, 3) -> (modes, rings); einsum, since @ would call BLAS
+            return np.einsum("rd,dk->rk", stencil, self._phase).view(complex).T
+
+        diag = by_mode(S[rings, rings]).real
         sub = np.zeros((self.modes, self.rings), complex)
-        sub[:, :-1] = (S[rings[1:], rings[:-1]] @ self._phase).T
+        sub[:, :-1] = by_mode(S[rings[1:], rings[:-1]])
         # a ball's centre row: its diagonal summed over the m fan elements, and
         # its coupling to every ring-1 vertex, seen by mode 0 as m times one vertex
         centre_d, centre_e = [self.m * S[0, 0].sum()], [self.root_m * S[0, 1].sum()]
         return (
-            np.concatenate([centre_d[:fan], diag.T.reshape(-1)]),
+            np.concatenate([centre_d[:fan], diag.reshape(-1)]),
             np.concatenate([centre_e[:fan], sub.reshape(-1)[:-1]]),
         )
 
@@ -452,6 +488,21 @@ def _orbit_mean_solver(system: FemSystem):
     return lambda r: modes.inverse(solve(modes.forward(r)))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors, summed by numpy's own loop.
+
+    ``a @ b`` and ``np.linalg.norm`` call BLAS, whose threaded ``ddot`` splits
+    a long vector into one partial sum per thread, so its last bits depend on
+    the thread count.  This sum does not, and it wakes no thread.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    """2-norm of a vector by `_dot`."""
+    return math.sqrt(_dot(a, a))
+
+
 def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
     """CG from a zero start, preconditioned by ``precond(r)``; deterministic by construction."""
     x = np.zeros_like(F)
@@ -461,7 +512,7 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
     z = precond(r)
     p = z.copy()
     with np.errstate(over="ignore"):  # the check below reports the overflow
-        rz = r @ z
+        rz = _dot(r, z)
     if not np.isfinite(rz):
         raise ValueError("the load is too large to solve in double precision")
     if rz < np.finfo(float).tiny:
@@ -470,24 +521,24 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
     # the load near one, so a residual norm cannot underflow to zero; the
     # exponent stops where the power would overflow
     scale = 2.0 ** -max(int(np.frexp(np.abs(F).max())[1]), -1023)
-    f0 = np.linalg.norm(scale * F)
+    f0 = _norm(scale * F)
     for it in range(1, maxit + 1):
         Kp = K @ p
-        pKp = p @ Kp
+        pKp = _dot(p, Kp)
         if not pKp > 0.0:  # K is positive definite: only underflow or NaN gets here
             raise ValueError(_TOO_SMALL)
         alpha = rz / pKp
         x += alpha * p
         r -= alpha * Kp
-        if np.linalg.norm(scale * r) <= tol * f0:
+        if _norm(scale * r) <= tol * f0:
             return x, it
         z = precond(r)
-        rz_new = r @ z
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise RuntimeError(
         f"conjugate gradient did not converge in {maxit} iterations "
-        f"(relative residual {np.linalg.norm(scale * r) / f0:.3e})"
+        f"(relative residual {_norm(scale * r) / f0:.3e})"
     )
 
 
@@ -496,7 +547,7 @@ def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) ->
     K = system.Kff.T  # Kff is exactly symmetric: this is Kff in CSR, whose matvec is faster
     Ff = system.load[free]
     uf, its = _pcg(K, Ff, tol, maxit, _orbit_mean_solver(system))
-    res = float(np.linalg.norm(K @ uf - Ff) / max(np.linalg.norm(Ff), 1e-300))
+    res = _norm(K @ uf - Ff) / max(_norm(Ff), 1e-300)
     u = np.zeros(system.mesh.nv)
     u[free] = uf
     return EllipticSolution(u=u, iterations=its, rel_residual=res)

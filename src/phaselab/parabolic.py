@@ -45,6 +45,7 @@ from .fem2d import (
     CircleSampler,
     FemSystem,
     _AngularModes,
+    _dot,
     _orbit_mean_solver,
     _pcg,
     _sector_blocks,
@@ -125,8 +126,8 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
     lam_old = 0.0
     for it in range(1, maxit + 1):
         y = solve(Mff @ x)
-        y /= math.sqrt(y @ (Mff @ y))
-        lam = float((y @ (Kff @ y)) / (y @ (Mff @ y)))
+        y /= math.sqrt(_dot(y, Mff @ y))
+        lam = _dot(y, Kff @ y) / _dot(y, Mff @ y)
         if abs(lam - lam_old) <= tol * lam:
             return EigenResult(value=lam, iterations=it)
         lam_old = lam
@@ -216,7 +217,7 @@ class _NodalSteps:
         return self.system.Mff @ u
 
     def norm(self, u: np.ndarray, Mu: np.ndarray) -> float:
-        return float(np.sqrt(u @ Mu))
+        return math.sqrt(_dot(u, Mu))
 
     def factor(self, size: float):
         return _factor(self.system, size)

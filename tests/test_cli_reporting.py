@@ -3,6 +3,9 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -237,6 +240,34 @@ def test_run_scenario_artifacts_are_byte_identical(tmp_path):
     run_scenario(sc, out_dir=tmp_path / "b")
     for p in sorted((tmp_path / "a").iterdir()):
         assert filecmp.cmp(p, tmp_path / "b" / p.name, shallow=False), p.name
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("two_phase_displaced", "--n", "64"),
+        ("two_phase_concentric", "--n", "64", "--pipeline", "both"),
+    ],
+)
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, args):
+    """``phaselab preset`` writes the same bytes with one BLAS thread as with the default.
+
+    A threaded BLAS reduction sums one partial per thread, so its last bits
+    follow the thread count.  On a 1-core machine OpenBLAS runs one thread
+    either way, and this test passes without checking anything.
+    """
+    src = os.path.dirname(os.path.dirname(cli_reporting.__file__))
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")  # the default: one thread per core
+    base = {k: v for k, v in os.environ.items() if k not in unset}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    for label, env in (("default", base), ("one", {**base, "OPENBLAS_NUM_THREADS": "1"})):
+        cmd = [sys.executable, "-m", "phaselab", "preset", *args, "--out", str(tmp_path / label)]
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
+    a, b = tmp_path / "default" / args[0], tmp_path / "one" / args[0]
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
 
 
 def test_artifact_floats_survive_round_trip(tmp_path):

@@ -86,6 +86,33 @@ def test_conforming_ring_present():
     assert np.all(np.abs(cents - 0.5) > 1e-3)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(4, 64), cfg=st.sampled_from([ball_config(), ANNULUS, CONCENTRIC]))
+def test_rings_are_mirror_exact(n, cfg):
+    mesh = generate_mesh(cfg, n)
+    m = mesh.sectors
+    first = mesh.nv % m
+    assert not np.signbit(mesh.vertices[:first]).any()  # a ball's centre is (+0.0, +0.0)
+    j = np.arange(m)
+    theta = 2 * np.pi * j / m
+    for ring in mesh.vertices[first:].reshape(-1, m, 2):
+        x, y = ring.T
+        r = x[0]
+        # mirror across the x-axis, then across the y-axis: bitwise
+        assert (x[-j % m] == x).all() and (y[-j % m] == -y).all()
+        assert (x[(m // 2 - j) % m] == -x).all() and (y[(m // 2 - j) % m] == y).all()
+        # the points on the axes are exact, and no coordinate is -0.0
+        assert (x[0], y[0], x[m // 2], y[m // 2]) == (r, 0.0, -r, 0.0)
+        assert not np.signbit(ring[ring == 0.0]).any()
+        assert np.abs(x - r * np.cos(theta)).max() <= 2e-15
+        assert np.abs(y - r * np.sin(theta)).max() <= 2e-15
+        if n % 2 == 0:
+            # the diagonal mirror, (0, +-r), and one quarter of the magnitudes
+            assert (y == x[(m // 4 - j) % m]).all()
+            assert (x[m // 4], y[m // 4], x[3 * m // 4], y[3 * m // 4]) == (0.0, r, 0.0, -r)
+            assert len(np.unique(np.abs(ring))) <= m // 4 + 1
+
+
 def test_triangles_counterclockwise():
     for cfg in (ball_config(), ANNULUS, CONCENTRIC):
         mesh = generate_mesh(cfg, 6)

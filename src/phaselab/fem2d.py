@@ -9,11 +9,17 @@ inclusions are captured by per-element tagging at centroids instead.
 
 Assembly is the classical piecewise-linear setup: element stiffness from
 edge coefficients (one weight per triangle times two outer products), exact
-3x3 mass blocks, vertex-rule load.  It runs a block of triangles at a time,
-so its temporaries do not grow with the mesh.  Each derived fact has one
+3x3 mass blocks, vertex-rule load.  It needs a polar mesh: a band block of
+triangles at a time, the element blocks are summed straight into the mesh's
+seven-slot coupling pattern (ring q, sector j to rings q-1..q+1 at sectors
+j-1..j+1), which compresses to CSR with no sort and no merge, and its
+temporaries do not grow with the mesh.  Each derived fact has one
 owner that builds it on first use: the mesh its element geometry, the
 assembled system its mass matrix (only the heat flow reads it) and its
-Dirichlet-free blocks.  The linear solve is a hand-rolled
+Dirichlet-free blocks, which are one index range on a polar mesh.  Setup
+stages read the ring x sector layout too: geometry and centroids are column
+gathers, and the L2 distance to a radial profile evaluates the profile
+once per rotation orbit.  The linear solve is a hand-rolled
 conjugate gradient with a deterministic zero start, preconditioned by an
 exact solve with the stiffness whose conductivity is averaged over each
 rotation orbit: an FFT in angle and one LAPACK solve over every mode's
@@ -207,17 +213,29 @@ def _unit_circle(m: int) -> np.ndarray:
 
 def tag_triangles(vertices: np.ndarray, triangles: np.ndarray, config) -> np.ndarray:
     """Region tag per triangle, decided at the centroid."""
-    cents = vertices[triangles].mean(axis=1)
-    return config.region_index_at(cents)
+    return config.region_index_at(_centroids(vertices, triangles))
+
+
+def _centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """(nt, 2) centroids by column gathers, bitwise ``vertices[triangles].mean(axis=1)``."""
+    cents = vertices[triangles[:, 0]]
+    cents += vertices[triangles[:, 1]]
+    cents += vertices[triangles[:, 2]]
+    cents /= 3
+    return cents
 
 
 def _tri_geometry(vertices: np.ndarray, triangles: np.ndarray):
-    """Edge coefficients b, c and areas of all triangles; raises on inverted cells."""
-    p = vertices[triangles]
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
+    """Edge coefficients b, c and areas of all triangles; raises on inverted cells.
+
+    Each corner coordinate is one column gather: the same arithmetic as
+    gathering ``vertices[triangles]`` whole, without its (nt, 3, 2) temporary.
+    """
+    x0, x1, x2 = (vertices[triangles[:, k], 0] for k in range(3))
+    y0, y1, y2 = (vertices[triangles[:, k], 1] for k in range(3))
+    b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=1)
+    c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=1)
+    area = 0.5 * (x0 * b[:, 0] + x1 * b[:, 1] + x2 * b[:, 2])
     if not (area > 0).all():
         raise ValueError("mesh contains an inverted or degenerate triangle")
     return b, c, area
@@ -267,11 +285,18 @@ class FemSystem:
 
     @cached_property
     def Kff(self) -> sp.csc_matrix:
-        return self.stiffness[self.free][:, self.free].tocsc()
+        return self._free_block(self.stiffness)
 
     @cached_property
     def Mff(self) -> sp.csc_matrix:
-        return self.mass[self.free][:, self.free].tocsc()
+        return self._free_block(self.mass)
+
+    def _free_block(self, A: sp.csr_matrix) -> sp.csc_matrix:
+        # the free vertices of a polar mesh are one range: a ball's before its
+        # outer ring, an annulus's between its two rings; A is exactly
+        # symmetric, so the transposed view of the CSR slice is its CSC form
+        lo, hi = self.free[0], self.free[-1] + 1
+        return A[lo:hi, lo:hi].T
 
     @cached_property
     def rotation_invariant(self) -> bool:
@@ -283,37 +308,107 @@ class FemSystem:
         return math.sqrt(_dot(u_free, self.Mff @ u_free))
 
 
-_BLOCK_TRIANGLES = 16384  # triangles per assembly block
+_BLOCK_TRIANGLES = 16384  # triangles per assembly block, at most
 _TOO_SMALL = "the load is too small to solve in double precision"
+
+# The seven couplings of the vertex of ring q, sector j, as (ring, sector)
+# offsets in column order: (q-1, j-1) ... (q+1, j+1).
+_SLOTS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+# The corners of a band's two sides as (ring, sector) offsets from its inner
+# ring at sector j: side 0 is (inner j, outer j, outer j+1), side 1 is
+# (inner j, outer j+1, inner j+1); a ball's centre fan has side 0 only.
+_SIDES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+# Slot orders that sort the columns of sectors 0 and m-1, where j-1 or j+1 wraps.
+_WRAPPED = ((0, (1, 0, 3, 4, 2, 5, 6)), (-1, (0, 1, 4, 2, 3, 6, 5)))
+
+
+def _add_bands(A: np.ndarray, E: np.ndarray) -> None:
+    """Add the element blocks E (bands, m, sides, 3, 3) of consecutive bands into A.
+
+    A's first axis holds the bands' rings, innermost first, so it is one
+    longer than E's; ``A[q, j, k]`` is the coupling of ring q, sector j along
+    slot k.  Entry (a, c) of side s at sector j lands in the row of corner a,
+    one sector further on where that corner sits at j+1.
+    """
+    bands = len(E)
+    for s in range(E.shape[2]):
+        for a, (ra, ja) in enumerate(_SIDES[s]):
+            for c, (rc, jc) in enumerate(_SIDES[s]):
+                dst = A[ra : ra + bands, :, _SLOTS.index((rc - ra, jc - ja))]
+                src = E[:, :, s, a, c]
+                if ja:  # shifted adds along the sectors, wrapping at sector 0
+                    dst[:, 1:] += src[:, :-1]
+                    dst[:, 0] += src[:, -1]
+                else:
+                    dst += src
 
 
 def _assemble(mesh: Mesh, element_blocks) -> sp.csr_matrix:
     """Sum ``element_blocks(blk)``, the (len, 3, 3) blocks of triangles ``blk``, into CSR.
 
-    It runs a block of triangles at a time, so the element blocks and index
-    arrays in flight never outgrow one block, whatever the mesh size; the
-    result is canonical CSR with int32 indices.
+    On the polar mesh the vertex of ring q, sector j couples to at most seven
+    vertices (`_SLOTS`), and a ball's centre to itself and the first ring.
+    Element blocks are summed a band block of at most `_BLOCK_TRIANGLES`
+    triangles at a time, by shifted adds along the sectors, into one
+    ``(rings, m, 7)`` value array, a ball's centre standing in as ring 0.
+    Reordering the slots of sectors 0 and m-1 sorts every row, so the values
+    compress straight into canonical CSR with int32 indices: no COO, no sort
+    and no merge.  Entries that cancel to exactly 0 are dropped.
     """
-    T, nv = mesh.triangles, mesh.nv
-    A = sp.csr_matrix((nv, nv))
-    for lo in range(0, len(T), _BLOCK_TRIANGLES):
-        blk = slice(lo, lo + _BLOCK_TRIANGLES)
-        Tb = T[blk].astype(np.int32)
-        ij = (np.repeat(Tb, 3, axis=1).reshape(-1), np.tile(Tb, (1, 3)).reshape(-1))
-        A = A + sp.csr_matrix((element_blocks(blk).reshape(-1), ij), shape=(nv, nv))
-    return A
+    m = mesh.sectors
+    fan, n = mesh.nv % m, m // 6
+    A = np.zeros((n + 1, m, 7))
+    if fan:
+        _add_bands(A[:2], element_blocks(slice(0, m)).reshape(1, m, 1, 3, 3))
+    step = max(1, _BLOCK_TRIANGLES // (2 * m))  # whole bands per block
+    for lo in range(fan, n, step):
+        hi = min(lo + step, n)
+        blk = slice((2 * lo - fan) * m, (2 * hi - fan) * m)
+        _add_bands(A[lo : hi + 1], element_blocks(blk).reshape(hi - lo, m, 2, 3, 3))
+
+    dq, dj = (np.array(d, np.int32) for d in zip(*_SLOTS))
+    q = np.arange(n + 1 - fan, dtype=np.int32)[:, None, None]
+    j = np.arange(m, dtype=np.int32)[:, None]
+    cols = fan + (q + dq) * m + (j + dj) % m
+    rows = A[fan:]
+    head_vals, head_cols = np.empty(0), np.empty(0, np.int32)  # a ball's centre row
+    if fan:  # ring 1 reaches the centre along both inner slots
+        rows[0, :, 1] += rows[0, :, 0]
+        rows[0, :, 0] = 0.0
+        cols[0, :, 1] = 0
+        centre = A[0]  # the fan's inner rows: the centre's couplings, sector by sector
+        # its diagonal summed a sector at a time, in order, as every other entry is
+        diagonal = np.cumsum(centre[:, 3])[-1]
+        head_vals = np.concatenate([[diagonal], centre[:, 5] + np.roll(centre[:, 6], 1)])
+        head_cols = np.flatnonzero(head_vals).astype(np.int32)
+        head_vals = head_vals[head_cols]
+    for sector, order in _WRAPPED:
+        rows[:, sector] = rows[:, sector, order]
+        cols[:, sector] = cols[:, sector, order]
+    keep = rows != 0.0
+    indptr = np.zeros(mesh.nv + 1, np.int32)
+    indptr[fan] = len(head_vals)
+    np.cumsum(keep.sum(axis=2).reshape(-1), out=indptr[fan + 1 :])
+    indptr[fan + 1 :] += len(head_vals)
+    data = np.concatenate([head_vals, rows[keep]])
+    indices = np.concatenate([head_cols, cols[keep]])
+    return sp.csr_matrix((data, indices, indptr), shape=(mesh.nv, mesh.nv))
 
 
 def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     """Assemble the stiffness and the load for one conductivity layout.
 
-    K is summed a block of triangles at a time by `_assemble`; the mass
-    matrix M is assembled the same way on first use of `FemSystem.mass`.
+    K is summed into the polar mesh's seven-slot CSR pattern a band block at
+    a time by `_assemble`; the mass matrix M is assembled the same way on
+    first use of `FemSystem.mass`.  The mesh must be a polar mesh from
+    `generate_mesh`: a mesh without sectors raises ``ValueError``.
 
     ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
     ``source`` may be a scalar, a per-vertex array, or a callable on (nv, 2)
     coordinates; the load uses the vertex quadrature rule (area/3 per corner).
     """
+    if not mesh.sectors:
+        raise ValueError("assembly needs a polar mesh from generate_mesh (sectors > 0)")
     table = np.asarray(sigma_by_tag, float)
     tags = mesh.tri_tags
     if (tags < 0).any() or (tags >= len(table)).any():
@@ -713,14 +808,23 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
 
     Uses the three-edge-midpoint rule, which integrates the squared error of
     piecewise-linear data exactly and is second-order for the smooth part.
+    A rotation by whole sectors maps the polar mesh onto itself, so the
+    profile is evaluated once per (band, side, edge) orbit, at sector 0's
+    midpoints; the field's midpoint values and the areas stay per triangle.
     """
-    T = mesh.triangles
-    i, j = T[:, [1, 0, 0]], T[:, [2, 2, 1]]  # the ends of the edge opposite each corner
-    r_mid = np.linalg.norm((mesh.vertices[i] + mesh.vertices[j]) / 2, axis=2)
-    um = (u[i] + u[j]) / 2
-    ref = profile(np.clip(r_mid, profile.r0, profile.R))
-    _, _, area = mesh.geometry
-    return float(np.sqrt((area[:, None] / 3 * (um - ref) ** 2).sum()))
+    m, T = mesh.sectors, mesh.triangles
+    fan = mesh.nv % m  # a ball's centre fan: the first m triangles, side 0 only
+    ends = ([1, 0, 0], [2, 2, 1])  # the ends of the edge opposite each corner
+    V0 = mesh.vertices[T[_orbits(mesh)[:, 0]]]  # (band, side, corner, xy) of sector 0
+    r_mid = np.linalg.norm((V0[:, :, ends[0]] + V0[:, :, ends[1]]) / 2, axis=-1)
+    ref = profile(np.clip(r_mid, profile.r0, profile.R))  # (band, side, edge)
+    err = (u[T[:, ends[0]]] + u[T[:, ends[1]]]) / 2
+    err[: fan * m] -= ref[0, 0]
+    quads = err[fan * m :].reshape(-1, m, 2, 3)  # a view: (band, sector, side, edge)
+    quads -= ref[fan:, None]
+    err **= 2
+    err *= mesh.geometry[2][:, None] / 3
+    return float(np.sqrt(err.sum()))
 
 
 # -- plain-text mesh output --------------------------------------------------

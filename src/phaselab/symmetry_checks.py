@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem2d import BoundaryFlux, CircleSampler, FemSystem, Mesh, _vertex_angle_values
+from .fem2d import BoundaryFlux, CircleSampler, FemSystem, Mesh, _centroids, _vertex_angle_values
 
 __all__ = [
     "FluxStats",
@@ -192,7 +192,7 @@ def transmission_residual(system: FemSystem, u: np.ndarray, aux_profile) -> Tran
     gy = (uT * c / A2).sum(axis=1)
     sig = system.sigma_e[core]
 
-    cents = mesh.vertices[corners].mean(axis=1)
+    cents = _centroids(mesh.vertices, corners)
     r_c = np.linalg.norm(cents, axis=1)
     qp = aux_profile.derivative(np.clip(r_c, aux_profile.r0, aux_profile.R))
     ex, ey = cents[:, 0] / r_c, cents[:, 1] / r_c

@@ -3,19 +3,22 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from phaselab.cli_reporting import build_preset, preset_names
+from phaselab import fem2d, radial_layers
+from phaselab.cli_reporting import build_preset, preset_names, run_scenario
 from phaselab.fem2d import (
     Mesh,
     CircleSampler,
     _BLOCK_TRIANGLES,
+    _element_mass,
     _element_stiffness,
     _orbit_mean_solver,
     assemble_system,
@@ -25,6 +28,7 @@ from phaselab.fem2d import (
     recover_boundary_flux,
     solve_elliptic,
     tag_triangles,
+    _tri_geometry,
     write_mesh,
 )
 from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
@@ -38,6 +42,10 @@ def ball_config(phases=()):
 CONCENTRIC = ball_config((PhaseRegion(shape="disk", sigma=2.0, radius=0.5),))
 DISPLACED = ball_config((PhaseRegion(shape="disk", sigma=2.0, center=(0.2, 0.0), radius=0.3),))
 ANNULUS = PhaseConfig(domain=DomainSpec("annulus", inner_radius=0.5))
+DISPLACED_IN_ANNULUS = PhaseConfig(
+    domain=DomainSpec("annulus", inner_radius=0.5),
+    phases=(PhaseRegion(shape="disk", sigma=3.0, center=(0.1, 0.72), radius=0.15),),
+)
 
 
 def test_ball_mesh_counts():
@@ -150,22 +158,25 @@ def test_displaced_core_area_from_tags():
 
 
 def test_reference_element_matrices():
-    # unit right triangle: classical P1 stiffness and exact mass block
+    # unit right triangle: classical P1 stiffness, exact mass block and area/3 load weights
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    b, c, area = _tri_geometry(verts, np.array([[0, 1, 2]]))
+    K_expect = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    np.testing.assert_allclose(_element_stiffness(b, c, area, np.ones(1))[0], K_expect, atol=1e-15)
+    M_expect = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+    np.testing.assert_allclose(_element_mass(area)[0], M_expect, atol=1e-16)
+    np.testing.assert_allclose(np.repeat(area / 3, 3), np.full(3, 0.5 / 3), atol=1e-16)
+    # a hand-made mesh has no sector layout, and assembly needs one
     mesh = Mesh(
         vertices=verts,
         triangles=np.array([[0, 1, 2]]),
         tri_tags=np.array([0]),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         edge_tags=np.array([0, 0, 0]),
-        sectors=0,  # one hand-made triangle: assembly reads no sector layout
+        sectors=0,
     )
-    sys_ = assemble_system(mesh, [1.0], 1.0)
-    K_expect = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    np.testing.assert_allclose(sys_.stiffness.toarray(), K_expect, atol=1e-15)
-    M_expect = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-    np.testing.assert_allclose(sys_.mass.toarray(), M_expect, atol=1e-16)
-    np.testing.assert_allclose(sys_.load, np.full(3, 0.5 / 3), atol=1e-16)
+    with pytest.raises(ValueError, match="polar mesh"):
+        assemble_system(mesh, [1.0], 1.0)
 
 
 def test_stiffness_rows_sum_to_zero():
@@ -174,10 +185,29 @@ def test_stiffness_rows_sum_to_zero():
     assert np.max(np.abs(row_sums)) < 1e-13
 
 
-def test_blocked_assembly_matches_one_shot_reference():
-    mesh = generate_mesh(DISPLACED, 64)
-    assert mesh.nt > 2 * _BLOCK_TRIANGLES and mesh.nt % _BLOCK_TRIANGLES  # and a partial block
-    sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
+# a ball with a displaced core, an annulus with a disk in its shell, and a
+# ball with three concentric interfaces
+ASSEMBLY_LAYOUTS = {
+    "ball": DISPLACED,
+    "annulus": DISPLACED_IN_ANNULUS,
+    "multi": build_preset("nested_rings_hypothesis_violation", n=4).config,
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    layout=st.sampled_from(sorted(ASSEMBLY_LAYOUTS)),
+    n=st.integers(4, 40),
+    block=st.sampled_from([1, 500, 3000, _BLOCK_TRIANGLES]),
+)
+@example(layout="ball", n=40, block=_BLOCK_TRIANGLES)  # 34 bands, then a partial block of 5
+@example(layout="annulus", n=13, block=1000)  # odd n: two blocks of 6 bands, then one of 1
+@example(layout="multi", n=9, block=1)  # less than a band: one band per block
+def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
+    mesh = generate_mesh(ASSEMBLY_LAYOUTS[layout], n)
+    with patch.object(fem2d, "_BLOCK_TRIANGLES", block):
+        sys_ = assemble_system(mesh, [1.0, 2.0, 3.0], 1.0)
+        sys_.mass
     # the reference: every element block at once, one COO matrix per operator
     T, nv = mesh.triangles, mesh.nv
     b, c, area = mesh.geometry
@@ -229,6 +259,12 @@ def test_geometry_and_free_blocks_are_cached_read_only():
     assert Kff.format == Mff.format == "csc" and Kff.shape == (len(sys_.free),) * 2
     # solve_elliptic multiplies by Kff.T, which is Kff itself only while Kff is exactly symmetric
     assert (Kff != Kff.T).nnz == 0
+    # the contiguous slices are bitwise the blocks that the free index array selects
+    free = sys_.free
+    for got, A in ((Kff, sys_.stiffness), (Mff, sys_.mass)):
+        ref = A[free][:, free].tocsc()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
 
 def test_untagged_or_bad_sigma_rejected():
@@ -298,12 +334,6 @@ def _orbit_mean_stiffness(system):
     return assemble_system(orbits, table, 1.0).Kff
 
 
-DISPLACED_IN_ANNULUS = PhaseConfig(
-    domain=DomainSpec("annulus", inner_radius=0.5),
-    phases=(PhaseRegion(shape="disk", sigma=3.0, center=(0.1, 0.72), radius=0.15),),
-)
-
-
 @pytest.mark.parametrize("cfg", [DISPLACED, DISPLACED_IN_ANNULUS], ids=["ball", "annulus"])
 def test_preconditioner_solves_with_the_orbit_mean_stiffness(cfg):
     mesh = generate_mesh(cfg, 8)
@@ -365,6 +395,31 @@ def test_center_value_against_layered_reference():
     sys_ = assemble_system(generate_mesh(CONCENTRIC, 16), [1.0, 2.0], 1.0)
     sol = solve_elliptic(sys_)
     assert abs(sol.u[0] - 0.21875) < 5e-4
+
+
+def _l2_error_per_triangle(mesh, u, profile):
+    """The three-edge-midpoint rule with the profile evaluated at every triangle's midpoints."""
+    T = mesh.triangles
+    i, j = T[:, [1, 0, 0]], T[:, [2, 2, 1]]  # the ends of the edge opposite each corner
+    r_mid = np.linalg.norm((mesh.vertices[i] + mesh.vertices[j]) / 2, axis=2)
+    um = (u[i] + u[j]) / 2
+    ref = profile(np.clip(r_mid, profile.r0, profile.R))
+    _, _, area = mesh.geometry
+    return float(np.sqrt((area[:, None] / 3 * (um - ref) ** 2).sum()))
+
+
+@pytest.mark.parametrize("n", [8, 13, 32])
+def test_l2_error_by_orbit_matches_the_per_triangle_rule(n):
+    layered = [name for name in preset_names() if build_preset(name, n=n).config.is_radially_layered()]
+    assert len(layered) == 4
+    for name in layered:
+        scenario = build_preset(name, n=n)
+        res = run_scenario(scenario)
+        profile = solve_radial(*radial_layers(scenario.config), scenario.source)
+        ref = _l2_error_per_triangle(res.system.mesh, res.solution.u, profile)
+        got = l2_error_to_radial(res.system.mesh, res.solution.u, profile)
+        assert got == res.fem_vs_radial_l2
+        assert abs(got - ref) <= 1e-12 * ref, (name, got, ref)
 
 
 def test_l2_convergence_order():

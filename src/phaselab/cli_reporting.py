@@ -30,7 +30,7 @@ from numpy.polynomial import polynomial as npoly
 from .fem2d import (
     CircleSampler,
     FemSystem,
-    _write_rows,
+    _write_table,
     assemble_system,
     generate_mesh,
     l2_error_to_radial,
@@ -566,9 +566,7 @@ def _write_spectra_csv(path: Path, spectrum) -> None:
     a, b = spectrum.cos_coeffs, spectrum.sin_coeffs
     radius = np.repeat(spectrum.radii, a.shape[1])
     k = np.tile(np.arange(a.shape[1]), a.shape[0])
-    with open(path, "w") as fh:
-        fh.write("radius,k,a_k,b_k\n")
-        _write_rows(fh, "%r,%d,%r,%r\n", (radius, k, a.ravel(), b.ravel()))
+    _write_table(path, "radius,k,a_k,b_k\n", (radius, k, a.ravel(), b.ravel()))
 
 
 def _write_radial_csv(path: Path, profiles: dict[str, object]) -> None:
@@ -587,10 +585,8 @@ def _write_radial_csv(path: Path, profiles: dict[str, object]) -> None:
 
 
 def _write_timeseries_csv(path: Path, run) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,mass_norm,probe_mean_u,probe_dev_u,probe_mean_flux,probe_dev_flux\n")
-        table = np.column_stack([run.times, run.mass_norms, run.probes])
-        _write_rows(fh, ",".join(["%r"] * table.shape[1]) + "\n", table.T)
+    header = "t,mass_norm,probe_mean_u,probe_dev_u,probe_mean_flux,probe_dev_flux\n"
+    _write_table(path, header, (run.times, run.mass_norms, *run.probes.T))
 
 
 def _summary_text(res: ScenarioResult) -> str:

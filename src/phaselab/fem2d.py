@@ -5,7 +5,9 @@ concentric material interface, so layered conductivities are resolved
 without interface error and the mesh inherits the full discrete rotation
 group of the layout.  Every ring is one unit circle, built from its first
 quadrant, scaled: it is bitwise mirror-exact across both axes.  Displaced
-inclusions are captured by per-element tagging at centroids instead.
+inclusions are captured by per-element tagging at centroids instead; a
+centred phase's tag is decided once per rotation orbit, and centroids are
+tested one by one only in the bands an off-centre disk reaches.
 
 Assembly is the classical piecewise-linear setup: element stiffness from
 edge coefficients (one weight per triangle times two outer products), exact
@@ -35,6 +37,11 @@ products and norms of mesh-sized vectors are summed by numpy's own loop
 Point location is closed-form on the generated layout: sector, band, one
 side test.  Values on a circle at the vertex angles need no location: they
 blend the two rings around the circle.
+
+Artifact tables (`write_mesh`, and the spectra and time series through
+`_write_table`) are written as bytes with no Python object per cell: floats
+become the shortest round-trip digits of ``repr`` by Schubfach in uint64
+arithmetic, integers become digit cells, and a row is a gather of cells.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,7 +187,7 @@ def generate_mesh(config, n: int) -> Mesh:
     bedges = np.vstack([np.column_stack([ring, np.roll(ring, -1)]) for ring in loops])
     etags = np.repeat(np.arange(len(loops)), m)
 
-    tags = tag_triangles(V, T, config)
+    tags = _polar_tags(V, T, config, m, np.concatenate([[r0], *spans]))
     return Mesh(
         vertices=V,
         triangles=T,
@@ -214,6 +221,31 @@ def _unit_circle(m: int) -> np.ndarray:
 def tag_triangles(vertices: np.ndarray, triangles: np.ndarray, config) -> np.ndarray:
     """Region tag per triangle, decided at the centroid."""
     return config.region_index_at(_centroids(vertices, triangles))
+
+
+def _polar_tags(V: np.ndarray, T: np.ndarray, config, m: int, radii: np.ndarray) -> np.ndarray:
+    """`tag_triangles` on the polar mesh with rings at ``radii``, bitwise, with fewer point tests.
+
+    A centred phase's interfaces are mesh rings, so no centroid lies within
+    round-off of one, and its tag is constant on each (band, side) rotation
+    orbit: ``region_index_at`` runs once per orbit, at sector 0's centroids.
+    Every centroid is tested only in the bands that an off-centre disk's
+    radial range reaches, with one band of margin on either side.
+    """
+    n, fan = m // 6, len(V) % m
+    first = _triangle_index(m, fan, np.arange(n + 1), 0, 0)  # each band's first triangle; the end
+    sector0 = _triangle_index(m, fan, *np.ix_(np.arange(n), [0], np.arange(2)))
+    orbit = config.region_index_at(_centroids(V, T[sector0.reshape(-1)])).reshape(n, 1, 2)
+    tags = np.empty(len(T), np.int64)
+    tags[: fan * m] = orbit[0, 0, 0]  # a ball's centre fan, side 0 only
+    tags[fan * m :].reshape(-1, m, 2)[...] = orbit[fan:]
+    for p in config.phases:
+        if p.shape == "disk" and any(p.center):
+            d = math.hypot(*p.center)
+            lo, hi = np.searchsorted(radii, [d - p.radius, d + p.radius])
+            near = slice(first[max(lo - 2, 0)], first[min(hi + 1, n)])
+            tags[near] = config.region_index_at(_centroids(V, T[near]))
+    return tags
 
 
 def _centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -827,59 +859,309 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
     return float(np.sqrt(err.sum()))
 
 
-# -- plain-text mesh output --------------------------------------------------
+# -- plain-text tables ----------------------------------------------------------
+#
+# Every artifact table is written as bytes: each value becomes a NUL-padded
+# text cell in a uint8 array, a row is a gather of its columns' cells with the
+# separators between them, and a block of rows drops its NULs once and goes
+# out in one write.  The float cells are the shortest round-trip digits that
+# ``repr`` prints, computed in uint64 arithmetic by Schubfach (R. Giulietti,
+# "The Schubfach way to render doubles", 2020), as the JDK's DoubleToDecimal
+# writes it, with two changes for Python: the one-digit-shorter candidate is
+# tried from two-digit s up (the JDK starts at three, and prints 4.9E-324
+# where Python prints 5e-324), and a subnormal's exponent correction applies
+# on every branch.
+
+# Rows per block.  Larger blocks cost fewer numpy calls; at this size a
+# block's cells, rows and Schubfach temporaries stay below a MiB.
+_BLOCK_ROWS = 3072
+# Values per Schubfach call.  Its temporaries take about sixteen words per
+# value, so a chunk of this size needs about half a MiB.
+_CHUNK = 4096
+_CELL = 24  # slots per float cell: the sign, then at most 23 characters
+
+_U64 = np.uint64
+_ZERO, _DOT = ord("0"), ord(".")
 
 
-# Rows per write block.  A block's strings and digit arrays stay far below a
-# MiB, and larger blocks gain no speed: formatting the whole mesh at once
-# was slower and raised the peak memory of an n=128 run by half.
-_BLOCK_ROWS = 1024
+@cache
+def _schubfach_table() -> np.ndarray:
+    """32-bit limbs of g1 and g0 for k = -324 .. 292, shape (4, 617), read-only.
 
-
-def _write_rows(fh, fmt: str, columns) -> None:
-    """Write ``fmt % row`` for every row of equal-length 1-D ``columns``, a block at a time.
-
-    ``.tolist()`` yields Python floats and ints, so ``%r`` writes ``repr(float(x))``
-    (the shortest round-trip form) and ``%d`` writes ``str(int(x))``.
+    ``g = floor(10**-k * 2**-r) + 1`` with ``r = flog2pow10(-k) - 125`` lies in
+    [2**125, 2**126) and splits as ``g1 * 2**63 + g0``.
     """
-    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [col[lo : lo + _BLOCK_ROWS].tolist() for col in columns]
-        values = [x for row in zip(*block) for x in row]
-        fh.write((fmt * len(block[0])) % tuple(values))
+    table = np.empty((4, 617), np.uint64)
+    for i, k in enumerate(range(-324, 293)):
+        r = (-k * 913_124_641_741 >> 38) - 125  # floor(log2(10**-k)) - 125
+        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        g1, g0 = g >> 63, g & (2**63 - 1)
+        table[:, i] = (g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF)
+    table.setflags(write=False)
+    return table
 
 
-def _reprs(v: np.ndarray) -> np.ndarray:
-    """``repr`` of every float of ``v`` as an object array, each distinct magnitude formatted once.
+@cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only lookup tables of the digit layout, built on first use.
 
-    Equal to ``list(map(repr, v.tolist()))``: the sign goes in front wherever
-    the sign bit is set, except on NaN, which Python prints as ``nan`` whatever
-    its sign.
+    ``quads``: the four decimal digits of 0 .. 9999 as one uint32 each, in
+    memory order.  ``pow10``: 10**0 .. 10**18 as uint64.  ``leading``: row k
+    is 0xFF over the first k of 18 digit slots and 0 after them.
     """
-    mags, where = np.unique(np.abs(v), return_inverse=True)
-    text = np.array(list(map(repr, mags.tolist())), dtype=object)[where]
-    neg = np.signbit(v) & ~np.isnan(v)
-    text[neg] = "-" + text[neg]
-    return text
-
-
-def _int_rows(columns) -> str:
-    """Rows ``"%d %d ... %d\\n"`` of equal-length non-negative integer ``columns``.
-
-    Each value's decimal digits go right-aligned into a NUL-padded byte array,
-    one cell per value and a separator after it; dropping the NULs leaves
-    the text.
-    """
-    rest = np.column_stack(columns).astype(np.uint64)  # unsigned division is the faster
-    width = len(str(int(rest.max(initial=0))))
-    text = np.zeros(rest.shape + (width + 1,), np.uint8)
-    text[..., -1] = ord(" ")
-    text[:, -1, -1] = ord("\n")
-    text[..., width - 1] = ord("0") + rest % 10
-    for k in range(width - 2, -1, -1):
+    rest = np.arange(10**4, dtype=np.uint16)
+    digits = np.empty((10**4, 4), np.uint8)
+    for k in range(3, -1, -1):
+        digits[:, k] = rest % 10 + _ZERO
         rest //= 10
-        text[..., k] = (ord("0") + rest % 10) * (rest > 0)
-    text = text.reshape(-1)
-    return text[text != 0].tobytes().decode("ascii")
+    quads = digits.view(np.uint32)[:, 0]
+    pow10 = np.array([10**i for i in range(19)], np.uint64)
+    leading = np.where(np.arange(18) < np.arange(19)[:, None], 255, 0).astype(np.uint8)
+    for table in (quads, pow10, leading):
+        table.setflags(write=False)
+    return quads, pow10, leading
+
+
+def _mulhi(a1, a0, b1, b0):
+    """High 64 bits of the products a * b, from their 32-bit limbs (a1, a0) and (b1, b0)."""
+    x = a1 * b0
+    lo = a0 * b0
+    lo >>= _U64(32)
+    lo += x & _U64(0xFFFFFFFF)
+    x >>= _U64(32)
+    y = a0 * b1
+    lo += y & _U64(0xFFFFFFFF)
+    y >>= _U64(32)
+    x += y
+    del y
+    lo >>= _U64(32)
+    x += lo
+    del lo
+    x += a1 * b1
+    return x
+
+
+def _rop(g, cp):
+    """High 64 bits of g * cp / 2**127, rounded to odd (the JDK's ``rop``); cp is consumed.
+
+    ``g`` holds the 32-bit limbs of g1 and g0, where g = g1 * 2**63 + g0.
+    """
+    g1h, g1l, g0h, g0l = g
+    b1, b0 = cp >> _U64(32), cp & _U64(0xFFFFFFFF)
+    z = _mulhi(g0h, g0l, b1, b0)
+    cp *= g1h << _U64(32) | g1l
+    cp >>= _U64(1)
+    z += cp
+    del cp
+    top = _mulhi(g1h, g1l, b1, b0)
+    del b1, b0
+    top += z >> _U64(63)
+    z &= _U64(2**63 - 1)
+    z += _U64(2**63 - 1)
+    z >>= _U64(63)
+    top |= z
+    return top
+
+
+def _shortest(v: np.ndarray):
+    """Shortest round-trip ``(f, e)`` with ``repr(v) == f * 10**e``, for finite positive v.
+
+    Of several shortest decimals the one nearest v, ties to even f.  f may
+    carry trailing zeros.  Each array lives only as long as it is needed, so
+    a chunk's temporaries stay near sixteen words per value.
+    """
+    bits = v.view(np.uint64)
+    cb = bits & _U64(2**52 - 1)
+    bq = (bits >> _U64(52)).astype(np.int64)
+    irregular = (cb == 0) & (bq > 1)  # a power of two: its lower neighbour is closer
+    cb |= (bq > 0).astype(np.uint64) << _U64(52)
+    q = np.maximum(bq, 1)
+    del bq
+    q -= 1075  # v = c * 2**q, with c in cb
+    dk = 0
+    tiny = cb < 3
+    if tiny.any():  # the two smallest subnormals: ten times c, one decimal exponent less
+        cb[tiny] *= _U64(10)
+        dk = -tiny.astype(np.int64)
+    k = q * 661_971_961_083  # floor(log10(2**q)), or of 3/4 2**q if irregular
+    k[irregular] -= 274_743_187_321
+    k >>= 41
+    q += (-k * 913_124_641_741) >> 38  # h = q + floor(log2(10**-k)) + 2 lies in [1, 4]
+    q += 2
+    h = q.astype(np.uint8)  # the narrow types keep the chunk's memory down
+    del q
+    g = [np.take(a, k + 324) for a in _schubfach_table()]
+    k = k.astype(np.int16)  # in [-324, 292]
+    odd = (cb & _U64(1)).astype(bool)  # an odd c excludes the ends of its interval
+    cb <<= _U64(2)
+    # 4c and the ends of its rounding interval, shifted by h, times g / 2**127
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, ((cb - _U64(2)) + irregular) << h)
+    vbr = _rop(g, (cb + _U64(2)) << h)
+    del g, cb, h
+    vbl += odd
+    vbr -= odd
+    s = vb >> _U64(2)
+    s4 = s << _U64(2)
+    sp = s // _U64(10) * _U64(10)  # the one-digit-shorter candidates sp and sp + 10
+    upin = vbl <= sp << _U64(2)
+    wpin = (sp + _U64(10)) << _U64(2) <= vbr
+    uin = vbl <= s4
+    win = s4 + _U64(4) <= vbr
+    del vbl, vbr
+    s4 += _U64(2)
+    f = s + ((vb > s4) | ((vb == s4) & (s & _U64(1) == 1)))  # the nearer of s, s + 1
+    f = np.where(uin != win, s + win, f)
+    f = np.where((s >= 10) & (upin != wpin), sp + _U64(10) * wpin, f)
+    return f, k + dk
+
+
+def _digits(f: np.ndarray) -> np.ndarray:
+    """(len, 18) ASCII digits of integers f < 10**18, zero-padded on the left."""
+    groups = np.empty((len(f), 5), np.intp)  # 00dd dddd dddd dddd dddd
+    groups[:, 0] = f // _U64(10**16)
+    for j, scale in enumerate((10**12, 10**8, 10**4, 1), start=1):
+        groups[:, j] = f // _U64(scale) % _U64(10**4)
+    return np.take(_digit_tables()[0], groups).view(np.uint8).reshape(len(f), 20)[:, 2:]
+
+
+def _items(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array with contiguous rows as one item each, shape (rows,).
+
+    Copying items moves each row's bytes at once, not a byte at a time.
+    """
+    return a.view(f"V{a.shape[1]}")[:, 0]
+
+
+def _fill_cells(cells: np.ndarray, v: np.ndarray) -> None:
+    """Write the ``repr`` of the ascending finite positive floats v into cells, sign slot empty.
+
+    v = 0.D * 10**E with D the significant digits.  E rises with v, so
+    each E owns a run of rows with one layout, filled by column slices.
+    """
+    _, pow10, leading = _digit_tables()
+    f, e = _shortest(v)
+    nd = np.searchsorted(pow10, f, side="right")
+    f *= pow10[18 - nd]
+    digits = _digits(f)  # leading digit first, trailing zeros kept
+    sig = 18 - np.argmax(digits[:, ::-1] != _ZERO, axis=1)
+    exact = digits & np.take(leading, sig, axis=0)  # trailing zeros dropped
+    E = e + nd
+    lo, hi = np.searchsorted(E, [-3, 17])  # scientific below 1e-4 and from 1e16
+    for rows, sign in ((slice(0, lo), "-"), (slice(hi, len(v)), "+")):
+        if rows.start == rows.stop:
+            continue
+        x = np.abs(E[rows] - 1)
+        cell = cells[rows]
+        cell[:, 1] = digits[rows, 0]
+        cell[:, 2] = np.where(sig[rows] > 1, _DOT, 0)
+        _items(cell[:, 3:19])[...] = _items(exact[rows, 1:17])
+        cell[:, 19:21] = np.frombuffer(("e" + sign).encode(), np.uint8)
+        cell[:, 21] = np.where(x >= 100, _ZERO + x // 100, 0)
+        cell[:, 22] = _ZERO + x // 10 % 10
+        cell[:, 23] = _ZERO + x % 10
+    runs = [lo, *(np.flatnonzero(np.diff(E[lo:hi])) + lo + 1), hi] if lo < hi else []
+    for a, b in zip(runs, runs[1:]):
+        x, cell = int(E[a]), cells[a:b]
+        if x <= 0:  # 0.000ddd
+            cell[:, 1:3] = (_ZERO, _DOT)
+            cell[:, 3 : 3 - x] = _ZERO
+            _items(cell[:, 3 - x : 20 - x])[...] = _items(exact[a:b, :17])
+        else:  # x digits, the point, then at least one digit: 12.5, 1200.0
+            _items(cell[:, 1 : 1 + x])[...] = _items(digits[a:b, :x])
+            cell[:, 1 + x] = _DOT
+            cell[:, 2 + x] = digits[a:b, x]
+            if x < 16:
+                _items(cell[:, 3 + x : 19])[...] = _items(exact[a:b, x + 1 : 17])
+
+
+def _magnitude_cells(mags: np.ndarray) -> np.ndarray:
+    """(len, _CELL) cells of the ascending distinct magnitudes ``mags``, sign slot empty."""
+    cells = np.zeros((len(mags), _CELL), np.uint8)
+    lo = np.searchsorted(mags, 0.0, side="right")  # 0.0, then the finite, inf and nan
+    hi = np.searchsorted(mags, np.inf)
+    cells[:lo, 1:4] = np.frombuffer(b"0.0", np.uint8)
+    for a in range(lo, hi, _CHUNK):
+        b = min(a + _CHUNK, hi)
+        _fill_cells(cells[a:b], mags[a:b])
+    cells[hi:, 1:4] = np.frombuffer(b"inf", np.uint8)
+    cells[np.isnan(mags), 1:4] = np.frombuffer(b"nan", np.uint8)
+    return cells
+
+
+def _float_cells(*columns: np.ndarray) -> list:
+    """Cell gathers ``(table, index, negative)`` of equal-length float columns.
+
+    The columns share one table, in which each distinct magnitude among them
+    is formatted once; the gathers put the sign in front wherever the sign
+    bit is set, except on NaN, which Python prints as ``nan`` whatever its
+    sign.
+    """
+    v = np.concatenate(columns)
+    negative = np.signbit(v) & ~np.isnan(v)
+    mags, where = np.unique(np.abs(v, out=v), return_inverse=True)
+    del v
+    table = _magnitude_cells(mags)
+    shape = (len(columns), -1)
+    return [(table, w, neg) for w, neg in zip(where.reshape(shape), negative.reshape(shape))]
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """(len, width) decimal cells of non-negative integers, right-aligned and NUL-padded."""
+    width = len(str(int(v.max(initial=0))))
+    rest = v.astype(np.uint32 if width < 10 else np.uint64)  # unsigned division is the faster
+    digit = np.empty_like(rest)
+    cells = np.empty((len(rest), width), np.uint8)
+    for k in range(width - 1, -1, -1):
+        np.remainder(rest, 10, out=digit)
+        digit += _ZERO
+        if k < width - 1:
+            digit *= rest > 0  # a leading zero is a NUL
+        cells[:, k] = digit
+        rest //= 10
+    return cells
+
+
+def _int_column(v: np.ndarray, ids: np.ndarray | None = None):
+    """Cell gather of non-negative integers: from ``ids``, the cells of 0 .. len(ids) - 1,
+    when it holds them all, else from cells of their own."""
+    if ids is not None and v.max(initial=0) < len(ids):
+        return ids, v, None
+    return _int_cells(v), np.arange(len(v)), None
+
+
+def _rows(columns, sep: str) -> bytearray:
+    """Text rows: column j of row i is ``table_j[index_j[i]]``, a minus sign
+    in front where ``negative_j[i]``; ``sep`` between columns, a newline after the last.
+    """
+    widths = [table.shape[1] + 1 for table, _, _ in columns]
+    text = bytearray(len(columns[0][1]) * sum(widths))
+    buf = np.frombuffer(text, np.uint8).reshape(-1, sum(widths))
+    end = 0
+    for (table, index, negative), width in zip(columns, widths):
+        _items(buf[:, end : end + width - 1])[...] = np.take(_items(table), index)
+        if negative is not None:
+            buf[:, end][negative] = ord("-")
+        end += width
+        buf[:, end - 1] = ord(sep)
+    buf[:, -1] = ord("\n")
+    return text.translate(None, b"\0") if b"\0" in text else text
+
+
+def _write_table(path, header: str, columns) -> None:
+    """Write ``header``, then one comma-separated row per index of equal-length 1-D columns.
+
+    Each block's float columns share one cell table (`_float_cells`);
+    integer columns are digit cells (`_int_cells`).  The bytes are those
+    of ``repr`` for floats and ``%d`` for integers, row by row.
+    """
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [col[lo : lo + _BLOCK_ROWS] for col in columns]
+            floats = iter(_float_cells(*[col for col in block if col.dtype.kind == "f"]))
+            cells = [next(floats) if col.dtype.kind == "f" else _int_column(col) for col in block]
+            fh.write(_rows(cells, ","))
 
 
 def write_mesh(path, mesh: Mesh, field=None) -> None:
@@ -887,30 +1169,32 @@ def write_mesh(path, mesh: Mesh, field=None) -> None:
 
     ``field``, an optional ``(path, values)`` pair, also writes the nodal CSV
     ``vertex_id,x,y,value`` in the same pass.  The output is the same bytes
-    as ``repr`` and ``%d`` row by row, with far less work per cell.  Vertices
-    go a block of whole rings at a time, after a ball's centre: a polar
-    ring repeats its coordinates' magnitudes across the mirror lines, so
-    `_reprs` formats each distinct magnitude among a block's x, y and values
-    once, and both files share the strings.  Integer rows come from digit
-    arrays (`_int_rows`).
+    as ``repr`` and ``%d`` row by row.  Vertices go a block of whole rings at
+    a time, after a ball's centre: a polar ring repeats its coordinates'
+    magnitudes across the mirror lines, so each distinct magnitude among a
+    block's x, y and values is formatted once (`_float_cells`), and both
+    files gather the same cells.  Every vertex id is formatted once; the id
+    column of the CSV and the triangle and boundary rows gather those cells.
     """
     nv, m = mesh.nv, mesh.sectors
     first = nv % m if m else 0  # a ball's centre vertex
     step = m * max(1, _BLOCK_ROWS // m) if m else _BLOCK_ROWS
     edges = sorted({0, *range(first, nv, step), nv})
-    with open(path, "w") as fh, (open(field[0], "w") if field else nullcontext()) as csv:
-        fh.write(f"{nv} {mesh.nt} {len(mesh.boundary_edges)}\n")
+    ids = _int_cells(np.arange(nv))
+    with open(path, "wb") as fh, (open(field[0], "wb") if field else nullcontext()) as csv:
+        fh.write(f"{nv} {mesh.nt} {len(mesh.boundary_edges)}\n".encode())
         if csv is not None:
-            csv.write("vertex_id,x,y,value\n")
+            csv.write(b"vertex_id,x,y,value\n")
         for lo, hi in zip(edges, edges[1:]):
             cols = [*mesh.vertices[lo:hi].T] + ([field[1][lo:hi]] if csv is not None else [])
-            text = _reprs(np.concatenate(cols)).reshape(len(cols), -1)
-            xs, ys = text[0].tolist(), text[1].tolist()
-            fh.write("".join([f"{x} {y}\n" for x, y in zip(xs, ys)]))
+            x, y, *value = _float_cells(*cols)
+            fh.write(_rows([x, y], " "))
             if csv is not None:
-                rows = zip(range(lo, hi), xs, ys, text[2].tolist())
-                csv.write("".join([f"{i},{x},{y},{v}\n" for i, x, y, v in rows]))
-        for ids, tags in ((mesh.triangles, mesh.tri_tags), (mesh.boundary_edges, mesh.edge_tags)):
-            for lo in range(0, len(ids), _BLOCK_ROWS):
+                csv.write(_rows([_int_column(np.arange(lo, hi), ids), x, y, *value], ","))
+            del x, y, value  # so the next block's cells are not built alongside these
+        for rows, tags in ((mesh.triangles, mesh.tri_tags), (mesh.boundary_edges, mesh.edge_tags)):
+            tag_cells = _int_cells(np.arange(tags.max(initial=0) + 1))
+            for lo in range(0, len(rows), _BLOCK_ROWS):
                 blk = slice(lo, lo + _BLOCK_ROWS)
-                fh.write(_int_rows([*ids[blk].T, tags[blk]]))
+                cols = [_int_column(col, ids) for col in rows[blk].T]
+                fh.write(_rows([*cols, _int_column(tags[blk], tag_cells)], " "))

@@ -335,7 +335,33 @@ NEG_NAN = np.copysign(np.nan, -1.0)
 @given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_subnormal=True)))
 @example(np.array([0.0, -0.0, math.inf, -math.inf, math.nan, NEG_NAN, 5e-324, -5e-324, 1e16, -1e-5]))
 def test_reprs_equal_python_repr(v):
-    assert fem2d._reprs(v).tolist() == list(map(repr, v.tolist()))
+    assert _cell_lines(v) == list(map(repr, v.tolist()))
+
+
+def _cell_lines(v):
+    """The float cells of v as text, one value per line."""
+    return fem2d._rows(fem2d._float_cells(v), ",").decode().splitlines()
+
+
+def _edge_grid():
+    """Powers of two and ten over the whole range, their float neighbours, the switch points."""
+    values = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    values += [float(f"1e{e}") for e in range(-323, 309)]
+    values += [5e-324, 1e-323, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 1e16]
+    values += [2.0**53, 2.0**53 + 2, 9007199254740993.0, 0.1, 0.3, 1 / 3, 123.456, 1e15, 1e17]
+    values += [math.nextafter(x, t) for x in values for t in (0.0, math.inf)]
+    values += [0.0, -0.0, math.inf, -math.inf, math.nan, NEG_NAN]
+    return np.concatenate([values, np.negative(values)])
+
+
+def test_float_cells_on_the_edge_grid():
+    v = _edge_grid()
+    assert _cell_lines(v) == list(map(repr, v.tolist()))
+
+
+def test_float_cells_on_random_bits():
+    v = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    assert _cell_lines(v) == list(map(repr, v.tolist()))
 
 
 @st.composite
@@ -352,17 +378,54 @@ def int_columns(draw):
 def test_int_rows_equal_the_percent_d_rows(columns):
     fmt = " ".join(["%d"] * len(columns)) + "\n"
     want = "".join(fmt % row for row in zip(*(col.tolist() for col in columns)))
-    assert fem2d._int_rows(columns) == want
+    assert fem2d._rows([fem2d._int_column(col) for col in columns], " ").decode() == want
 
 
 @pytest.mark.parametrize("name", ["one_phase_annulus", "two_phase_displaced"])  # no centre; a centre
-def test_write_mesh_matches_the_per_row_format_on_polar_meshes(tmp_path, name):
+def test_write_mesh_matches_the_per_row_format_on_polar_meshes(tmp_path, monkeypatch, name):
     res = run_scenario(build_preset(name, n=16))
     mesh = res.system.mesh
+    # blocks of five rings, so the last is partial, and several Schubfach chunks per block
+    monkeypatch.setattr(fem2d, "_BLOCK_ROWS", 5 * mesh.sectors)
+    monkeypatch.setattr(fem2d, "_CHUNK", 100)
     assert (mesh.nv // mesh.sectors) % (fem2d._BLOCK_ROWS // mesh.sectors)  # a partial last block
     fem2d.write_mesh(tmp_path / "mesh.txt", mesh, (tmp_path / "u.csv", res.solution.u))
     assert (tmp_path / "mesh.txt").read_bytes() == _per_row_mesh(mesh).encode()
     assert (tmp_path / "u.csv").read_bytes() == _per_row_field(mesh, res.solution.u).encode()
+
+
+def _percent_table(header, fmt, columns) -> str:
+    """A table as the per-row writer first produced it: ``fmt % row`` on Python numbers."""
+    return header + "".join(fmt % row for row in zip(*(col.tolist() for col in columns)))
+
+
+@pytest.fixture(scope="module")
+def heat_flow_runs():
+    runs = {}
+    for name in EXPECTED_PRESETS:
+        runs[name] = run_scenario(build_preset(name, n=16, pipeline="both"))
+    return runs
+
+
+@pytest.mark.parametrize("name", EXPECTED_PRESETS)
+def test_spectra_and_timeseries_match_the_percent_writer(tmp_path, heat_flow_runs, name):
+    res = heat_flow_runs[name]
+    write_artifacts(res, tmp_path)
+    spec = res.spectrum
+    modes = spec.cos_coeffs.shape[1]
+    columns = (
+        np.repeat(spec.radii, modes),
+        np.tile(np.arange(modes), len(spec.radii)),
+        spec.cos_coeffs.ravel(),
+        spec.sin_coeffs.ravel(),
+    )
+    want = _percent_table("radius,k,a_k,b_k\n", "%r,%d,%r,%r\n", columns)
+    assert (tmp_path / "spectra.csv").read_bytes() == want.encode()
+    run = res.run
+    table = np.column_stack([run.times, run.mass_norms, run.probes])
+    header = "t,mass_norm,probe_mean_u,probe_dev_u,probe_mean_flux,probe_dev_flux\n"
+    want = _percent_table(header, ",".join(["%r"] * table.shape[1]) + "\n", table.T)
+    assert (tmp_path / "timeseries.csv").read_bytes() == want.encode()
 
 
 def test_artifact_writing_holds_one_block_of_strings(tmp_path):

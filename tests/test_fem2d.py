@@ -493,6 +493,49 @@ def test_tag_triangles_matches_generator():
     np.testing.assert_array_equal(tags, mesh.tri_tags)
 
 
+@st.composite
+def tagged_layouts(draw):
+    """Centred disks and rings, off-centre disks turned by whole sectors, in a ball or annulus."""
+    r0 = draw(st.sampled_from([0.0, 0.2, 0.45]))
+    domain = DomainSpec("annulus", inner_radius=r0) if r0 else DomainSpec("ball")
+    # interfaces on a grid of the free span, so every centred phase fits in the domain
+    radii = sorted(draw(st.sets(st.integers(1, 19), min_size=1, max_size=3)))
+    n = draw(st.integers(4, 40))  # at least one interval for each of the <= 4 segments
+    radius = [r0 + (1 - r0) * k / 20 for k in radii]
+    phases = []
+    if draw(st.booleans()) and r0 == 0.0:  # a centred disk
+        phases.append(PhaseRegion(shape="disk", sigma=2.0, radius=radius.pop(0)))
+    while len(radius) >= 2:  # centred rings
+        inner, outer = radius.pop(0), radius.pop(0)
+        phases.append(PhaseRegion(shape="ring", sigma=3.0, r_inner=inner, r_outer=outer))
+    for _ in range(draw(st.integers(0, 2))):  # off-centre disks, turned by whole sectors
+        d = draw(st.floats(0.05, 0.9))
+        turn = 2 * math.pi * draw(st.integers(0, 6 * n - 1)) / (6 * n)
+        phases.append(
+            PhaseRegion(
+                shape="disk",
+                sigma=5.0,
+                center=(d * math.cos(turn), d * math.sin(turn)),
+                radius=draw(st.floats(0.01, 0.3)),
+            )
+        )
+    return PhaseConfig(domain=domain, phases=tuple(phases)), n
+
+
+@settings(deadline=None, max_examples=60)
+@given(tagged_layouts())
+@example((DISPLACED, 4))
+@example((DISPLACED_IN_ANNULUS, 40))
+def test_orbit_tags_match_the_per_centroid_tags(layout):
+    # the generator tests centred phases once per rotation orbit and every
+    # centroid only near an off-centre disk; the tags must be bitwise the
+    # per-centroid ones
+    config, n = layout
+    mesh = generate_mesh(config, n)
+    want = tag_triangles(mesh.vertices, mesh.triangles, config)
+    np.testing.assert_array_equal(mesh.tri_tags, want)
+
+
 def _contains(mesh, pts, tol=1e-10):
     """Brute force: (points, triangles) table of barycentric containment."""
     P = mesh.vertices[mesh.triangles]

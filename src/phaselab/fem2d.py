@@ -226,25 +226,36 @@ def tag_triangles(vertices: np.ndarray, triangles: np.ndarray, config) -> np.nda
 def _polar_tags(V: np.ndarray, T: np.ndarray, config, m: int, radii: np.ndarray) -> np.ndarray:
     """`tag_triangles` on the polar mesh with rings at ``radii``, bitwise, with fewer point tests.
 
-    A centred phase's interfaces are mesh rings, so no centroid lies within
-    round-off of one, and its tag is constant on each (band, side) rotation
-    orbit: ``region_index_at`` runs once per orbit, at sector 0's centroids.
-    Every centroid is tested only in the bands that an off-centre disk's
-    radial range reaches, with one band of margin on either side.
+    A centred phase tests a centroid's norm alone, so its tag is constant on
+    each (band, side) rotation orbit up to round-off: ``region_index_at``
+    runs once per orbit, at sector 0's centroids.  Every centroid of a band
+    is tested instead, with one band of margin on either side, where an
+    off-centre disk's radial range reaches the band, or where one of sector
+    0's centroids lies within round-off of a centred interface.  That can
+    happen on a thin band, because a chord dips below its ring: every point
+    of band b has a norm in [radii[b] cos(pi/m), radii[b + 1]].
     """
     n, fan = m // 6, len(V) % m
     first = _triangle_index(m, fan, np.arange(n + 1), 0, 0)  # each band's first triangle; the end
     sector0 = _triangle_index(m, fan, *np.ix_(np.arange(n), [0], np.arange(2)))
-    orbit = config.region_index_at(_centroids(V, T[sector0.reshape(-1)])).reshape(n, 1, 2)
+    cents = _centroids(V, T[sector0.reshape(-1)])
+    orbit = config.region_index_at(cents).reshape(n, 1, 2)
     tags = np.empty(len(T), np.int64)
     tags[: fan * m] = orbit[0, 0, 0]  # a ball's centre fan, side 0 only
     tags[fan * m :].reshape(-1, m, 2)[...] = orbit[fan:]
+    norms = np.linalg.norm(cents, axis=1).reshape(n, 2)
+    near = np.zeros(n, bool)
+    for rho in config.conforming_radii():
+        near |= (np.abs(norms - rho) <= 1e-9 * rho).any(axis=1)
     for p in config.phases:
         if p.shape == "disk" and any(p.center):
             d = math.hypot(*p.center)
-            lo, hi = np.searchsorted(radii, [d - p.radius, d + p.radius])
-            near = slice(first[max(lo - 2, 0)], first[min(hi + 1, n)])
-            tags[near] = config.region_index_at(_centroids(V, T[near]))
+            near |= (radii[1:] > d - p.radius) & (radii[:-1] * math.cos(math.pi / m) < d + p.radius)
+    near = np.convolve(near, [1, 1, 1], "same") > 0  # the margin
+    ends = np.flatnonzero(np.diff(near, prepend=False, append=False))
+    for lo, hi in zip(ends[::2], ends[1::2]):  # each run of bands to test at every centroid
+        run = slice(first[lo], first[hi])
+        tags[run] = config.region_index_at(_centroids(V, T[run]))
     return tags
 
 
@@ -1016,13 +1027,19 @@ def _shortest(v: np.ndarray):
     return f, k + dk
 
 
-def _digits(f: np.ndarray) -> np.ndarray:
-    """(len, 18) ASCII digits of integers f < 10**18, zero-padded on the left."""
-    groups = np.empty((len(f), 5), np.intp)  # 00dd dddd dddd dddd dddd
-    groups[:, 0] = f // _U64(10**16)
-    for j, scale in enumerate((10**12, 10**8, 10**4, 1), start=1):
-        groups[:, j] = f // _U64(scale) % _U64(10**4)
-    return np.take(_digit_tables()[0], groups).view(np.uint8).reshape(len(f), 20)[:, 2:]
+def _digits(f: np.ndarray, groups: int = 5) -> np.ndarray:
+    """(len, 4 groups) ASCII digits of uint64 integers f < 10**(4 groups), zero-padded on the left.
+
+    Each remainder is taken as f - 10**4 q, not with ``%``, which numpy runs
+    several times slower on uint64.
+    """
+    quads = np.empty((len(f), groups), np.intp)  # four digits each, the last group first
+    for j in range(groups - 1, 0, -1):
+        q = f // _U64(10**4)
+        quads[:, j] = f - q * _U64(10**4)
+        f = q
+    quads[:, 0] = f
+    return np.take(_digit_tables()[0], quads).view(np.uint8).reshape(len(f), 4 * groups)
 
 
 def _items(a: np.ndarray) -> np.ndarray:
@@ -1043,7 +1060,7 @@ def _fill_cells(cells: np.ndarray, v: np.ndarray) -> None:
     f, e = _shortest(v)
     nd = np.searchsorted(pow10, f, side="right")
     f *= pow10[18 - nd]
-    digits = _digits(f)  # leading digit first, trailing zeros kept
+    digits = _digits(f)[:, 2:]  # 18 digits, leading digit first, trailing zeros kept
     sig = 18 - np.argmax(digits[:, ::-1] != _ZERO, axis=1)
     exact = digits & np.take(leading, sig, axis=0)  # trailing zeros dropped
     E = e + nd
@@ -1107,26 +1124,22 @@ def _float_cells(*columns: np.ndarray) -> list:
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
-    """(len, width) decimal cells of non-negative integers, right-aligned and NUL-padded."""
+    """(len, width) decimal cells of integers in [0, 2**63), right-aligned and NUL-padded."""
     width = len(str(int(v.max(initial=0))))
-    rest = v.astype(np.uint32 if width < 10 else np.uint64)  # unsigned division is the faster
-    digit = np.empty_like(rest)
-    cells = np.empty((len(rest), width), np.uint8)
-    for k in range(width - 1, -1, -1):
-        np.remainder(rest, 10, out=digit)
-        digit += _ZERO
-        if k < width - 1:
-            digit *= rest > 0  # a leading zero is a NUL
-        cells[:, k] = digit
-        rest //= 10
+    pow10 = _digit_tables()[1][width - 1 : 0 : -1]  # 10**(width - 1) .. 10
+    cells = np.empty((len(v), width), np.uint8)
+    groups = -(-width // 4)
+    for lo in range(0, len(v), _CHUNK):
+        part = v[lo : lo + _CHUNK].astype(np.uint64)
+        digits = _digits(part, groups)[:, 4 * groups - width :]
+        for k in range(width - 1):  # a leading zero is a NUL
+            digits[:, k] *= part >= pow10[k]
+        cells[lo : lo + _CHUNK] = digits
     return cells
 
 
-def _int_column(v: np.ndarray, ids: np.ndarray | None = None):
-    """Cell gather of non-negative integers: from ``ids``, the cells of 0 .. len(ids) - 1,
-    when it holds them all, else from cells of their own."""
-    if ids is not None and v.max(initial=0) < len(ids):
-        return ids, v, None
+def _int_column(v: np.ndarray):
+    """Cell gather of non-negative integers, from cells of their own."""
     return _int_cells(v), np.arange(len(v)), None
 
 
@@ -1190,11 +1203,12 @@ def write_mesh(path, mesh: Mesh, field=None) -> None:
             x, y, *value = _float_cells(*cols)
             fh.write(_rows([x, y], " "))
             if csv is not None:
-                csv.write(_rows([_int_column(np.arange(lo, hi), ids), x, y, *value], ","))
+                csv.write(_rows([(ids, np.arange(lo, hi), None), x, y, *value], ","))
             del x, y, value  # so the next block's cells are not built alongside these
         for rows, tags in ((mesh.triangles, mesh.tri_tags), (mesh.boundary_edges, mesh.edge_tags)):
             tag_cells = _int_cells(np.arange(tags.max(initial=0) + 1))
+            own = rows.max(initial=0) >= nv  # not vertex ids: each block formats its own cells
             for lo in range(0, len(rows), _BLOCK_ROWS):
                 blk = slice(lo, lo + _BLOCK_ROWS)
-                cols = [_int_column(col, ids) for col in rows[blk].T]
-                fh.write(_rows([*cols, _int_column(tags[blk], tag_cells)], " "))
+                cols = [_int_column(col) if own else (ids, col, None) for col in rows[blk].T]
+                fh.write(_rows([*cols, (tag_cells, tags[blk], None)], " "))

@@ -522,14 +522,35 @@ def tagged_layouts(draw):
     return PhaseConfig(domain=domain, phases=tuple(phases)), n
 
 
+def _thin_ring(n):
+    """A ball whose ring (0.5, b) is one band so thin that a side-1 centroid
+    of that band lies on |x| = 0.5 up to round-off, at 6n sectors."""
+    c = math.cos(2 * math.pi / (6 * n))
+    b = 0.5 * (math.sqrt(c * c + 8) - c - 1)
+    return ball_config((PhaseRegion(shape="ring", sigma=3.0, r_inner=0.5, r_outer=b),)), n
+
+
+# thin bands above an off-centre disk's reach, whose chords dip into it
+DIPPING_CHORDS = ball_config(
+    (
+        PhaseRegion(shape="ring", sigma=3.0, r_inner=0.5, r_outer=0.5001),
+        PhaseRegion(shape="ring", sigma=3.0, r_inner=0.5002, r_outer=0.7),
+        PhaseRegion(shape="disk", sigma=5.0, center=(0.3, 0.0), radius=0.1999),
+    )
+)
+
+
 @settings(deadline=None, max_examples=60)
 @given(tagged_layouts())
 @example((DISPLACED, 4))
 @example((DISPLACED_IN_ANNULUS, 40))
+@example((DIPPING_CHORDS, 5))
+@example(_thin_ring(10))
+@example(_thin_ring(32))
 def test_orbit_tags_match_the_per_centroid_tags(layout):
     # the generator tests centred phases once per rotation orbit and every
-    # centroid only near an off-centre disk; the tags must be bitwise the
-    # per-centroid ones
+    # centroid only near an off-centre disk or a centred interface; the tags
+    # must be bitwise the per-centroid ones
     config, n = layout
     mesh = generate_mesh(config, n)
     want = tag_triangles(mesh.vertices, mesh.triangles, config)

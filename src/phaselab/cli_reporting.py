@@ -439,7 +439,7 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
                     f"phase {ph.label or ph.shape!r}"
                 )
         result.eigen = smallest_eigenvalue(system)
-        result.run = evolve(system, probe=CircleSampler(mesh, probe_rho))
+        result.run = evolve(system, probe=CircleSampler(system, probe_rho))
         result.decay = decay_certificate(result.run, result.eigen.value, slack=tol.decay_slack)
         result.monotone = monotone_decay(result.run)
         result.v_rel_error = v_error_vs_elliptic(system, result.run, sol.u)

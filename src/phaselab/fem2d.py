@@ -438,6 +438,11 @@ def _assemble(mesh: Mesh, element_blocks) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(mesh.nv, mesh.nv))
 
 
+def _require_polar(mesh: Mesh) -> None:
+    if not mesh.sectors:
+        raise ValueError("needs a polar mesh from generate_mesh (sectors > 0)")
+
+
 def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     """Assemble the stiffness and the load for one conductivity layout.
 
@@ -450,8 +455,7 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     ``source`` may be a scalar, a per-vertex array, or a callable on (nv, 2)
     coordinates; the load uses the vertex quadrature rule (area/3 per corner).
     """
-    if not mesh.sectors:
-        raise ValueError("assembly needs a polar mesh from generate_mesh (sectors > 0)")
+    _require_polar(mesh)
     table = np.asarray(sigma_by_tag, float)
     tags = mesh.tri_tags
     if (tags < 0).any() or (tags >= len(table)).any():
@@ -814,36 +818,36 @@ def locate_points(mesh: Mesh, points: np.ndarray):
 
 
 class CircleSampler:
-    """Repeated sampling of fields and radial fluxes on one probe circle.
+    """One probe circle as a sparse operator on the free nodal values.
 
     One sample per sector, at its mid-angle 2 pi (j + 1/2) / m, so samples
     sit identically relative to the mesh pattern in every sector: discrete
     rotational symmetry of the layout then shows up as floating-point-level
-    agreement across samples.
+    agreement across samples.  ``matrix`` is ``(2*count, free)`` CSR: rows
+    ``0..count-1`` interpolate u at the samples, rows ``count..`` give sigma of
+    the sample's triangle times u's radial derivative there.  Boundary columns
+    are dropped, since u is zero there.
     """
 
-    def __init__(self, mesh: Mesh, radius: float):
+    def __init__(self, system: FemSystem, radius: float):
+        mesh = system.mesh
         self.radius = float(radius)
         self.count = mesh.sectors
+        self.free = system.free
         th = 2 * np.pi * (np.arange(self.count) + 0.5) / self.count
-        pts = radius * np.column_stack([np.cos(th), np.sin(th)])
-        self.tri_idx, self.bary = locate_points(mesh, pts)
-        self.corners = mesh.triangles[self.tri_idx]
-        b, c, area = (a[self.tri_idx] for a in mesh.geometry)
-        self.grad_x = b / (2 * area)[:, None]
-        self.grad_y = c / (2 * area)[:, None]
-        self.radial = np.column_stack([np.cos(th), np.sin(th)])
-
-    def values(self, u: np.ndarray) -> np.ndarray:
-        return (u[self.corners] * self.bary).sum(axis=1)
-
-    def radial_flux(self, u: np.ndarray, sigma_e: np.ndarray | None = None) -> np.ndarray:
-        gx = (u[self.corners] * self.grad_x).sum(axis=1)
-        gy = (u[self.corners] * self.grad_y).sum(axis=1)
-        flux = gx * self.radial[:, 0] + gy * self.radial[:, 1]
-        if sigma_e is not None:
-            flux = flux * sigma_e[self.tri_idx]
-        return flux
+        radial = np.column_stack([np.cos(th), np.sin(th)])
+        tri_idx, bary = locate_points(mesh, radius * radial)
+        b, c, area = (a[tri_idx] for a in mesh.geometry)
+        grad_x, grad_y = b / (2 * area)[:, None], c / (2 * area)[:, None]
+        flux = system.sigma_e[tri_idx][:, None] * (grad_x * radial[:, :1] + grad_y * radial[:, 1:])
+        # the free vertices are one range (see `FemSystem._free_block`)
+        cols = np.tile(mesh.triangles[tri_idx], (2, 1)) - self.free[0]
+        rows = np.broadcast_to(np.arange(2 * self.count)[:, None], cols.shape)
+        keep = (cols >= 0) & (cols < len(self.free))
+        self.matrix = sp.csr_matrix(
+            (np.vstack([bary, flux])[keep], (rows[keep], cols[keep])),
+            shape=(2 * self.count, len(self.free)),
+        )
 
 
 def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
@@ -1188,10 +1192,12 @@ def write_mesh(path, mesh: Mesh, field=None) -> None:
     block's x, y and values is formatted once (`_float_cells`), and both
     files gather the same cells.  Every vertex id is formatted once; the id
     column of the CSV and the triangle and boundary rows gather those cells.
+    The mesh must be a polar mesh from `generate_mesh`, as in `assemble_system`.
     """
+    _require_polar(mesh)
     nv, m = mesh.nv, mesh.sectors
-    first = nv % m if m else 0  # a ball's centre vertex
-    step = m * max(1, _BLOCK_ROWS // m) if m else _BLOCK_ROWS
+    first = nv % m  # a ball's centre vertex
+    step = m * max(1, _BLOCK_ROWS // m)
     edges = sorted({0, *range(first, nv, step), nv})
     ids = _int_cells(np.arange(nv))
     with open(path, "wb") as fh, (open(field[0], "wb") if field else nullcontext()) as csv:
@@ -1207,8 +1213,7 @@ def write_mesh(path, mesh: Mesh, field=None) -> None:
             del x, y, value  # so the next block's cells are not built alongside these
         for rows, tags in ((mesh.triangles, mesh.tri_tags), (mesh.boundary_edges, mesh.edge_tags)):
             tag_cells = _int_cells(np.arange(tags.max(initial=0) + 1))
-            own = rows.max(initial=0) >= nv  # not vertex ids: each block formats its own cells
             for lo in range(0, len(rows), _BLOCK_ROWS):
                 blk = slice(lo, lo + _BLOCK_ROWS)
-                cols = [_int_column(col) if own else (ids, col, None) for col in rows[blk].T]
+                cols = [(ids, col, None) for col in rows[blk].T]
                 fh.write(_rows([*cols, (tag_cells, tags[blk], None)], " "))

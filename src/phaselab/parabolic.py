@@ -4,7 +4,8 @@ The evolution is backward Euler for ``M du/dt + K u = 0`` on the
 Dirichlet-eliminated block, started from the nodal source values so that the
 running time integral converges to the elliptic equilibrium.  Step sizes
 follow one fixed schedule: a uniform warm-up resolving the initial transient,
-then geometric growth up to a cap.
+then geometric growth up to a cap.  A run to a smaller stopping norm
+therefore repeats a shorter run's steps bit for bit, then goes on.
 
 One time-stepping loop serves two bases for the state.  On a
 rotation-invariant layout (sigma constant on every rotation orbit of the
@@ -24,7 +25,8 @@ step, so one factor is alive at a time: the warm-up factor is dropped before
 the cap factor is built.  Both step matrices and ``K`` are symmetric
 positive definite, so SuperLU runs in symmetric mode, without pivoting,
 under a minimum-degree ordering of ``A + A^T``, which stores about half the
-fill of its default column ordering.
+fill of its default column ordering.  Both bases read the probe through the
+columns of ``CircleSampler.matrix`` that their state holds.
 
 The smallest generalized eigenvalue of (K, M) certifies the decay of the
 mass norm, at backward Euler's own rate of ``1 / (1 + lam * dt)`` per step,
@@ -122,16 +124,16 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
     """
     Kff, Mff = system.Kff, system.Mff
     solve = _factor(system)
-    x = np.ones(Kff.shape[0])
+    My = Mff @ np.ones(Kff.shape[0])  # the next right-hand side
     lam_old = 0.0
     for it in range(1, maxit + 1):
-        y = solve(Mff @ x)
+        y = solve(My)
         y /= math.sqrt(_dot(y, Mff @ y))
-        lam = _dot(y, Kff @ y) / _dot(y, Mff @ y)
+        My = Mff @ y
+        lam = _dot(y, Kff @ y) / _dot(y, My)
         if abs(lam - lam_old) <= tol * lam:
             return EigenResult(value=lam, iterations=it)
         lam_old = lam
-        x = y
     raise RuntimeError("inverse power iteration did not converge")
 
 
@@ -143,19 +145,18 @@ class Evolution:
     (a full nodal vector, zero on the boundary), ``u_final`` the state at
     the stopping time.  ``probes`` has one row per recorded time holding
     the mean u, deviation of u, mean flux and deviation of the flux on the
-    ``probe`` circle, in that order; deviations follow the sup-norm
-    convention of :func:`phaselab.symmetry_checks.probe_deviation`.  A run
-    without a probe has no probe columns.
+    probe circle, in that order; deviations follow the sup-norm convention
+    of :func:`phaselab.symmetry_checks.probe_deviation`.  A run without a
+    probe has no probe columns.
     """
 
     times: np.ndarray
     mass_norms: np.ndarray
     probes: np.ndarray  # (len(times), 4), or (len(times), 0) without a probe
-    probe: CircleSampler | None
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
-    factorizations: int  # step matrices factored, resumes included
+    factorizations: int  # step matrices factored
     cg_iterations: int  # CG iterations over the growth steps; none in angular-Fourier steps
     step_solver: str  # the step basis: "angular Fourier" if rotation-invariant, else "SuperLU"
 
@@ -203,10 +204,10 @@ class _NodalSteps:
 
     def __init__(self, system: FemSystem, probe: CircleSampler | None):
         self.system = system
-        self.P, self.support = _probe_matrix(system, probe), np.empty(0, int)
-        if self.P is not None:
-            self.support = np.unique(self.P.indices)
-            self.P = self.P[:, self.support]
+        self.P, self.support = None, np.empty(0, int)
+        if probe is not None:
+            self.support = np.unique(probe.matrix.indices)
+            self.P = probe.matrix[:, self.support]
 
     def state(self, u_free: np.ndarray) -> np.ndarray:
         return u_free
@@ -242,13 +243,13 @@ class _FourierSteps:
         self.blocks = _sector_blocks(system)
         self.d_mass, self.e_mass = modes.symbol(self.blocks[0])
         self.e_mass_conj = self.e_mass.conj()
-        self.P, self.support = _probe_matrix(system, probe), np.empty(0, int)
-        if self.P is not None:
+        self.P, self.support = None, np.empty(0, int)
+        if probe is not None:
             m, fan, centre = modes.m, modes.fan, np.arange(modes.fan)
-            cols = self.P.indices
+            cols = probe.matrix.indices
             rows = np.unique((cols[cols >= fan] - fan) // m)
             ring_cols = fan + rows[:, None] * m + np.arange(m)
-            self.P = self.P[:, np.concatenate([centre, ring_cols.ravel()])]
+            self.P = probe.matrix[:, np.concatenate([centre, ring_cols.ravel()])]
             coeffs = fan + np.arange(modes.modes)[:, None] * modes.rings + rows  # mode-major
             self.support = np.concatenate([centre, coeffs.ravel()])
 
@@ -276,46 +277,27 @@ class _FourierSteps:
 
 
 def evolve(
-    system: FemSystem,
-    *,
-    eps: float = 1e-8,
-    probe: CircleSampler | None = None,
-    resume: Evolution | None = None,
+    system: FemSystem, *, eps: float = 1e-8, probe: CircleSampler | None = None
 ) -> Evolution:
     """Run backward Euler from the nodal source values until the mass norm falls below ``eps``.
 
-    ``probe``, if given, is sampled at every recorded time; its rows are
-    reduced a block of ``PROBE_BLOCK`` steps at a time.  Passing a
-    previous run as ``resume`` continues it with a smaller ``eps``: same
-    schedule position, running integral and probe carried over, its records
-    extended.  This is how a truncation time is extended to audit the
-    certified tail bound.
+    ``probe``, if given, is sampled at every recorded time, through the
+    columns of ``probe.matrix`` that the state's basis reads; its rows are
+    reduced a block of ``PROBE_BLOCK`` steps at a time.  The schedule is
+    fixed, so a run to a smaller ``eps`` takes the same steps as a shorter
+    run, then goes on.
     """
-    if resume is not None and probe is not None:
-        raise ValueError("a resumed run keeps its own probe; pass no other")
     free = system.free
-    nv = system.mesh.nv
-
-    probe = resume.probe if resume is not None else probe
     basis = (_FourierSteps if system.rotation_invariant else _NodalSteps)(system, probe)
-    if resume is not None:
-        u = basis.state(resume.u_final[free])
-        V = basis.state(resume.v_field[free])
-        t = resume.final_time
-        k0, nfact, cg_its = resume.steps, resume.factorizations, resume.cg_iterations
-        times, norms, rows = list(resume.times), list(resume.mass_norms), [resume.probes]
-        reads = []  # what the probe reads of each step since its last block of rows
-    else:
-        u = basis.state(system.g_vertex[free])
-        V = np.zeros_like(u)
-        t = 0.0
-        k0 = nfact = cg_its = 0
-        times, norms, rows = [0.0], [basis.norm(u, basis.mass(u))], []
-        reads = [u[basis.support]]
+    u = basis.state(system.g_vertex[free])
+    V = np.zeros_like(u)
     Mu = basis.mass(u)  # carried from step to step: the mass norm and the next rhs
+    t = 0.0
+    k = nfact = cg_its = 0
+    times, norms, rows = [0.0], [basis.norm(u, Mu)], []
+    reads = [u[basis.support]]  # what the probe reads of each step since its last block of rows
 
     factor = None  # (factored size, its solve)
-    k = k0
     while norms[-1] > eps:
         dt = _step_size(k)
         # a nodal growth step is preconditioned by the cap
@@ -341,47 +323,25 @@ def evolve(
         if len(reads) == PROBE_BLOCK:
             rows.append(basis.probe_rows(np.array(reads)))
             reads.clear()
-        if k - k0 > MAX_STEPS:
+        if k > MAX_STEPS:
             raise RuntimeError("heat flow did not reach the stopping norm")
 
     if reads:
         rows.append(basis.probe_rows(np.array(reads)))
-    u_full = np.zeros(nv)
+    u_full = np.zeros(system.mesh.nv)
     u_full[free] = basis.nodal(u)
-    v_full = np.zeros(nv)
+    v_full = np.zeros(system.mesh.nv)
     v_full[free] = basis.nodal(V)
     return Evolution(
         times=np.array(times),
         mass_norms=np.array(norms),
         probes=np.concatenate(rows),
-        probe=probe,
         v_field=v_full,
         u_final=u_full,
         steps=k,
         factorizations=nfact,
         cg_iterations=cg_its,
         step_solver=basis.label,
-    )
-
-
-def _probe_matrix(system: FemSystem, probe: CircleSampler | None) -> sp.csr_matrix | None:
-    """The probe's samples of u and of its radial flux as one ``(2*count, free)`` matrix.
-
-    Rows ``0..count-1`` interpolate u, rows ``count..`` give sigma times its
-    radial derivative; boundary columns are dropped, since u is zero there.
-    """
-    if probe is None:
-        return None
-    sigma = system.sigma_e[probe.tri_idx][:, None]
-    flux = sigma * (probe.grad_x * probe.radial[:, :1] + probe.grad_y * probe.radial[:, 1:])
-    weights = np.vstack([probe.bary, flux])
-    column = np.full(system.mesh.nv, -1)
-    column[system.free] = np.arange(len(system.free))
-    cols = column[np.vstack([probe.corners, probe.corners])]
-    rows = np.broadcast_to(np.arange(2 * probe.count)[:, None], cols.shape)
-    keep = cols >= 0
-    return sp.csr_matrix(
-        (weights[keep], (rows[keep], cols[keep])), shape=(2 * probe.count, len(system.free))
     )
 
 

@@ -226,8 +226,10 @@ class ProbeStats:
     flux_absolute: bool
 
 
-def probe_deviation(sampler: CircleSampler, u: np.ndarray, sigma_e=None) -> ProbeStats:
-    return _probe_stats(sampler.values(u), sampler.radial_flux(u, sigma_e))
+def probe_deviation(sampler: CircleSampler, u: np.ndarray) -> ProbeStats:
+    """Probe statistics of the nodal field ``u``, read through ``sampler.matrix``."""
+    samples = sampler.matrix @ u[sampler.free]
+    return _probe_stats(samples[: sampler.count], samples[sampler.count :])
 
 
 def _probe_stats(values: np.ndarray, flux: np.ndarray) -> ProbeStats:

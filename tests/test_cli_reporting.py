@@ -302,30 +302,34 @@ def _per_row_field(mesh, values) -> str:
 
 
 def test_block_writers_match_the_per_row_format(tmp_path):
-    # awkward floats, and a row count that leaves a partial last block
+    # awkward floats, and row counts that leave a partial last block
     awkward = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 0.1 + 0.2, 1.0 / 3.0, 2.0**60, 1e308]
     awkward += [math.inf, -math.inf, math.nan]
-    rows = 2 * fem2d._BLOCK_ROWS + 3
+    sectors = 12
+    nv = 1 + sectors * (2 * fem2d._BLOCK_ROWS // sectors + 1)  # a centre, then whole rings
     rng = np.random.default_rng(5)
-    vertices = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-20, 20, (rows, 2))
+    vertices = rng.standard_normal((nv, 2)) * 10.0 ** rng.integers(-20, 20, (nv, 2))
     vertices[: len(awkward), 0] = awkward
     vertices[-len(awkward) :, 1] = awkward
-    values = rng.standard_normal(rows)
+    values = rng.standard_normal(nv)
     values[-len(awkward) :] = awkward
-    triangles = rng.integers(0, 2**40, (rows + 7, 3))
+    nt = 2 * fem2d._BLOCK_ROWS + 7
     mesh = fem2d.Mesh(
         vertices=vertices,
-        triangles=triangles,
-        tri_tags=rng.integers(0, 4, rows + 7),
-        boundary_edges=rng.integers(0, rows, (fem2d._BLOCK_ROWS, 2)),
+        triangles=rng.integers(0, nv, (nt, 3)),
+        tri_tags=rng.integers(0, 4, nt),
+        boundary_edges=rng.integers(0, nv, (fem2d._BLOCK_ROWS, 2)),
         edge_tags=rng.integers(0, 2, fem2d._BLOCK_ROWS),
-        sectors=0,
+        sectors=sectors,
     )
     fem2d.write_mesh(tmp_path / "alone.txt", mesh)
     fem2d.write_mesh(tmp_path / "mesh.txt", mesh, (tmp_path / "u.csv", values))
     for name in ("alone.txt", "mesh.txt"):
         assert (tmp_path / name).read_bytes() == _per_row_mesh(mesh).encode()
     assert (tmp_path / "u.csv").read_bytes() == _per_row_field(mesh, values).encode()
+    # a mesh without sectors is refused, as assembly refuses it
+    with pytest.raises(ValueError, match="polar mesh"):
+        fem2d.write_mesh(tmp_path / "none.txt", replace(mesh, sectors=0))
 
 
 NEG_NAN = np.copysign(np.nan, -1.0)

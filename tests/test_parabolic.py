@@ -149,19 +149,6 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     assert same_matrix(warm, Mff + parabolic.DT0 * Kff)
     assert same_matrix(cap, Mff + parabolic.DT_MAX * Kff)
 
-    # stop inside the geometric growth, then resume through it to the cap
-    first = evolve(sys_, eps=full.mass_norms[30])
-    assert 20 < first.steps < 40
-    built = len(live_factors.built)
-    ext = evolve(sys_, eps=1e-6, resume=first)
-    assert live_factors.peak == 1
-    # the resume builds the cap factor only
-    assert len(live_factors.built) == built + 1
-    assert same_matrix(live_factors.built[-1][0], Mff + parabolic.DT_MAX * Kff)
-    assert ext.factorizations == first.factorizations + 1
-    assert ext.steps == full.steps
-    assert np.array_equal(ext.times, full.times)
-
     # a rotation-invariant layout steps in angular-Fourier coefficients and
     # solves the eigen-solver's Kff by FFT in angle: SuperLU never runs, no
     # step takes CG, and each distinct step size is factored once
@@ -264,39 +251,64 @@ def test_fft_steps_match_a_factor_for_every_size(live_factors):
         live_factors.built.clear()  # the reference's own factors
 
 
-@pytest.mark.parametrize("radius", [0.4, 0.97])  # crosses the core; meets the boundary
-def test_probe_matrix_reproduces_probe_deviation(radius):
+@pytest.mark.parametrize("radius", [0.4, 0.97])  # crosses the core; in the boundary band
+def test_probe_matrix_matches_the_p1_definition(radius):
     sys_ = disk_system(16, sigma=2.0, center=(0.2, 0.0), radius=0.3)
-    probe = CircleSampler(sys_.mesh, radius)
-    P = parabolic._probe_matrix(sys_, probe)
-    assert P.shape == (2 * probe.count, len(sys_.free))
-    rng = np.random.default_rng(7)
-    branches = set()
-    for scale, offset in ((1.0, 1.0), (1e-14, 0.0)):  # relative, then absolute fallback
-        u = scale * (offset + rng.standard_normal(len(sys_.free)))
-        z = np.zeros(sys_.mesh.nv)
-        z[sys_.free] = u
-        want = probe_deviation(probe, z, sys_.sigma_e)
-        samples = P @ u
-        ps = _probe_stats(samples[: probe.count], samples[probe.count :])
-        assert (ps.u_absolute, ps.flux_absolute) == (want.u_absolute, want.flux_absolute)
-        branches.add((want.u_absolute, want.flux_absolute))
-        got = tuple(parabolic._probe_rows(P, u[None])[0])
-        assert got == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
-        expect = (want.mean_u, want.dev_u, want.mean_flux, want.dev_flux)
-        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
-    assert branches == {(False, False), (True, True)}
+    mesh = sys_.mesh
+    probe = CircleSampler(sys_, radius)
+    m = probe.count
+    assert probe.matrix.shape == (2 * m, len(sys_.free))
+    th = 2 * np.pi * (np.arange(m) + 0.5) / m
+    normal = np.column_stack([np.cos(th), np.sin(th)])
+    pts = radius * normal
+    # each sample's triangle and barycentric weights, found among all triangles
+    P = mesh.vertices[mesh.triangles]
+    inv = np.linalg.inv(np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]], axis=2))
+    ab = np.einsum("tij,ptj->pti", inv, pts[:, None] - P[:, 0])
+    bary = np.concatenate([1.0 - ab.sum(axis=2, keepdims=True), ab], axis=2)
+    tri = bary.min(axis=2).argmax(axis=1)
+    bary = bary[np.arange(m), tri]
+    assert bary.min() > -1e-12
+    sigma = sys_.sigma_e[tri]
+    # any state, zero on the boundary: the P1 interpolant, and sigma times its radial slope
+    u = np.zeros(mesh.nv)
+    u[sys_.free] = 1.0 + np.random.default_rng(7).standard_normal(len(sys_.free))
+    corners = u[mesh.triangles[tri]]
+    grad = np.einsum("pij,pi->pj", inv[tri], corners[:, 1:] - corners[:, :1])
+    samples = probe.matrix @ u[sys_.free]
+    np.testing.assert_allclose(samples[:m], (bary * corners).sum(axis=1), rtol=0.0, atol=1e-13)
+    flux = sigma * (grad * normal).sum(axis=1)
+    np.testing.assert_allclose(samples[m:], flux, rtol=1e-12, atol=1e-11)
+    # probe_deviation and the heat flow's rows reduce these samples alike, on
+    # both sides of the zero-mean guard
+    for scale in (1.0, 1e-14):
+        ps = probe_deviation(probe, scale * u)
+        assert (ps.u_absolute, ps.flux_absolute) == (scale < 1.0, scale < 1.0)
+        row = parabolic._probe_rows(probe.matrix, scale * u[sys_.free][None])[0]
+        assert tuple(row) == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
+    if radius > 0.9:
+        assert np.isin(mesh.triangles[tri], sys_.boundary).any(axis=1).all()
+        return
+    # no sample's triangle meets the boundary and the circle crosses the core: a
+    # linear field's samples are its values and sigma times its radial derivative
+    assert not np.isin(mesh.triangles[tri], sys_.boundary).any()
+    assert set(sigma) == {1.0, 2.0}
+    field = lambda xy: 1.0 + 2.0 * xy[..., 0] - 3.0 * xy[..., 1]
+    samples = probe.matrix @ field(mesh.vertices[sys_.free])
+    np.testing.assert_allclose(samples[:m], field(pts), rtol=0.0, atol=1e-13)
+    radial = 2.0 * normal[:, 0] - 3.0 * normal[:, 1]
+    np.testing.assert_allclose(samples[m:], sigma * radial, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("radius", [0.02, 0.4, 0.97])  # in the centre fan; mid-way; by the rim
 def test_fourier_probe_rows_match_the_nodal_probe(radius):
     # the Fourier basis samples only the rings the probe touches, and a ball's centre
     sys_ = disk_system(16, sigma=2.0)
-    probe = CircleSampler(sys_.mesh, radius)
+    probe = CircleSampler(sys_, radius)
     basis = parabolic._FourierSteps(sys_, probe)
     u = 1.0 + np.random.default_rng(7).standard_normal(len(sys_.free))
     got = basis.probe_rows(basis.state(u)[basis.support][None])[0]
-    want = parabolic._probe_rows(parabolic._probe_matrix(sys_, probe), u[None])[0]
+    want = parabolic._probe_rows(probe.matrix, u[None])[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     rings = (len(basis.support) - 1) // (sys_.mesh.sectors // 2 + 1)
     assert basis.P.shape[1] == 1 + rings * sys_.mesh.sectors < len(sys_.free) // 4
@@ -305,7 +317,7 @@ def test_fourier_probe_rows_match_the_nodal_probe(radius):
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # Fourier basis; nodal basis
 def test_probe_rows_of_a_block_match_each_step_bitwise(monkeypatch, center):
     sys_ = disk_system(8, sigma=2.0, center=center, radius=0.3)
-    probe = CircleSampler(sys_.mesh, 0.75)
+    probe = CircleSampler(sys_, 0.75)
     blocks = []
     for cls in (parabolic._NodalSteps, parabolic._FourierSteps):
 
@@ -315,13 +327,12 @@ def test_probe_rows_of_a_block_match_each_step_bitwise(monkeypatch, center):
             return rows
 
         monkeypatch.setattr(cls, "probe_rows", spy)
-    first = evolve(sys_, eps=1e-4, probe=probe)
-    ext = evolve(sys_, eps=1e-6, resume=first)
-    # neither run ends on a whole block, and the resume starts a fresh one
+    run = evolve(sys_, eps=1e-6, probe=probe)
+    # the run does not end on a whole block
     block = parabolic.PROBE_BLOCK
-    assert len(first.times) % block and (ext.steps - first.steps) % block
-    assert [len(reads) for _, reads, _ in blocks].count(block) == len(blocks) - 2
-    assert np.array_equal(ext.probes, np.concatenate([rows for *_, rows in blocks]))
+    assert len(run.times) % block
+    assert [len(reads) for _, reads, _ in blocks].count(block) == len(blocks) - 1 > 1
+    assert np.array_equal(run.probes, np.concatenate([rows for *_, rows in blocks]))
     for basis, reads, rows in blocks:
         for read, row in zip(reads, rows):
             samples = basis.P @ (basis.modes.inverse(read) if center == (0.0, 0.0) else read)
@@ -329,7 +340,7 @@ def test_probe_rows_of_a_block_match_each_step_bitwise(monkeypatch, center):
             assert tuple(row) == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
     # the last read is the final state
     basis, reads, _ = blocks[-1]
-    want = basis.state(ext.u_final[sys_.free])[basis.support]
+    want = basis.state(run.u_final[sys_.free])[basis.support]
     np.testing.assert_allclose(reads[-1], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
@@ -437,11 +448,11 @@ def test_max_steps_guard(monkeypatch):
         evolve(disk_system(8), eps=1e-12)
 
 
-def test_resume_extends_within_tail_bound():
+def test_a_longer_run_adds_within_tail_bound():
     sys_ = disk_system(16)
     lam = smallest_eigenvalue(sys_).value
     first = evolve(sys_, eps=1e-5)
-    ext = evolve(sys_, eps=1e-8, resume=first)
+    ext = evolve(sys_, eps=1e-8)
     assert ext.steps > first.steps
     assert np.array_equal(ext.times[: len(first.times)], first.times)
     assert monotone_decay(ext)
@@ -456,65 +467,33 @@ def test_resume_extends_within_tail_bound():
     assert gap > 0.25 * budget  # the bound is meaningful, not vacuous
 
 
-def test_resume_preserves_probe_history():
-    sys_ = disk_system(8)
-    first = evolve(sys_, eps=1e-4, probe=CircleSampler(sys_.mesh, 0.75))
-    ext = evolve(sys_, eps=1e-6, resume=first)
-    old = len(first.times)
-    assert ext.probes.shape == (len(ext.times), 4)
-    assert np.array_equal(ext.probes[:old, 0], first.probes[:, 0])
-    assert np.array_equal(ext.probes[:old, 3], first.probes[:, 3])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # angular Fourier; SuperLU
+def test_a_longer_run_repeats_the_shorter_run_bitwise(center):
+    # the schedule is fixed, so a run to a smaller eps takes the shorter run's steps first
+    sys_ = disk_system(8, sigma=2.0, center=center, radius=0.3)
+    probe = CircleSampler(sys_, 0.75)
+    short = evolve(sys_, eps=1e-4, probe=probe)
+    long = evolve(sys_, eps=1e-6, probe=probe)
+    assert long.step_solver == ("angular Fourier" if center == (0.0, 0.0) else "SuperLU")
+    assert short.steps < long.steps
+    # the short run ends inside a block of probe rows that the long run completes
+    assert len(short.times) % parabolic.PROBE_BLOCK
+    assert long.probes.shape == (len(long.times), 4)
+    for name in ("times", "mass_norms", "probes"):
+        assert np.array_equal(getattr(long, name)[: len(short.times)], getattr(short, name)), name
+    if center != (0.0, 0.0):
+        assert long.probe_dev_max[1] > 0.0  # the displaced core shows on the probe
 
 
-def test_resume_matches_an_uninterrupted_run_bitwise():
-    sys_ = disk_system(8, sigma=2.0, center=(0.2, 0.0), radius=0.3)
-    probe = CircleSampler(sys_.mesh, 0.75)
-    full = evolve(sys_, eps=1e-6, probe=probe)
-    first = evolve(sys_, eps=1e-4, probe=probe)
-    ext = evolve(sys_, eps=1e-6, resume=first)
-    assert ext.probe is probe
-    assert first.steps < ext.steps == full.steps
-    for name in ("times", "mass_norms", "probes", "v_field", "u_final"):
-        assert np.array_equal(getattr(ext, name), getattr(full, name)), name
-    assert full.probe_dev_max[1] > 0.0  # the displaced core shows on the probe
-    # a resume builds its current step factor again
-    assert ext.factorizations == full.factorizations + 1
-
-
-def test_resume_on_an_invariant_layout_matches_an_uninterrupted_run():
-    # the resume carries nodal u and V back into Fourier coefficients, so it
-    # need not match the uninterrupted run bit for bit; it must within round-off
-    sys_ = disk_system(8, sigma=2.0)
-    probe = CircleSampler(sys_.mesh, 0.75)
-    full = evolve(sys_, eps=1e-6, probe=probe)
-    first = evolve(sys_, eps=1e-4, probe=probe)
-    ext = evolve(sys_, eps=1e-6, resume=first)
-    assert full.step_solver == ext.step_solver == "angular Fourier"
-    assert first.steps < ext.steps == full.steps
-    assert np.array_equal(ext.times, full.times)
-    assert rel(ext.u_final, full.u_final) <= 1e-13
-    assert rel(ext.v_field, full.v_field) <= 1e-14
-    np.testing.assert_allclose(ext.mass_norms, full.mass_norms, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(ext.probes[:, ::2], full.probes[:, ::2], rtol=1e-13, atol=0.0)
-    # the first run stops in the cap's stretch, whose factor the resume builds again
-    assert ext.factorizations == full.factorizations + 1
-
-
-def test_probe_with_resume_is_rejected_and_no_probe_records_nothing():
-    sys_ = disk_system(8)
-    run = evolve(sys_, eps=1e-4)
-    assert run.probe is None
+def test_a_run_without_a_probe_records_no_probe_columns():
+    run = evolve(disk_system(8), eps=1e-4)
     assert run.probes.shape == (len(run.times), 0)
     assert run.probe_dev_max == (0.0, 0.0)
-    ext = evolve(sys_, eps=1e-5, resume=run)
-    assert ext.probes.shape == (len(ext.times), 0)
-    with pytest.raises(ValueError, match="resumed run keeps its own probe"):
-        evolve(sys_, eps=1e-5, probe=CircleSampler(sys_.mesh, 0.75), resume=run)
 
 
 def test_probe_traces_stay_radial_on_radial_data():
     sys_ = disk_system(12, sigma=2.0)
-    run = evolve(sys_, eps=1e-6, probe=CircleSampler(sys_.mesh, 0.75))
+    run = evolve(sys_, eps=1e-6, probe=CircleSampler(sys_, 0.75))
     assert run.probe_dev_max[0] < 1e-10
     assert run.probe_dev_max[1] < 1e-9
     # means decay with the state

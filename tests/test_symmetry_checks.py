@@ -262,8 +262,8 @@ def test_probe_deviation_radial_and_perturbed():
     sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
     prof = solve_radial([0.0, 0.5, 1.0], [2.0, 1.0], [1.0])
     u = prof(np.linalg.norm(mesh.vertices, axis=1))
-    s = CircleSampler(mesh, 0.75)
-    ps = probe_deviation(s, u, sys_.sigma_e)
+    s = CircleSampler(sys_, 0.75)
+    ps = probe_deviation(s, u)
     assert ps.dev_u < 1e-12
     assert ps.dev_flux < 1e-10
     assert not ps.u_absolute and not ps.flux_absolute
@@ -272,8 +272,8 @@ def test_probe_deviation_radial_and_perturbed():
     # up as a deviation of about eps * r / mean
     eps = 1e-3
     u2 = u + eps * mesh.vertices[:, 0]
-    ps2 = probe_deviation(s, u2, sys_.sigma_e)
-    vals = s.values(u2)
+    ps2 = probe_deviation(s, u2)
+    vals = (s.matrix @ u2[sys_.free])[: s.count]
     expect = np.max(np.abs(vals - vals.mean())) / abs(vals.mean())
     assert ps2.dev_u == expect
     assert ps2.dev_u > 5 * ps.dev_u
@@ -282,7 +282,7 @@ def test_probe_deviation_radial_and_perturbed():
 def test_probe_deviation_zero_mean_guard():
     cfg = PhaseConfig(domain=DomainSpec("ball"))
     mesh = generate_mesh(cfg, 8)
-    s = CircleSampler(mesh, 0.75)
+    s = CircleSampler(assemble_system(mesh, [1.0], 1.0), 0.75)
     u = mesh.vertices[:, 0].copy()  # odd field: zero angular mean on any circle
     ps = probe_deviation(s, u)
     assert ps.u_absolute

@@ -485,6 +485,49 @@ def test_a_longer_run_repeats_the_shorter_run_bitwise(center):
         assert long.probe_dev_max[1] > 0.0  # the displaced core shows on the probe
 
 
+def test_resume_preserves_probe_history():
+    # a heat flow carried on to a smaller eps is a fresh run: its first probe
+    # rows are the shorter run's history
+    sys_ = disk_system(8)
+    first = evolve(sys_, eps=1e-4, probe=CircleSampler(sys_, 0.75))
+    ext = evolve(sys_, eps=1e-6, probe=CircleSampler(sys_, 0.75))
+    old = len(first.times)
+    assert ext.probes.shape == (len(ext.times), 4)
+    assert np.array_equal(ext.probes[:old, 0], first.probes[:, 0])
+    assert np.array_equal(ext.probes[:old, 3], first.probes[:, 3])
+
+
+def test_resume_on_an_invariant_layout_matches_an_uninterrupted_run():
+    # carrying a stopped run's nodal u and V back into angular-Fourier
+    # coefficients and stepping on along the schedule reaches the run to the
+    # smaller eps within round-off
+    sys_ = disk_system(8, sigma=2.0)
+    free = sys_.free
+    full = evolve(sys_, eps=1e-6)
+    first = evolve(sys_, eps=1e-4)
+    assert full.step_solver == first.step_solver == "angular Fourier"
+    basis = parabolic._FourierSteps(sys_, None)
+    u = basis.state(first.u_final[free])
+    V = basis.state(first.v_field[free])
+    Mu = basis.mass(u)
+    times, norms = list(first.times), list(first.mass_norms)
+    k = first.steps
+    while norms[-1] > 1e-6:
+        dt = _step_size(k)
+        u_new = basis.factor(dt)(Mu)
+        V += dt * (u + u_new) / 2.0
+        u = u_new
+        k += 1
+        times.append(times[-1] + dt)
+        Mu = basis.mass(u)
+        norms.append(basis.norm(u, Mu))
+    assert first.steps < k == full.steps
+    assert np.array_equal(np.array(times), full.times)
+    assert rel(basis.nodal(u), full.u_final[free]) <= 1e-13
+    assert rel(basis.nodal(V), full.v_field[free]) <= 1e-14
+    np.testing.assert_allclose(norms, full.mass_norms, rtol=1e-13, atol=0.0)
+
+
 def test_a_run_without_a_probe_records_no_probe_columns():
     run = evolve(disk_system(8), eps=1e-4)
     assert run.probes.shape == (len(run.times), 0)

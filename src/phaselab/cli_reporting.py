@@ -631,7 +631,7 @@ def _summary_text(res: ScenarioResult) -> str:
             f"smallest eigenvalue: {res.eigen.value!r} ({res.eigen.iterations} iterations)",
             f"heat flow: {res.run.steps} steps to t={res.run.final_time!r}, "
             f"{res.run.factorizations} factorization(s) ({res.run.step_solver}), "
-            f"{res.run.cg_iterations} CG iteration(s)",
+            f"{res.run.krylov_dim} Lanczos vectors (error estimate {res.run.krylov_estimate:.1e})",
             f"decay certificate: max ratio {res.decay.max_ratio:.6f} "
             f"(slack {res.decay.slack}), tail slope ratio {res.decay.slope_ratio:.4f}, "
             f"ok={_fmt(res.decay.ok)}, monotone={_fmt(res.monotone)}",

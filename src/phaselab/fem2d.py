@@ -27,12 +27,13 @@ exact solve with the stiffness whose conductivity is averaged over each
 rotation orbit: an FFT in angle and one LAPACK solve over every mode's
 tridiagonal radial system, so the iteration count does not grow with n and
 a concentric layout converges in one step.  The same angular-Fourier
-coefficients (`_AngularModes`) carry the heat flow's state on layouts whose
-sigma is constant on every rotation orbit.  Boundary fluxes are recovered
-variationally from the residual of the full (uneliminated) operator, which
-makes the discrete divergence identity hold to solver precision.  Inner
-products and norms of mesh-sized vectors are summed by numpy's own loop
-(`_dot`), never by BLAS, so no result depends on the BLAS thread count.
+coefficients (`_AngularModes`) solve the heat flow's cap step exactly on
+layouts whose sigma is constant on every rotation orbit.  Boundary fluxes
+are recovered variationally from the residual of the full (uneliminated)
+operator, which makes the discrete divergence identity hold to solver
+precision.  Inner products and norms of mesh-sized vectors are summed by
+numpy's own loop (`_dot`), never by BLAS, so no result depends on the BLAS
+thread count.
 
 Point location is closed-form on the generated layout: sector, band, one
 side test.  Values on a circle at the vertex angles need no location: they
@@ -454,6 +455,8 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
     ``source`` may be a scalar, a per-vertex array, or a callable on (nv, 2)
     coordinates; the load uses the vertex quadrature rule (area/3 per corner).
+    A source that is not finite, zero at every interior vertex, or too small
+    for its load to be represented raises ``ValueError``.
     """
     _require_polar(mesh)
     table = np.asarray(sigma_by_tag, float)
@@ -490,6 +493,8 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     bn = mesh.boundary_vertices()
     keep = np.ones(nv, dtype=bool)
     keep[bn] = False
+    if not gv[keep].any():  # u = 0 and no heat: no detector could see an asymmetry
+        raise ValueError("the source is zero at every interior vertex; there is nothing to observe")
     return FemSystem(
         mesh=mesh,
         stiffness=K,
@@ -521,8 +526,7 @@ class _AngularModes:
     one tridiagonal chain with zero couplings between them, and one LAPACK
     ``zpttrf`` or ``zpttrs`` call factors or solves them all.  A ball's
     centre couples only to mode 0 of ring 1, so it heads mode 0's stretch,
-    scaled by sqrt(m) to keep the chain Hermitian.  ``weights`` give the
-    mass-norm by Parseval: ``x^T M y`` is ``Re(sum(weights * conj(X) * MY))``.
+    scaled by sqrt(m) to keep the chain Hermitian.
     """
 
     def __init__(self, mesh: Mesh):
@@ -541,9 +545,6 @@ class _AngularModes:
         # the phases are kept as interleaved real and imaginary parts, so a real sum forms it
         phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(self.modes)) / m)
         self._phase = phase.view(float)
-        w = np.full((self.modes, self.rings), 2.0 / m)
-        w[[0, -1]] = 1.0 / m  # modes 0 and m/2 appear once in the full spectrum
-        self.weights = np.concatenate([np.full(fan, 1.0 / m), w.reshape(-1)])
 
     def symbol(self, blocks: np.ndarray):
         """The chain ``(diagonal, subdiagonal)`` of the operator that sums every
@@ -588,17 +589,12 @@ class _AngularModes:
         return X
 
     def inverse(self, X: np.ndarray) -> np.ndarray:
-        """Nodal values of coefficients ``X``, shape (..., fan + modes * rings).
-
-        The last axis holds the centre, if any, then mode-major coefficients
-        of every free ring or of a subset of rings, innermost first; the
-        nodal values follow in the same order, a ring at a time.
-        """
-        fan, lead = self.fan, X.shape[:-1]
-        Y = X[..., fan:].reshape(*lead, self.modes, -1).swapaxes(-1, -2)  # (..., ring, mode)
-        v = np.empty(lead + (fan + Y.shape[-2] * self.m,))
-        v[..., :fan] = X[..., :fan].real / self.root_m
-        np.fft.irfft(Y, n=self.m, axis=-1, out=v[..., fan:].reshape(*Y.shape[:-1], self.m))
+        """The free nodal vector of coefficients ``X``."""
+        fan = self.fan
+        v = np.empty(fan + self.rings * self.m)
+        v[:fan] = X[:fan].real / self.root_m
+        Y = X[fan:].reshape(self.modes, self.rings).T  # (ring, mode)
+        np.fft.irfft(Y, n=self.m, axis=1, out=v[fan:].reshape(self.rings, self.m))
         return v
 
 
@@ -614,19 +610,21 @@ def _sector_blocks(system: FemSystem) -> tuple[np.ndarray, np.ndarray]:
     return _element_mass(area), _element_stiffness(b, c, area, sigma_bar)
 
 
-def _orbit_mean_solver(system: FemSystem):
-    """Exact solve by K̄, the free stiffness with sigma averaged over each rotation orbit.
+def _orbit_mean_solver(system: FemSystem, dt: float | None = None):
+    """Exact solve by K̄, the free stiffness with sigma averaged over each rotation orbit,
+    or by ``Mff + dt*K̄`` with ``dt``.
 
     K̄ sums rotated copies of sector 0's elements, so it is block-circulant
     in angle and solves mode by mode in `_AngularModes`' coefficients, with
-    one LAPACK call over every mode's radial tridiagonal.  K and K̄ sum the
-    same element matrices with weights sigma and its orbit mean, so the
-    preconditioned condition number is at most (max sigma / min sigma)^2 at
-    any n; on a rotation-invariant layout K̄ is K, the solve is exact and CG
-    stops after one iteration.
+    one LAPACK call over every mode's radial tridiagonal; so does M.  K and
+    K̄ sum the same element matrices with weights sigma and its orbit mean,
+    so the preconditioned condition number is at most (max sigma / min
+    sigma)^2 at any n; on a rotation-invariant layout K̄ is K, the solve is
+    exact and CG stops after one iteration.
     """
     modes = _AngularModes(system.mesh)
-    solve = modes.factor(*modes.symbol(_sector_blocks(system)[1]))
+    mass, stiffness = _sector_blocks(system)
+    solve = modes.factor(*modes.symbol(stiffness if dt is None else mass + dt * stiffness))
     return lambda r: modes.inverse(solve(modes.forward(r)))
 
 

@@ -4,29 +4,31 @@ The evolution is backward Euler for ``M du/dt + K u = 0`` on the
 Dirichlet-eliminated block, started from the nodal source values so that the
 running time integral converges to the elliptic equilibrium.  Step sizes
 follow one fixed schedule: a uniform warm-up resolving the initial transient,
-then geometric growth up to a cap.  A run to a smaller stopping norm
-therefore repeats a shorter run's steps bit for bit, then goes on.
+then geometric growth up to a cap ``DT_MAX``.
 
-One time-stepping loop serves two bases for the state.  On a
-rotation-invariant layout (sigma constant on every rotation orbit of the
-polar mesh) M and K are block-circulant in angle, so the run keeps its state
-as angular-Fourier ring coefficients (``fem2d._AngularModes``) from start to
-finish: a step is one tridiagonal mass product per mode and one LAPACK
-solve over every mode's radial tridiagonal, the mass norm comes by
-Parseval, and the probe reads only the rings its triangles touch.  Every
-step size is factored exactly, in microseconds, and the state goes back to
-nodal values once, at the end.  On any other layout the state is the free
-nodal vector, and only the two sizes that repeat are factored, by SuperLU:
-``M + DT0*K`` for the warm-up and ``M + DT_MAX*K`` for the cap.  Each growth
-size serves one step, which is solved by conjugate gradient preconditioned
-with the cap factor; the preconditioned spectrum lies in ``[dt/DT_MAX, 1]``,
-so a handful of iterations reach round-off.  The schedule never shrinks a
-step, so one factor is alive at a time: the warm-up factor is dropped before
-the cap factor is built.  Both step matrices and ``K`` are symmetric
-positive definite, so SuperLU runs in symmetric mode, without pivoting,
-under a minimum-degree ordering of ``A + A^T``, which stores about half the
-fill of its default column ordering.  Both bases read the probe through the
-columns of ``CircleSampler.matrix`` that their state holds.
+Every step is a rational function of the cap step
+``B = (Mff + DT_MAX*Kff)^-1 Mff``, which is self-adjoint in the mass inner
+product: a step of size dt is ``DT_MAX*B ((DT_MAX - dt)*B + dt)^-1``.  So
+the cap matrix is factored once, and Lanczos from the source, in the mass
+inner product with full reorthogonalisation, gives a basis Q and the
+tridiagonal ``T = Z diag(theta) Z^T`` (Saad, SIAM J. Numer. Anal. 29, 1992;
+Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997).  Every recorded state
+is Q Z times its Ritz coordinates, the start's times the step functions at
+theta: the mass norm is their 2-norm, the probe samples are ``P Q Z`` times
+them, the trapezoidal time integral sums them, and only the final state and
+the integral go back to nodal values.  The basis grows until Saad's error
+estimate is below ``KRYLOV_TOL`` at every step of the schedule, whatever the
+stopping norm, so a run to a smaller stopping norm repeats a shorter run's
+record bit for bit, then goes on.
+
+The cap matrix is symmetric positive definite, so SuperLU factors it in
+symmetric mode, without pivoting, under a minimum-degree ordering of
+``A + A^T``, which stores about half the fill of its default column
+ordering.  On a rotation-invariant layout (sigma constant on every rotation
+orbit of the polar mesh) it is block-circulant in angle instead, and solved
+exactly by FFT in angle and one LAPACK call over every mode's radial
+tridiagonal.  Every reduction is summed by numpy's own loops, so no result
+depends on the BLAS thread count.
 
 The smallest generalized eigenvalue of (K, M) certifies the decay of the
 mass norm, at backward Euler's own rate of ``1 / (1 + lam * dt)`` per step,
@@ -35,23 +37,16 @@ and bounds the tail of the time integral after truncation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
-from .fem2d import (
-    CircleSampler,
-    FemSystem,
-    _AngularModes,
-    _dot,
-    _orbit_mean_solver,
-    _pcg,
-    _sector_blocks,
-)
+from .fem2d import CircleSampler, FemSystem, _dot, _orbit_mean_solver
 from .symmetry_checks import _probe_table
 
 __all__ = [
@@ -84,27 +79,29 @@ MAX_STEPS = 200_000
 # the first growth level whose step reaches DT_MAX; the exponent stops there
 CAP_LEVEL = math.ceil(math.log(DT_MAX / DT0, GROWTH))
 
-# A growth step's CG stops at this residual relative to its right-hand side;
-# the preconditioned condition number is at most DT_MAX/DT0 = 4, so CG_MAXIT
-# is far beyond the 3-14 iterations a step takes.
-CG_TOL = 1e-12
-CG_MAXIT = 100
+# The Krylov basis grows KRYLOV_BLOCK vectors at a time until the estimated
+# relative error of every step's state is at most KRYLOV_TOL; a basis that
+# would need more than KRYLOV_MAX vectors is an error.
+KRYLOV_BLOCK = 8
+KRYLOV_TOL = 1e-14
+KRYLOV_MAX = 400
+_NEGLIGIBLE = 60 * math.log(2.0)  # log of a Ritz weight ratio that no longer moves the estimate
+_ESTIMATE_CHUNK = 128  # steps of the schedule the estimate evaluates at once
 
-# A step stores only what the probe reads; the rows of PROBE_BLOCK steps are
-# reduced together, by one sparse product and vectorised means and maxima.
+# The states of PROBE_BLOCK consecutive recorded times are evaluated
+# together, their probe rows by one product and vectorised means and maxima.
 PROBE_BLOCK = 64
 
 
 def _factor(system: FemSystem, dt: float | None = None):
     """The solve by ``Mff + dt*Kff``, or by ``Kff`` without ``dt``.
 
-    SuperLU factors it, except ``Kff`` on a rotation-invariant layout, where
-    the orbit-mean stiffness is ``Kff`` itself and the FFT-in-angle solve is
-    exact.  Heat-flow steps on such a layout never come here: they are taken
-    in angular-Fourier coefficients.
+    SuperLU factors it, except on a rotation-invariant layout, where the
+    orbit-mean stiffness is ``Kff`` itself and the FFT-in-angle solve is
+    exact.
     """
-    if dt is None and system.rotation_invariant:
-        return _orbit_mean_solver(system)
+    if system.rotation_invariant:
+        return _orbit_mean_solver(system, dt)
     A = system.Kff if dt is None else system.Mff + dt * system.Kff
     return spla.splu(A, **_SPD_LU).solve
 
@@ -118,9 +115,10 @@ class EigenResult:
 def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) -> EigenResult:
     """Smallest eigenvalue of K x = lambda M x on the free block.
 
-    Inverse power iteration with one solve by K from `_factor`, M-normalized
-    iterates, the all-ones start vector, and a relative Rayleigh-quotient
-    stopping test.  Everything is deterministic.
+    Inverse power iteration with one solve by K from `_factor` and one mass
+    product per iteration, M-normalized iterates, the all-ones start vector,
+    and a relative Rayleigh-quotient stopping test.  Everything is
+    deterministic.
     """
     Kff, Mff = system.Kff, system.Mff
     solve = _factor(system)
@@ -128,8 +126,10 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
     lam_old = 0.0
     for it in range(1, maxit + 1):
         y = solve(My)
-        y /= math.sqrt(_dot(y, Mff @ y))
         My = Mff @ y
+        norm = math.sqrt(_dot(y, My))
+        y /= norm
+        My /= norm
         lam = _dot(y, Kff @ y) / _dot(y, My)
         if abs(lam - lam_old) <= tol * lam:
             return EigenResult(value=lam, iterations=it)
@@ -147,7 +147,9 @@ class Evolution:
     the mean u, deviation of u, mean flux and deviation of the flux on the
     probe circle, in that order; deviations follow the sup-norm convention
     of :func:`phaselab.symmetry_checks.probe_deviation`.  A run without a
-    probe has no probe columns.
+    probe has no probe columns.  Every state is read from ``krylov_dim``
+    Lanczos vectors, with an estimated relative error of at most
+    ``krylov_estimate``.
     """
 
     times: np.ndarray
@@ -156,9 +158,10 @@ class Evolution:
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
-    factorizations: int  # step matrices factored
-    cg_iterations: int  # CG iterations over the growth steps; none in angular-Fourier steps
-    step_solver: str  # the step basis: "angular Fourier" if rotation-invariant, else "SuperLU"
+    factorizations: int  # matrices factored: the cap step's
+    krylov_dim: int
+    krylov_estimate: float
+    step_solver: str  # the cap solve: "angular Fourier" if rotation-invariant, else "SuperLU"
 
     @property
     def initial_norm(self) -> float:
@@ -187,93 +190,90 @@ def _step_size(k: int) -> float:
     return min(DT0 * GROWTH ** min(k - WARMUP_STEPS + 1, CAP_LEVEL), DT_MAX)
 
 
-# The two bases of the heat-flow state.  Each maps free nodal values to its
-# state and back, applies the mass matrix, takes the mass norm, factors a step
-# size, reads the part of a state the probe samples and turns a block of reads
-# into probe rows; `evolve` runs the schedule.
+def _step_sizes(k: np.ndarray) -> np.ndarray:
+    """`_step_size` of every step in ``k``, bit for bit (DT_MAX from the cap level on)."""
+    sizes = np.array([_step_size(j) for j in range(WARMUP_STEPS + CAP_LEVEL)])
+    return sizes[np.minimum(k, len(sizes) - 1)]
 
 
-class _NodalSteps:
-    """Free nodal state: SuperLU factors of the warm-up and cap sizes, CG for the growth sizes.
+def _step_factors(theta: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Factors ``1 / (1 + dt*lam)``, shape (len(dt), len(theta)), of steps of sizes ``dt``
+    on B's eigenvalues ``theta = 1 / (1 + DT_MAX*lam)``."""
+    dt = dt[:, None]
+    return DT_MAX * theta / ((DT_MAX - dt) * theta + dt)
 
-    The probe reads the free values its triangles' corners hold.
+
+def _lanczos(system: FemSystem, u0: np.ndarray, beta0: float, solve):
+    """Mass-orthonormal Lanczos basis of B from ``u0``, its tridiagonal's eigenpairs, the estimate.
+
+    Each new vector is orthogonalised twice against the whole basis, and the
+    diagonal takes both passes' coefficients.  The basis, kept as blocks of
+    `KRYLOV_BLOCK` rows, grows a block at a time until `_error_estimate` is
+    at most `KRYLOV_TOL`, or stops at a zero vector: its space is invariant.
     """
+    Mff = system.Mff
+    blocks, alpha, beta = [], [], []
+    q = u0 / beta0
+    while True:
+        block = np.empty((KRYLOV_BLOCK, len(u0)))
+        blocks.append(block)
+        for i in range(KRYLOV_BLOCK):
+            block[i] = q
+            basis = blocks[:-1] + [block[: i + 1]]
+            w = solve(Mff @ q)
+            a = 0.0
+            for _ in range(2):
+                Mw = Mff @ w
+                for b in basis:
+                    h = np.einsum("ij,j->i", b, Mw)
+                    w -= np.einsum("ij,i->j", b, h)
+                a += h[-1]  # the coefficient on q, the last row of the last block
+            alpha.append(a)
+            norm = math.sqrt(_dot(w, Mff @ w))
+            beta.append(norm)
+            if norm == 0.0:
+                blocks[-1] = block[: i + 1]
+                break
+            q = w / norm
+        theta, Z = eigh_tridiagonal(np.array(alpha), np.array(beta[:-1]))
+        estimate = _error_estimate(theta, Z, beta[-1])
+        if estimate <= KRYLOV_TOL or beta[-1] == 0.0:
+            return blocks, theta, Z, estimate
+        if len(alpha) >= KRYLOV_MAX:
+            raise RuntimeError(
+                f"the heat flow needs more than {KRYLOV_MAX} Lanczos vectors "
+                f"(error estimate {estimate:.3e})"
+            )
 
-    label = "SuperLU"
-    every_size = False
 
-    def __init__(self, system: FemSystem, probe: CircleSampler | None):
-        self.system = system
-        self.P, self.support = None, np.empty(0, int)
-        if probe is not None:
-            self.support = np.unique(probe.matrix.indices)
-            self.P = probe.matrix[:, self.support]
+def _error_estimate(theta: np.ndarray, Z: np.ndarray, beta: float) -> float:
+    """Largest first-term estimate of a state's relative error over the whole schedule.
 
-    def state(self, u_free: np.ndarray) -> np.ndarray:
-        return u_free
-
-    nodal = state
-
-    def mass(self, u: np.ndarray) -> np.ndarray:
-        return self.system.Mff @ u
-
-    def norm(self, u: np.ndarray, Mu: np.ndarray) -> float:
-        return math.sqrt(_dot(u, Mu))
-
-    def factor(self, size: float):
-        return _factor(self.system, size)
-
-    def probe_rows(self, reads: np.ndarray) -> np.ndarray:
-        return _probe_rows(self.P, reads)
-
-
-class _FourierSteps:
-    """Angular-Fourier state on a rotation-invariant layout: every step size factored exactly.
-
-    The probe reads the coefficients of the rings its triangles touch (and a
-    ball's centre), and its matrix keeps only those rings' columns, so a
-    probe row needs the inverse FFT of those rings alone.
+    After k steps it is ``beta * |e_r^T f_k(T) e_1| / ||f_k(T) e_1||``, with
+    f_k the product of the first k step functions and beta the next
+    off-diagonal entry (Saad, 1992), evaluated in log space from Z's first and
+    last rows until every Ritz weight trails the one of the largest theta by
+    `_NEGLIGIBLE`; from there on it is its limit ``beta * |Z[-1, top]|``.
     """
-
-    label = "angular Fourier"
-    every_size = True
-
-    def __init__(self, system: FemSystem, probe: CircleSampler | None):
-        modes = self.modes = _AngularModes(system.mesh)
-        self.blocks = _sector_blocks(system)
-        self.d_mass, self.e_mass = modes.symbol(self.blocks[0])
-        self.e_mass_conj = self.e_mass.conj()
-        self.P, self.support = None, np.empty(0, int)
-        if probe is not None:
-            m, fan, centre = modes.m, modes.fan, np.arange(modes.fan)
-            cols = probe.matrix.indices
-            rows = np.unique((cols[cols >= fan] - fan) // m)
-            ring_cols = fan + rows[:, None] * m + np.arange(m)
-            self.P = probe.matrix[:, np.concatenate([centre, ring_cols.ravel()])]
-            coeffs = fan + np.arange(modes.modes)[:, None] * modes.rings + rows  # mode-major
-            self.support = np.concatenate([centre, coeffs.ravel()])
-
-    def state(self, u_free: np.ndarray) -> np.ndarray:
-        return self.modes.forward(u_free)
-
-    def nodal(self, X: np.ndarray) -> np.ndarray:
-        return self.modes.inverse(X)
-
-    def mass(self, X: np.ndarray) -> np.ndarray:
-        MX = self.d_mass * X
-        MX[1:] += self.e_mass * X[:-1]
-        MX[:-1] += self.e_mass_conj * X[1:]
-        return MX
-
-    def norm(self, X: np.ndarray, MX: np.ndarray) -> float:
-        return float(np.sqrt(np.vdot(X, self.modes.weights * MX).real))
-
-    def factor(self, size: float):
-        mass, stiffness = self.blocks
-        return self.modes.factor(*self.modes.symbol(mass + size * stiffness))
-
-    def probe_rows(self, reads: np.ndarray) -> np.ndarray:
-        return _probe_rows(self.P, reads if self.P is None else self.modes.inverse(reads))
+    top = int(np.argmax(theta))
+    others = np.arange(len(theta)) != top
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.abs(Z[0]))  # the weights of the start: f_0 = 1
+    coupling = np.sign(Z[0]) * Z[-1]
+    worst = beta * abs(Z[-1, top])
+    for k in range(0, MAX_STEPS + 1, _ESTIMATE_CHUNK):
+        steps = np.arange(k, k + _ESTIMATE_CHUNK)
+        L = log_w + np.cumsum(np.log(_step_factors(theta, _step_sizes(steps))), axis=0)
+        w = np.exp(L - L.max(axis=1, keepdims=True))
+        estimate = beta * np.abs(np.einsum("kr,r->k", w, coupling)) / np.sqrt(
+            np.einsum("kr,kr->k", w, w)
+        )
+        settled = (L[:, others] <= L[:, top, None] - _NEGLIGIBLE).all(axis=1)
+        if settled.any():
+            return max(worst, float(estimate[: settled.argmax() + 1].max()))
+        worst = max(worst, float(estimate.max()))
+        log_w = L[-1]
+    return worst
 
 
 def evolve(
@@ -281,81 +281,81 @@ def evolve(
 ) -> Evolution:
     """Run backward Euler from the nodal source values until the mass norm falls below ``eps``.
 
-    ``probe``, if given, is sampled at every recorded time, through the
-    columns of ``probe.matrix`` that the state's basis reads; its rows are
-    reduced a block of ``PROBE_BLOCK`` steps at a time.  The schedule is
-    fixed, so a run to a smaller ``eps`` takes the same steps as a shorter
-    run, then goes on.
+    The states are read from the Lanczos basis of the cap step (see the
+    module docstring), `PROBE_BLOCK` recorded times at a time, and ``probe``,
+    if given, is sampled at each through ``probe.matrix``.  Neither the
+    schedule nor the basis depends on ``eps``, so a run to a smaller ``eps``
+    records a shorter run's times, norms and probe rows, then goes on.
     """
     free = system.free
-    basis = (_FourierSteps if system.rotation_invariant else _NodalSteps)(system, probe)
-    u = basis.state(system.g_vertex[free])
-    V = np.zeros_like(u)
-    Mu = basis.mass(u)  # carried from step to step: the mass norm and the next rhs
-    t = 0.0
-    k = nfact = cg_its = 0
-    times, norms, rows = [0.0], [basis.norm(u, Mu)], []
-    reads = [u[basis.support]]  # what the probe reads of each step since its last block of rows
+    u0 = system.g_vertex[free]
+    beta0 = math.sqrt(_dot(u0, system.Mff @ u0))
+    if not 0.0 < beta0 < math.inf:
+        raise ValueError("the initial heat must have a positive, finite mass norm")
+    blocks, theta, Z, estimate = _lanczos(system, u0, beta0, _factor(system, DT_MAX))
+    PZ = None  # the probe's samples of the Ritz vectors
+    if probe is not None:
+        PQ = np.hstack([probe.matrix @ b.T for b in blocks])
+        PZ = np.einsum("sr,rt->st", PQ, Z)
 
-    factor = None  # (factored size, its solve)
-    while norms[-1] > eps:
-        dt = _step_size(k)
-        # a nodal growth step is preconditioned by the cap
-        size = dt if basis.every_size or dt == DT0 else DT_MAX
-        if factor is None or factor[0] != size:
-            factor = None  # free it before the next is built: dt never shrinks
-            factor = (size, basis.factor(size))
-            nfact += 1
-        if dt == size:
-            u_new = factor[1](Mu)
-        else:
-            # the step matrix is exactly symmetric: its transpose is the same matrix in CSR
-            u_new, its = _pcg((system.Mff + dt * system.Kff).T, Mu, CG_TOL, CG_MAXIT, factor[1])
-            cg_its += its
-        V += dt * (u + u_new) / 2.0
-        u = u_new
-        t += dt
-        k += 1
-        times.append(t)
-        Mu = basis.mass(u)
-        norms.append(basis.norm(u, Mu))
-        reads.append(u[basis.support])
-        if len(reads) == PROBE_BLOCK:
-            rows.append(basis.probe_rows(np.array(reads)))
-            reads.clear()
-        if k > MAX_STEPS:
+    c = beta0 * Z[0]  # Ritz coordinates of the state before each block's first
+    V = np.zeros_like(c)
+    t, times, norms, rows = 0.0, [], [], []
+    for lo in itertools.count(0, PROBE_BLOCK):
+        k = np.arange(lo, lo + PROBE_BLOCK)  # the recorded times of this block
+        dt = _step_sizes(np.maximum(k - 1, 0))  # the step into each
+        if lo == 0:
+            dt[0] = 0.0  # the start, whose factor is exactly 1
+        C = c * np.cumprod(_step_factors(theta, dt), axis=0)
+        block_norms = np.sqrt(np.einsum("kr,kr->k", C, C))
+        below = block_norms <= eps
+        n = int(below.argmax()) + 1 if below.any() else PROBE_BLOCK
+        if lo + n - 1 > MAX_STEPS:
             raise RuntimeError("heat flow did not reach the stopping norm")
+        trapezoid = (np.concatenate([c[None], C[: n - 1]]) + C[:n]) / 2.0
+        V += np.einsum("k,kr->r", dt[:n], trapezoid)
+        times.append(np.cumsum(np.concatenate([[t], dt[:n]]))[1:])  # adds one step at a time
+        t = times[-1][-1]
+        norms.append(block_norms[:n])
+        rows.append(_probe_rows(PZ, C)[:n])
+        c = C[n - 1]
+        if below.any():
+            break
 
-    if reads:
-        rows.append(basis.probe_rows(np.array(reads)))
-    u_full = np.zeros(system.mesh.nv)
-    u_full[free] = basis.nodal(u)
-    v_full = np.zeros(system.mesh.nv)
-    v_full[free] = basis.nodal(V)
+    def nodal(coords):
+        y = np.einsum("rt,t->r", Z, coords)
+        out = np.zeros(system.mesh.nv)
+        starts = range(0, len(y), KRYLOV_BLOCK)
+        out[free] = sum(np.einsum("ij,i->j", b, y[j : j + len(b)]) for j, b in zip(starts, blocks))
+        return out
+
+    times = np.concatenate(times)
     return Evolution(
-        times=np.array(times),
-        mass_norms=np.array(norms),
+        times=times,
+        mass_norms=np.concatenate(norms),
         probes=np.concatenate(rows),
-        v_field=v_full,
-        u_final=u_full,
-        steps=k,
-        factorizations=nfact,
-        cg_iterations=cg_its,
-        step_solver=basis.label,
+        v_field=nodal(V),
+        u_final=nodal(c),
+        steps=len(times) - 1,
+        factorizations=1,
+        krylov_dim=len(theta),
+        krylov_estimate=estimate,
+        step_solver="angular Fourier" if system.rotation_invariant else "SuperLU",
     )
 
 
-def _probe_rows(P: sp.csr_matrix | None, nodal: np.ndarray) -> np.ndarray:
+def _probe_rows(PZ: np.ndarray | None, C: np.ndarray) -> np.ndarray:
     """Probe rows of a block of states: mean u, deviation of u, mean flux, deviation of the flux.
 
-    ``nodal`` holds one state per row, its values at ``P``'s columns; without
-    a probe the rows are empty.  The samples are made C-contiguous, so each
-    row's means take the same pairwise sums as a single state's would.
+    ``C`` holds one state per row in the coordinates that ``PZ`` maps to the
+    probe's samples; without a probe the rows are empty.  The samples come
+    out C-contiguous, so each row's means take the same pairwise sums as a
+    single state's would.
     """
-    if P is None:
-        return np.empty((len(nodal), 0))
-    samples = np.ascontiguousarray((P @ nodal.T).T)
-    count = P.shape[0] // 2
+    if PZ is None:
+        return np.empty((len(C), 0))
+    samples = np.einsum("kr,sr->ks", C, PZ)
+    count = len(PZ) // 2
     return _probe_table(samples[:, :count], samples[:, count:])
 
 

@@ -192,24 +192,21 @@ def test_run_scenario_parabolic_adds_timeseries(tmp_path):
     assert empty_diagnostics_cells(tmp_path / "out") == []
 
 
-def test_heat_flow_summary_counts_factors_and_cg_iterations(tmp_path, capsys):
-    # a displaced layout factors the warm-up and the cap and takes its growth
-    # steps by CG; a concentric one steps in angular-Fourier coefficients,
-    # factoring each of its 30 step sizes exactly, with no CG
+def test_heat_flow_summary_counts_factors_and_lanczos_vectors(tmp_path, capsys):
+    # both layouts factor the cap step once, by SuperLU or, on a concentric
+    # layout, exactly by FFT in angle, and read every step from its Krylov basis
     cases = (("two_phase_displaced", "SuperLU"), ("two_phase_concentric", "angular Fourier"))
-    for name, basis in cases:
+    for name, solver in cases:
         out = tmp_path / name
         run = run_scenario(build_preset(name, n=8, pipeline="both"), out_dir=out).run
         assert capsys.readouterr().out == ""  # the counts go to summary.txt, never to stdout
-        assert run.step_solver == basis
-        if basis == "SuperLU":
-            assert run.factorizations == 2
-            assert run.cg_iterations >= 28  # at least one per growth step
-        else:
-            assert (run.factorizations, run.cg_iterations) == (30, 0)
+        assert run.step_solver == solver
+        assert run.factorizations == 1
+        assert run.krylov_dim % 8 == 0 and run.krylov_estimate <= 1e-14
         line = (
             f"heat flow: {run.steps} steps to t={run.final_time!r}, "
-            f"{run.factorizations} factorization(s) ({basis}), {run.cg_iterations} CG iteration(s)"
+            f"1 factorization(s) ({solver}), {run.krylov_dim} Lanczos vectors "
+            f"(error estimate {run.krylov_estimate:.1e})"
         )
         assert line in (out / "summary.txt").read_text().splitlines()
 
@@ -768,6 +765,15 @@ def test_main_run_rejects_overflowing_source_with_exit_2(tmp_path, capsys):
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2, source
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["elliptic", "both"])
+def test_main_run_rejects_a_zero_source_with_exit_2(tmp_path, capsys, pipeline):
+    # u = 0 and no heat: every detector would read symmetric without seeing anything
+    cfg = write_config(tmp_path / "zero.json", source=[0.0], pipeline=pipeline)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error: the source is zero at every interior vertex" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_run_rejects_underflowing_source_with_exit_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from phaselab import parabolic
@@ -19,6 +21,7 @@ from phaselab.fem2d import (
 from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
 from phaselab.parabolic import (
     _step_size,
+    _step_sizes,
     decay_certificate,
     evolve,
     monotone_decay,
@@ -26,7 +29,7 @@ from phaselab.parabolic import (
     tail_bound,
     v_error_vs_elliptic,
 )
-from phaselab.symmetry_checks import _probe_stats, probe_deviation
+from phaselab.symmetry_checks import _probe_stats, _probe_table, probe_deviation
 
 from oracles import DISK_LAMBDA_EXACT, fd_annulus_eigenvalue
 
@@ -87,10 +90,12 @@ def test_step_schedule_uniform_then_geometric_then_capped():
         expect = min(5e-4 * 1.05 ** (k - 19), 2e-3)
         assert abs(dts[k] - expect) < 1e-15
     assert abs(dts[-1] - 2e-3) < 1e-15
-    # this rotation-invariant layout factors each distinct step size once:
-    # the warm-up, the 28 growth sizes and the cap, with no CG
+    # every step, of every size, is read from one Krylov basis of the cap step,
+    # which this rotation-invariant layout solves by FFT in angle
     assert run.step_solver == "angular Fourier"
-    assert (run.factorizations, run.cg_iterations) == (30, 0)
+    assert run.factorizations == 1
+    assert run.krylov_dim % parabolic.KRYLOV_BLOCK == 0
+    assert 0.0 <= run.krylov_estimate <= parabolic.KRYLOV_TOL
     assert run.mass_norms[-1] <= 1e-6 < run.mass_norms[-2]
 
 
@@ -99,6 +104,10 @@ def test_step_size_caps_its_exponent_and_keeps_every_earlier_bit():
     assert _step_size(10**6) == 2e-3
     for k in range(20, 14_000, 7):
         assert _step_size(k) == min(5e-4 * 1.05 ** (k - 19), 2e-3), k
+    # the vectorised schedule gives the same bits
+    k = np.arange(20_000)
+    assert np.array_equal(_step_sizes(k), [_step_size(j) for j in k])
+    assert _step_sizes(np.array([10**6]))[0] == 2e-3
 
 
 @pytest.fixture
@@ -142,24 +151,21 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     full = evolve(sys_, eps=1e-6)
     assert full.step_solver == "SuperLU"
     assert live_factors.peak == 1
-    # exactly two factors: the warm-up size, then the cap that also
-    # preconditions the growth steps
-    assert full.factorizations == len(live_factors.built) == 2
-    (warm, _), (cap, _) = live_factors.built
-    assert same_matrix(warm, Mff + parabolic.DT0 * Kff)
+    # exactly one factor, the cap's: every step of every size is read from
+    # the Krylov basis it builds
+    assert full.factorizations == len(live_factors.built) == 1
+    ((cap, _),) = live_factors.built
     assert same_matrix(cap, Mff + parabolic.DT_MAX * Kff)
+    assert len({_step_size(k) for k in range(full.steps)}) == 30
 
-    # a rotation-invariant layout steps in angular-Fourier coefficients and
-    # solves the eigen-solver's Kff by FFT in angle: SuperLU never runs, no
-    # step takes CG, and each distinct step size is factored once
-    built = len(live_factors.built)
+    # a rotation-invariant layout solves the cap step and the eigen-solver's
+    # Kff by FFT in angle: SuperLU never runs
     concentric = disk_system(8, sigma=2.0)
     run = evolve(concentric, eps=1e-6)
     smallest_eigenvalue(concentric)
     assert run.step_solver == "angular Fourier"
-    assert len(live_factors.built) == built
-    assert run.cg_iterations == 0
-    assert run.factorizations == len({_step_size(k) for k in range(run.steps)}) == 30
+    assert run.factorizations == 1
+    assert len(live_factors.built) == 1
 
 
 def ring_system(kind, n=16):
@@ -179,57 +185,89 @@ def test_invariant_layout_solves_exactly_by_fft(kind, dt, live_factors):
     if dt is None:  # the eigen-solver's solve by Kff
         ref = spsolve(sys_.Kff, u)
         z = parabolic._factor(sys_)(u)
-    else:  # one heat-flow step, taken in angular-Fourier coefficients
+    else:  # one backward Euler step; the heat flow solves with dt = DT_MAX
         ref = spsolve(sys_.Mff + dt * sys_.Kff, sys_.Mff @ u)
-        basis = parabolic._FourierSteps(sys_, None)
-        X = basis.state(u)
-        MX = basis.mass(X)
-        z = basis.nodal(basis.factor(dt)(MX))
-        assert rel(basis.nodal(MX), sys_.Mff @ u) <= 1e-13
-        assert basis.norm(X, MX) == pytest.approx(sys_.mass_norm(u), rel=1e-14)
+        z = parabolic._factor(sys_, dt)(sys_.Mff @ u)
     assert rel(z, ref) <= 1e-12
     assert live_factors.built == []
 
 
-def factor_every_size(sys_, eps):
-    """Backward Euler on the same schedule, every step size factored and solved directly."""
+def factor_every_size(sys_, eps, factor=None, start=None, probe=None):
+    """Backward Euler on the same schedule, every step size factored and solved directly.
+
+    ``factor(dt)`` gives the solve by ``Mff + dt*Kff``, SuperLU by default.
+    A ``start`` that this returned is carried on from its last state;
+    ``probe`` records the probe rows of every state.
+    """
     free = sys_.free
     Kff, Mff = sys_.Kff, sys_.Mff
-    u = sys_.g_vertex[free]
-    V = np.zeros(len(free))
-    times, norms = [0.0], [sys_.mass_norm(u)]
+    if factor is None:
+        factor = lambda dt: spla.splu(Mff + dt * Kff).solve
+    if start is None:
+        u, V = sys_.g_vertex[free], np.zeros(len(free))
+        times, norms, samples = [0.0], [sys_.mass_norm(u)], []
+    else:
+        u, V = start.u.copy(), start.V.copy()
+        times, norms, samples = list(start.times), list(start.mass_norms), list(start.samples)
+    k = len(times) - 1
     factors = {}
-    k = 0
-    while norms[-1] > eps:
+    while True:
+        if probe is not None:
+            samples.append(probe.matrix @ u)
+        if norms[-1] <= eps:
+            break
         dt = _step_size(k)
         if dt not in factors:
-            factors[dt] = spla.splu(Mff + dt * Kff)
-        u_new = factors[dt].solve(Mff @ u)
+            factors[dt] = factor(dt)
+        u_new = factors[dt](Mff @ u)
         V += dt * (u + u_new) / 2.0
         u = u_new
         k += 1
         times.append(times[-1] + dt)
         norms.append(sys_.mass_norm(u))
-    assert len(factors) == 30
-    return SimpleNamespace(steps=k, times=np.array(times), mass_norms=np.array(norms), u=u, V=V)
+    if start is None:
+        assert len(factors) == 30
+    rows = _probe_table(*np.hsplit(np.array(samples), 2)) if probe is not None else None
+    return SimpleNamespace(
+        steps=k, times=np.array(times), mass_norms=np.array(norms), u=u, V=V,
+        samples=samples, probes=rows,
+    )
 
 
 def rel(x, y):
     return np.abs(x - y).max() / np.abs(y).max()
 
 
-def test_growth_steps_by_cg_match_a_factor_for_every_size():
-    sys_ = disk_system(16, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+def layout_system(n, displaced):
+    """A displaced core of sigma 2 in a ball, or a concentric ring of sigma 3 in a ball."""
+    if displaced:
+        return disk_system(n, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    return ring_system("ball", n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(n=st.integers(4, 16), displaced=st.booleans())
+@example(n=16, displaced=True)
+def test_heat_flow_matches_a_factor_for_every_size(n, displaced):
+    # the states read from the Krylov basis of the cap step against backward
+    # Euler stepped with a factor of every size: the same steps and times, and
+    # u, V and mass norms within round-off
+    sys_ = layout_system(n, displaced)
     free = sys_.free
     run = evolve(sys_, eps=1e-8)
     ref = factor_every_size(sys_, eps=1e-8)
+    assert run.step_solver == ("SuperLU" if displaced else "angular Fourier")
     assert run.steps == ref.steps
     assert np.array_equal(run.times, ref.times)
-    assert rel(run.u_final[free], ref.u) <= 1e-12
-    assert rel(run.v_field[free], ref.V) <= 1e-12
-    np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-12, atol=0.0)
-    # the cap factor keeps CG short: a handful of iterations per growth step
-    assert 28 <= run.cg_iterations <= 28 * 20
+    if displaced:
+        assert rel(run.u_final[free], ref.u) <= 1e-12
+        assert rel(run.v_field[free], ref.V) <= 1e-12
+        np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-12, atol=0.0)
+    else:  # the bounds of test_fft_steps_match_a_factor_for_every_size
+        assert rel(run.u_final[free], ref.u) <= 1e-11
+        assert rel(run.v_field[free], ref.V) <= 1e-12
+        np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-11, atol=0.0)
+    assert run.krylov_estimate <= parabolic.KRYLOV_TOL
 
 
 def test_fft_steps_match_a_factor_for_every_size(live_factors):
@@ -237,14 +275,14 @@ def test_fft_steps_match_a_factor_for_every_size(live_factors):
         sys_ = ring_system(kind)
         free = sys_.free
         run = evolve(sys_, eps=1e-8)
-        assert live_factors.built == []  # no SuperLU factor
+        assert live_factors.built == []  # the cap step is solved by FFT in angle
         assert run.step_solver == "angular Fourier"
-        assert (run.factorizations, run.cg_iterations) == (30, 0)
+        assert run.factorizations == 1
         ref = factor_every_size(sys_, eps=1e-8)
         assert run.steps == ref.steps
         assert np.array_equal(run.times, ref.times)
         # u_final has decayed to 1e-8 of the start, so its round-off is relatively
-        # larger: about 1e-12 on the ball and 4e-14 on the annulus
+        # larger: about 8e-13 on the ball and 3e-14 on the annulus
         assert rel(run.u_final[free], ref.u) <= 1e-11, kind
         assert rel(run.v_field[free], ref.V) <= 1e-12, kind
         np.testing.assert_allclose(run.mass_norms, ref.mass_norms, rtol=1e-11, atol=0.0)
@@ -284,7 +322,8 @@ def test_probe_matrix_matches_the_p1_definition(radius):
     for scale in (1.0, 1e-14):
         ps = probe_deviation(probe, scale * u)
         assert (ps.u_absolute, ps.flux_absolute) == (scale < 1.0, scale < 1.0)
-        row = parabolic._probe_rows(probe.matrix, scale * u[sys_.free][None])[0]
+        samples = probe.matrix @ (scale * u[sys_.free])
+        row = parabolic._probe_rows(samples[:, None], np.ones((1, 1)))[0]
         assert tuple(row) == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
     if radius > 0.9:
         assert np.isin(mesh.triangles[tri], sys_.boundary).any(axis=1).all()
@@ -302,46 +341,68 @@ def test_probe_matrix_matches_the_p1_definition(radius):
 
 @pytest.mark.parametrize("radius", [0.02, 0.4, 0.97])  # in the centre fan; mid-way; by the rim
 def test_fourier_probe_rows_match_the_nodal_probe(radius):
-    # the Fourier basis samples only the rings the probe touches, and a ball's centre
-    sys_ = disk_system(16, sigma=2.0)
+    # on a rotation-invariant layout, whose cap step is solved by FFT in angle,
+    # the probe read through the Krylov basis against the probe of nodal
+    # states; a source that is not radial keeps every deviation well above
+    # round-off through the warm-up and the growth of the step
+    sys_ = assemble_system(
+        disk_system(16, sigma=2.0).mesh, [1.0, 2.0], lambda P: 1.0 + P[:, 0] - 0.5 * P[:, 1] ** 2
+    )
+    assert sys_.rotation_invariant
     probe = CircleSampler(sys_, radius)
-    basis = parabolic._FourierSteps(sys_, probe)
-    u = 1.0 + np.random.default_rng(7).standard_normal(len(sys_.free))
-    got = basis.probe_rows(basis.state(u)[basis.support][None])[0]
-    want = parabolic._probe_rows(probe.matrix, u[None])[0]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    rings = (len(basis.support) - 1) // (sys_.mesh.sectors // 2 + 1)
-    assert basis.P.shape[1] == 1 + rings * sys_.mesh.sectors < len(sys_.free) // 4
+    run = evolve(sys_, eps=1e-3, probe=probe)
+    # the first and the last state, read through the probe matrix; the last
+    # one's deviations are down to 1e-8 of its means, so only those are compared
+    for row, u, cols in (
+        (run.probes[0], sys_.g_vertex, slice(0, 4)),
+        (run.probes[-1], run.u_final, slice(0, 4, 2)),
+    ):
+        samples = probe.matrix @ u[sys_.free]
+        want = parabolic._probe_rows(samples[:, None], np.ones((1, 1)))[0]
+        np.testing.assert_allclose(row[cols], want[cols], rtol=1e-12, atol=0.0)
+    # every state to the cap against backward Euler stepped with a factor of
+    # every size; near the centre the mean flux is a small difference of
+    # samples, so the flux columns are compared only away from it
+    ref = factor_every_size(sys_, eps=1e-3, probe=probe)
+    early = parabolic.WARMUP_STEPS + parabolic.CAP_LEVEL
+    assert ref.probes[:early, 1::2].min() > 1e-3
+    cols = slice(0, 4 if radius > 0.1 else 2)
+    np.testing.assert_allclose(
+        run.probes[:early, cols], ref.probes[:early, cols], rtol=1e-12, atol=0.0
+    )
 
 
-@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # Fourier basis; nodal basis
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # FFT cap solve; SuperLU
 def test_probe_rows_of_a_block_match_each_step_bitwise(monkeypatch, center):
     sys_ = disk_system(8, sigma=2.0, center=center, radius=0.3)
     probe = CircleSampler(sys_, 0.75)
     blocks = []
-    for cls in (parabolic._NodalSteps, parabolic._FourierSteps):
+    real = parabolic._probe_rows
 
-        def spy(self, reads, real=cls.probe_rows):
-            rows = real(self, reads)
-            blocks.append((self, reads, rows))
-            return rows
+    def spy(PZ, C):
+        rows = real(PZ, C)
+        blocks.append((PZ, C, rows))
+        return rows
 
-        monkeypatch.setattr(cls, "probe_rows", spy)
+    monkeypatch.setattr(parabolic, "_probe_rows", spy)
     run = evolve(sys_, eps=1e-6, probe=probe)
-    # the run does not end on a whole block
+    # the run does not end on a whole block, yet every block is evaluated whole
     block = parabolic.PROBE_BLOCK
     assert len(run.times) % block
-    assert [len(reads) for _, reads, _ in blocks].count(block) == len(blocks) - 1 > 1
-    assert np.array_equal(run.probes, np.concatenate([rows for *_, rows in blocks]))
-    for basis, reads, rows in blocks:
-        for read, row in zip(reads, rows):
-            samples = basis.P @ (basis.modes.inverse(read) if center == (0.0, 0.0) else read)
+    assert len(blocks) > 1
+    assert [len(C) for _, C, _ in blocks] == [block] * len(blocks)
+    rows = np.concatenate([rows for *_, rows in blocks])
+    assert np.array_equal(run.probes, rows[: len(run.times)])
+    for PZ, C, rows in blocks:
+        for c, row in zip(C, rows):
+            samples = np.einsum("sr,r->s", PZ, c)
             ps = _probe_stats(samples[: probe.count], samples[probe.count :])
             assert tuple(row) == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
-    # the last read is the final state
-    basis, reads, _ = blocks[-1]
-    want = basis.state(run.u_final[sys_.free])[basis.support]
-    np.testing.assert_allclose(reads[-1], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    # the last recorded state is the final state
+    PZ, C, _ = blocks[-1]
+    last = np.einsum("sr,r->s", PZ, C[(len(run.times) - 1) % block])
+    want = probe.matrix @ run.u_final[sys_.free]
+    np.testing.assert_allclose(last, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_step_factor_uses_fill_reducing_ordering(live_factors):
@@ -393,16 +454,26 @@ def test_initial_norm_matches_source_interpolant():
     assert run.initial_norm == pytest.approx(sys_.mass_norm(sys_.g_vertex[sys_.free]))
 
 
-def test_doubled_start_doubles_everything_exactly():
-    # the run starts from the nodal source values, so a doubled source
-    # doubles the start
-    mesh = generate_mesh(PhaseConfig(domain=DomainSpec("ball")), 8)
-    a = evolve(assemble_system(mesh, [1.0], 1.0), eps=1e-5)
-    b = evolve(assemble_system(mesh, [1.0], 2.0), eps=2e-5)
-    assert b.steps == a.steps
-    assert np.array_equal(b.v_field, 2.0 * a.v_field)
-    assert np.array_equal(b.u_final, 2.0 * a.u_final)
-    assert np.array_equal(b.mass_norms, 2.0 * a.mass_norms)
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # FFT cap solve; SuperLU
+def test_doubled_start_doubles_everything_exactly(center):
+    # the run starts from the nodal source values, so a source scaled by a
+    # power of two scales the start; the Lanczos basis is the same bit for
+    # bit, and every output scales exactly
+    sys_ = disk_system(8, sigma=2.0, center=center, radius=0.3)
+    probe = CircleSampler(sys_, 0.75)
+    a = evolve(sys_, eps=1e-5, probe=probe)
+    for k in (1, 40, -40):
+        scaled = assemble_system(sys_.mesh, [1.0, 2.0], 2.0**k)
+        b = evolve(scaled, eps=2.0**k * 1e-5, probe=CircleSampler(scaled, 0.75))
+        for name in ("steps", "krylov_dim", "krylov_estimate"):
+            assert getattr(b, name) == getattr(a, name), name
+        assert np.array_equal(b.times, a.times)
+        assert np.array_equal(b.v_field, 2.0**k * a.v_field), k
+        assert np.array_equal(b.u_final, 2.0**k * a.u_final), k
+        assert np.array_equal(b.mass_norms, 2.0**k * a.mass_norms), k
+        # the probe means scale too; a deviation is relative to its mean only
+        # where the mean clears MEAN_GUARD, so the deviations are not compared
+        assert np.array_equal(b.probes[:, ::2], 2.0**k * a.probes[:, ::2]), k
 
 
 def test_time_integral_approximates_elliptic_solution():
@@ -498,34 +569,27 @@ def test_resume_preserves_probe_history():
 
 
 def test_resume_on_an_invariant_layout_matches_an_uninterrupted_run():
-    # carrying a stopped run's nodal u and V back into angular-Fourier
-    # coefficients and stepping on along the schedule reaches the run to the
-    # smaller eps within round-off
+    # backward Euler stepped by the exact FFT-in-angle solve of every step
+    # size, carried on from a stopped run along the schedule, reaches the run
+    # to the smaller eps within round-off; the heat flow, whose longer run
+    # repeats its shorter run bit for bit, lies within round-off of both
     sys_ = disk_system(8, sigma=2.0)
     free = sys_.free
-    full = evolve(sys_, eps=1e-6)
-    first = evolve(sys_, eps=1e-4)
-    assert full.step_solver == first.step_solver == "angular Fourier"
-    basis = parabolic._FourierSteps(sys_, None)
-    u = basis.state(first.u_final[free])
-    V = basis.state(first.v_field[free])
-    Mu = basis.mass(u)
-    times, norms = list(first.times), list(first.mass_norms)
-    k = first.steps
-    while norms[-1] > 1e-6:
-        dt = _step_size(k)
-        u_new = basis.factor(dt)(Mu)
-        V += dt * (u + u_new) / 2.0
-        u = u_new
-        k += 1
-        times.append(times[-1] + dt)
-        Mu = basis.mass(u)
-        norms.append(basis.norm(u, Mu))
-    assert first.steps < k == full.steps
-    assert np.array_equal(np.array(times), full.times)
-    assert rel(basis.nodal(u), full.u_final[free]) <= 1e-13
-    assert rel(basis.nodal(V), full.v_field[free]) <= 1e-14
-    np.testing.assert_allclose(norms, full.mass_norms, rtol=1e-13, atol=0.0)
+    fft = lambda dt: parabolic._factor(sys_, dt)
+    full = factor_every_size(sys_, eps=1e-6, factor=fft)
+    first = factor_every_size(sys_, eps=1e-4, factor=fft)
+    resumed = factor_every_size(sys_, eps=1e-6, factor=fft, start=first)
+    assert first.steps < resumed.steps == full.steps
+    assert np.array_equal(resumed.times, full.times)
+    assert rel(resumed.u, full.u) <= 1e-13
+    assert rel(resumed.V, full.V) <= 1e-14
+    np.testing.assert_allclose(resumed.mass_norms, full.mass_norms, rtol=1e-13, atol=0.0)
+    run = evolve(sys_, eps=1e-6)
+    assert run.step_solver == "angular Fourier"
+    assert run.steps == full.steps and np.array_equal(run.times, full.times)
+    assert rel(run.u_final[free], full.u) <= 1e-11
+    assert rel(run.v_field[free], full.V) <= 1e-12
+    np.testing.assert_allclose(run.mass_norms, full.mass_norms, rtol=1e-11, atol=0.0)
 
 
 def test_a_run_without_a_probe_records_no_probe_columns():

@@ -16,10 +16,14 @@ Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997).  Every recorded state
 is Q Z times its Ritz coordinates, the start's times the step functions at
 theta: the mass norm is their 2-norm, the probe samples are ``P Q Z`` times
 them, the trapezoidal time integral sums them, and only the final state and
-the integral go back to nodal values.  The basis grows until Saad's error
-estimate is below ``KRYLOV_TOL`` at every step of the schedule, whatever the
-stopping norm, so a run to a smaller stopping norm repeats a shorter run's
-record bit for bit, then goes on.
+the integral go back to nodal values.  The coordinates of fast modes decay
+through the subnormal range, where every product is slow, so each one below
+the smallest normal float is flushed to zero: it is below half an ulp of any
+sum above 2**-969 that it joins, and the norms, samples and integrals it
+would join are far larger, so no output bit moves.  The basis grows until
+Saad's error estimate is below ``KRYLOV_TOL`` at every step of the schedule,
+whatever the stopping norm, so a run to a smaller stopping norm repeats a
+shorter run's record bit for bit, then goes on.
 
 The cap matrix is symmetric positive definite, so SuperLU factors it in
 symmetric mode, without pivoting, under a minimum-degree ordering of
@@ -37,6 +41,7 @@ and bounds the tail of the time integral after truncation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,6 +96,9 @@ _ESTIMATE_CHUNK = 128  # steps of the schedule the estimate evaluates at once
 # The states of PROBE_BLOCK consecutive recorded times are evaluated
 # together, their probe rows by one product and vectorised means and maxima.
 PROBE_BLOCK = 64
+# Ritz coordinates below this magnitude are flushed to zero: every sum they
+# join is far above it, so they move no bit, and subnormal products are slow.
+_FLUSH_BELOW = np.finfo(float).tiny
 
 
 def _factor(system: FemSystem, dt: float | None = None):
@@ -190,9 +198,17 @@ def _step_size(k: int) -> float:
     return min(DT0 * GROWTH ** min(k - WARMUP_STEPS + 1, CAP_LEVEL), DT_MAX)
 
 
+@functools.lru_cache(maxsize=1)
+def _size_table(*schedule) -> np.ndarray:
+    """`_step_size` up to the cap level, built once per ``schedule``: the constants it reads."""
+    sizes = np.array([_step_size(j) for j in range(WARMUP_STEPS + CAP_LEVEL)])
+    sizes.flags.writeable = False
+    return sizes
+
+
 def _step_sizes(k: np.ndarray) -> np.ndarray:
     """`_step_size` of every step in ``k``, bit for bit (DT_MAX from the cap level on)."""
-    sizes = np.array([_step_size(j) for j in range(WARMUP_STEPS + CAP_LEVEL)])
+    sizes = _size_table(DT0, WARMUP_STEPS, GROWTH, DT_MAX, CAP_LEVEL)
     return sizes[np.minimum(k, len(sizes) - 1)]
 
 
@@ -242,7 +258,7 @@ def _lanczos(system: FemSystem, u0: np.ndarray, beta0: float, solve):
         if len(alpha) >= KRYLOV_MAX:
             raise RuntimeError(
                 f"the heat flow needs more than {KRYLOV_MAX} Lanczos vectors "
-                f"(error estimate {estimate:.3e})"
+                f"(error estimate above {KRYLOV_TOL:g})"
             )
 
 
@@ -254,6 +270,8 @@ def _error_estimate(theta: np.ndarray, Z: np.ndarray, beta: float) -> float:
     off-diagonal entry (Saad, 1992), evaluated in log space from Z's first and
     last rows until every Ritz weight trails the one of the largest theta by
     `_NEGLIGIBLE`; from there on it is its limit ``beta * |Z[-1, top]|``.
+    The scan stops as soon as the estimate exceeds `KRYLOV_TOL`, so a
+    rejected basis gets only a lower bound; an accepted one gets the maximum.
     """
     top = int(np.argmax(theta))
     others = np.arange(len(theta)) != top
@@ -262,6 +280,8 @@ def _error_estimate(theta: np.ndarray, Z: np.ndarray, beta: float) -> float:
     coupling = np.sign(Z[0]) * Z[-1]
     worst = beta * abs(Z[-1, top])
     for k in range(0, MAX_STEPS + 1, _ESTIMATE_CHUNK):
+        if worst > KRYLOV_TOL:
+            return worst
         steps = np.arange(k, k + _ESTIMATE_CHUNK)
         L = log_w + np.cumsum(np.log(_step_factors(theta, _step_sizes(steps))), axis=0)
         w = np.exp(L - L.max(axis=1, keepdims=True))
@@ -307,6 +327,7 @@ def evolve(
         if lo == 0:
             dt[0] = 0.0  # the start, whose factor is exactly 1
         C = c * np.cumprod(_step_factors(theta, dt), axis=0)
+        C[np.abs(C) < _FLUSH_BELOW] *= 0.0  # keeps the sign of a zero
         block_norms = np.sqrt(np.einsum("kr,kr->k", C, C))
         below = block_norms <= eps
         n = int(below.argmax()) + 1 if below.any() else PROBE_BLOCK

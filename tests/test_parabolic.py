@@ -405,6 +405,128 @@ def test_probe_rows_of_a_block_match_each_step_bitwise(monkeypatch, center):
     np.testing.assert_allclose(last, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
+EVOLUTION_FIELDS = (
+    "times",
+    "mass_norms",
+    "probes",
+    "v_field",
+    "u_final",
+    "steps",
+    "krylov_dim",
+    "krylov_estimate",
+)
+
+
+def subnormal_count(C):
+    return int(((C != 0.0) & (np.abs(C) < np.finfo(float).tiny)).sum())
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # concentric; displaced
+def test_no_subnormal_reaches_the_probe_product(monkeypatch, center):
+    # Ritz coordinates that underflow are flushed before any product uses
+    # them; every sum they would join is far above them, so no bit moves
+    sys_ = disk_system(16, sigma=2.0, center=center, radius=0.3)
+    real = parabolic._probe_rows
+
+    def run_with_blocks():
+        blocks = []
+
+        def spy(PZ, C):
+            blocks.append(C.copy())
+            return real(PZ, C)
+
+        monkeypatch.setattr(parabolic, "_probe_rows", spy)
+        return evolve(sys_, eps=1e-8, probe=CircleSampler(sys_, 0.75)), blocks
+
+    flushed, blocks = run_with_blocks()
+    assert [subnormal_count(C) for C in blocks] == [0] * len(blocks)
+    monkeypatch.setattr(parabolic, "_FLUSH_BELOW", 0.0)
+    kept, blocks = run_with_blocks()
+    assert sum(subnormal_count(C) for C in blocks) > 0  # the flush had work to do
+    for name in EVOLUTION_FIELDS:
+        a, b = getattr(flushed, name), getattr(kept, name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+def full_scan_estimate(theta, Z, beta):
+    # the error estimate without its early exit: the maximum over the whole schedule
+    top = int(np.argmax(theta))
+    others = np.arange(len(theta)) != top
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.abs(Z[0]))
+    coupling = np.sign(Z[0]) * Z[-1]
+    worst = beta * abs(Z[-1, top])
+    chunk = parabolic._ESTIMATE_CHUNK
+    for k in range(0, parabolic.MAX_STEPS + 1, chunk):
+        steps = np.arange(k, k + chunk)
+        L = log_w + np.cumsum(
+            np.log(parabolic._step_factors(theta, _step_sizes(steps))), axis=0
+        )
+        w = np.exp(L - L.max(axis=1, keepdims=True))
+        estimate = beta * np.abs(np.einsum("kr,r->k", w, coupling)) / np.sqrt(
+            np.einsum("kr,kr->k", w, w)
+        )
+        settled = (L[:, others] <= L[:, top, None] - parabolic._NEGLIGIBLE).all(axis=1)
+        if settled.any():
+            return max(worst, float(estimate[: settled.argmax() + 1].max()))
+        worst = max(worst, float(estimate.max()))
+        log_w = L[-1]
+    return worst
+
+
+def annulus_system(n):
+    """The one-phase annulus of inner radius 0.5."""
+    cfg = PhaseConfig(domain=DomainSpec("annulus", inner_radius=0.5))
+    return assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "layout, tol",
+    [
+        ("displaced", 1e-14),  # every too-small basis is rejected by its limit alone
+        ("annulus", 1e-14),  # the accepted basis's maximum lies inside the schedule
+        ("annulus", 1e-15),  # a basis whose limit passes is rejected by the scan
+    ],
+)
+def test_early_exit_keeps_every_krylov_decision(monkeypatch, layout, tol):
+    # the estimate stops once it exceeds KRYLOV_TOL: every basis is rejected
+    # or accepted as by the full scan, and an accepted one gets its value
+    monkeypatch.setattr(parabolic, "KRYLOV_TOL", tol)
+    if layout == "displaced":
+        sys_ = disk_system(16, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    else:
+        sys_ = annulus_system(16)
+    real = parabolic._error_estimate
+    calls = []
+
+    def spy(theta, Z, beta):
+        value = real(theta, Z, beta)
+        limit = beta * abs(Z[-1, np.argmax(theta)])
+        calls.append((value, full_scan_estimate(theta, Z, beta), limit))
+        return value
+
+    monkeypatch.setattr(parabolic, "_error_estimate", spy)
+    run = evolve(sys_, eps=1e-8)
+    assert len(calls) == run.krylov_dim // parabolic.KRYLOV_BLOCK > 1
+    for value, full, _ in calls:
+        assert (value > tol) == (full > tol)
+        assert value <= full
+        if full <= tol:
+            assert value == full
+    assert calls[-1][0] == run.krylov_estimate <= tol
+    if layout == "annulus":
+        assert any(value > limit for value, _, limit in calls)
+
+
+def test_krylov_max_guard(monkeypatch):
+    # the displaced core needs more than one block of Lanczos vectors
+    monkeypatch.setattr(parabolic, "KRYLOV_MAX", 8)
+    sys_ = disk_system(16, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    message = r"more than 8 Lanczos vectors \(error estimate above 1e-14\)"
+    with pytest.raises(RuntimeError, match=message):
+        evolve(sys_, eps=1e-8)
+
+
 def test_step_factor_uses_fill_reducing_ordering(live_factors):
     sys_ = disk_system(32, sigma=2.0, center=(0.2, 0.0), radius=0.3)
     evolve(sys_, eps=0.99 * sys_.mass_norm(sys_.g_vertex[sys_.free]))

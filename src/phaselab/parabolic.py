@@ -34,9 +34,11 @@ exactly by FFT in angle and one LAPACK call over every mode's radial
 tridiagonal.  Every reduction is summed by numpy's own loops, so no result
 depends on the BLAS thread count.
 
-The smallest generalized eigenvalue of (K, M) certifies the decay of the
-mass norm, at backward Euler's own rate of ``1 / (1 + lam * dt)`` per step,
-and bounds the tail of the time integral after truncation.
+The largest Ritz value gives the smallest generalized eigenvalue of (K, M),
+``lam = (1 - theta) / (DT_MAX * theta)`` (Parlett, *The Symmetric Eigenvalue
+Problem*, SIAM, 1998, ch. 11).  It certifies the decay of the mass norm, at
+backward Euler's own rate of ``1 / (1 + lam * dt)`` per step, and bounds the
+tail of the time integral after truncation.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
     Inverse power iteration with one solve by K from `_factor` and one mass
     product per iteration, M-normalized iterates, the all-ones start vector,
     and a relative Rayleigh-quotient stopping test.  Everything is
-    deterministic.
+    deterministic.  The pipeline reads the eigenvalue from `evolve`'s Lanczos
+    basis instead; this iteration is kept as an independent reference for it.
     """
     Kff, Mff = system.Kff, system.Mff
     solve = _factor(system)
@@ -167,6 +170,7 @@ class Evolution:
     u_final: np.ndarray
     steps: int
     factorizations: int  # matrices factored: the cap step's
+    lam_min: float  # smallest eigenvalue of (K, M), from the largest Ritz value
     krylov_dim: int
     krylov_estimate: float
     step_solver: str  # the cap solve: "angular Fourier" if rotation-invariant, else "SuperLU"
@@ -359,6 +363,7 @@ def evolve(
         u_final=nodal(c),
         steps=len(times) - 1,
         factorizations=1,
+        lam_min=float((1.0 - theta[-1]) / (DT_MAX * theta[-1])),  # theta ascends
         krylov_dim=len(theta),
         krylov_estimate=estimate,
         step_solver="angular Fourier" if system.rotation_invariant else "SuperLU",

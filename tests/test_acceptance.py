@@ -117,7 +117,7 @@ def test_c5_heat_flow_decays_at_certified_spectral_rate(parabolic64):
         assert res.decay.ok, f"{name}: max ratio {res.decay.max_ratio:.4f}"
         assert res.decay.slack == 0.02
         assert res.elapsed < 120.0, name
-    lam = parabolic64["one_phase_disk"].eigen.value
+    lam = parabolic64["one_phase_disk"].run.lam_min
     assert abs(lam - DISK_LAMBDA_EXACT) / DISK_LAMBDA_EXACT < 1e-2
 
 
@@ -132,7 +132,7 @@ def test_c6_time_integral_reaches_equilibrium_within_tail(parabolic64):
     gap = res.system.mass_norm(ext.v_field[free] - res.run.v_field[free])
     assert 0.0 < gap <= res.tail, f"gap {gap:.3e} vs tail {res.tail:.3e}"
     area_form = tail_bound(
-        math.sqrt(res.system.mesh.geometry[2].sum()), res.eigen.value, res.run.final_time
+        math.sqrt(res.system.mesh.geometry[2].sum()), res.run.lam_min, res.run.final_time
     )
     assert res.tail <= area_form
 

@@ -188,7 +188,7 @@ def test_run_scenario_parabolic_adds_timeseries(tmp_path):
     ts = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
     assert ts[0] == "t,mass_norm,probe_mean_u,probe_dev_u,probe_mean_flux,probe_dev_flux"
     assert len(ts) == len(res.run.times) + 1
-    assert res.eigen is not None and res.decay.ok and res.monotone
+    assert res.run.lam_min > 0.0 and res.decay.ok and res.monotone
     assert empty_diagnostics_cells(tmp_path / "out") == []
 
 
@@ -208,7 +208,10 @@ def test_heat_flow_summary_counts_factors_and_lanczos_vectors(tmp_path, capsys):
             f"1 factorization(s) ({solver}), {run.krylov_dim} Lanczos vectors "
             f"(error estimate {run.krylov_estimate:.1e})"
         )
-        assert line in (out / "summary.txt").read_text().splitlines()
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert line in lines
+        # the eigenvalue of the certificates comes from the same basis, not another solve
+        assert f"smallest eigenvalue: {run.lam_min!r} (from the largest Ritz value)" in lines
 
 
 def test_run_scenario_rejects_probe_through_inclusion():
@@ -658,6 +661,7 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
         ({"phases": ["disk"]}, "phase 0 must be a JSON object"),
         ({"tolerances": [1e-2]}, "'tolerances' must be a JSON object"),
         ({"source": 1.0}, "'source' in the config file must be a JSON array of numbers"),
+        ({"source": []}, "'source' must hold at least one coefficient"),
         (
             {"phases": [{"shape": "disk", "sigma": 2.0, "center": 0.3, "radius": 0.2}]},
             "'center' in phase 0 must be a JSON array of two numbers",
@@ -700,6 +704,7 @@ def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys)
         "phase",
         "tolerances",
         "source",
+        "source-empty",
         "center",
         "tolerance",
         "expect",
@@ -764,6 +769,20 @@ def test_main_run_rejects_overflowing_source_with_exit_2(tmp_path, capsys):
         cfg = write_config(tmp_path / "overflow.json", source=source)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2, source
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_main_run_rejects_a_phase_that_tags_no_triangle_with_exit_2(tmp_path, capsys):
+    # a disk far below the mesh scale holds no triangle: every detector would read
+    # the bare shell and call the layout symmetric; each such phase is named
+    tiny = {"shape": "disk", "sigma": 50.0, "center": [0.5, 0.013], "radius": 0.004}
+    core = {"shape": "disk", "sigma": 2.0, "center": [-0.3, 0.0], "radius": 0.3}
+    specks = [dict(tiny, label="speck"), core, dict(tiny, center=[0.0, -0.6])]
+    for phases, unseen in (([tiny], "0 ('disk')"), (specks, "0 ('speck'), 2 ('disk')")):
+        cfg = write_config(tmp_path / "unresolved.json", expect_symmetric=True, phases=phases)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2, unseen
+        err = capsys.readouterr().err
+        assert f"error: no triangle of the n=8 mesh lies in phase {unseen}; refine the mesh" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from phaselab import parabolic
+from phaselab.cli_reporting import build_preset, preset_names, run_scenario
 from phaselab.fem2d import (
     CircleSampler,
     assemble_system,
@@ -166,6 +167,23 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     assert run.step_solver == "angular Fourier"
     assert run.factorizations == 1
     assert len(live_factors.built) == 1
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("name", preset_names())
+def test_a_heat_flow_run_factors_once_and_its_lam_matches_inverse_iteration(live_factors, name, n):
+    # the cap step is the run's one factorization: SuperLU on the two displaced
+    # presets, the exact FFT-in-angle solve on the concentric ones
+    res = run_scenario(build_preset(name, n=n, pipeline="both"))
+    displaced = name in ("two_phase_displaced", "multiphase_discrete")
+    assert res.system.rotation_invariant != displaced
+    assert res.run.factorizations == 1
+    assert len(live_factors.built) == int(displaced)
+    # the decay certificate and the tail read lam_min from the cap step's Lanczos
+    # basis; inverse power iteration by Kff, a second factor, is the reference
+    ref = smallest_eigenvalue(res.system).value
+    assert abs(res.run.lam_min - ref) <= 1e-9 * ref
+    assert res.decay.lam == res.run.lam_min
 
 
 def ring_system(kind, n=16):
@@ -591,7 +609,7 @@ def _check_scaled_start(center):
     for k in (1, 40, -40):
         scaled = assemble_system(sys_.mesh, [1.0, 2.0], 2.0**k)
         b = evolve(scaled, eps=2.0**k * 1e-5, probe=CircleSampler(scaled, 0.75))
-        for name in ("steps", "krylov_dim", "krylov_estimate"):
+        for name in ("steps", "krylov_dim", "krylov_estimate", "lam_min"):
             assert getattr(b, name) == getattr(a, name), name
         assert np.array_equal(b.times, a.times)
         assert np.array_equal(b.v_field, 2.0**k * a.v_field), k

@@ -7,7 +7,8 @@ group of the layout.  Every ring is one unit circle, built from its first
 quadrant, scaled: it is bitwise mirror-exact across both axes.  Displaced
 inclusions are captured by per-element tagging at centroids instead; a
 centred phase's tag is decided once per rotation orbit, and centroids are
-tested one by one only in the bands an off-centre disk reaches.
+tested one by one only in the sectors of each band an off-centre disk can
+reach.
 
 Assembly is the classical piecewise-linear setup: element stiffness from
 edge coefficients (one weight per triangle times two outer products), exact
@@ -15,14 +16,19 @@ edge coefficients (one weight per triangle times two outer products), exact
 triangles at a time, the element blocks are summed straight into the mesh's
 seven-slot coupling pattern (ring q, sector j to rings q-1..q+1 at sectors
 j-1..j+1), which compresses to CSR with no sort and no merge, and its
-temporaries do not grow with the mesh.  Each derived fact has one
-owner that builds it on first use: the mesh its element geometry, the
-assembled system its mass matrix (only the heat flow reads it) and its
-Dirichlet-free blocks, which are one index range on a polar mesh.  Setup
-stages read the ring x sector layout too: geometry and centroids are column
-gathers, and the L2 distance to a radial profile evaluates the profile
-once per rotation orbit.  The linear solve is a hand-rolled
-conjugate gradient with a deterministic zero start, preconditioned by an
+temporaries do not grow with the mesh.  Each block's edge coefficients are
+computed from the vertices and dropped after use; the mesh keeps only the
+areas, which assembly stores as it goes.  A later stage computes the edge
+coefficients of just the triangles it reads, with the same arithmetic.
+Each derived fact has one owner that builds it on first use: the mesh its
+areas, the assembled system its mass matrix and its Dirichlet-free blocks,
+which are one index range on a polar mesh and which only the heat flow
+reads.  Setup stages read the ring x sector layout too: geometry and
+centroids are column gathers, and the L2 distance to a radial profile
+evaluates the profile once per rotation orbit.  The linear solve is a
+hand-rolled conjugate gradient with a deterministic zero start, multiplying
+by the full stiffness through a vector padded with zeros at the boundary
+vertices (bitwise the product by the free block), preconditioned by an
 exact solve with the stiffness whose conductivity is averaged over each
 rotation orbit: an FFT in angle and one LAPACK solve over every mode's
 tridiagonal radial system, so the iteration count does not grow with n and
@@ -98,12 +104,15 @@ class Mesh:
         return np.unique(self.boundary_edges)
 
     @cached_property
-    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge coefficients b, c (nt, 3) and areas (nt,) of every triangle, read-only."""
-        arrays = _tri_geometry(self.vertices, self.triangles)
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
+    def areas(self) -> np.ndarray:
+        """Area of every triangle, read-only.
+
+        `assemble_system` stores them here as it assembles the stiffness, a
+        block of triangles at a time; a mesh read before assembly computes them.
+        """
+        areas = _tri_geometry(self.vertices, self.triangles)[2]
+        areas.setflags(write=False)
+        return areas
 
 
 def _allocate_intervals(marks: np.ndarray, n: int) -> np.ndarray:
@@ -229,34 +238,52 @@ def _polar_tags(V: np.ndarray, T: np.ndarray, config, m: int, radii: np.ndarray)
 
     A centred phase tests a centroid's norm alone, so its tag is constant on
     each (band, side) rotation orbit up to round-off: ``region_index_at``
-    runs once per orbit, at sector 0's centroids.  Every centroid of a band
-    is tested instead, with one band of margin on either side, where an
-    off-centre disk's radial range reaches the band, or where one of sector
-    0's centroids lies within round-off of a centred interface.  That can
-    happen on a thin band, because a chord dips below its ring: every point
-    of band b has a norm in [radii[b] cos(pi/m), radii[b + 1]].
+    runs once per orbit, at one reference sector per band.  Centroids are
+    tested one by one only where an off-centre disk can reach them, and on
+    every band where a reference centroid lies within round-off of a centred
+    interface.  That can happen on a thin band, because a chord dips below
+    its ring: every point of band b has a norm in [radii[b] cos(pi/m),
+    radii[b + 1]], and a centroid of sector j an angle in [2 pi j/m, 2 pi
+    (j + 1)/m].  A disk's reach is taken with one band and one sector of
+    margin on either side, and each band's reference sector lies outside
+    every disk's reach, so the orbit tags see only the centred phases.
     """
     n, fan = m // 6, len(V) % m
-    first = _triangle_index(m, fan, np.arange(n + 1), 0, 0)  # each band's first triangle; the end
-    sector0 = _triangle_index(m, fan, *np.ix_(np.arange(n), [0], np.arange(2)))
-    cents = _centroids(V, T[sector0.reshape(-1)])
-    orbit = config.region_index_at(cents).reshape(n, 1, 2)
-    tags = np.empty(len(T), np.int64)
-    tags[: fan * m] = orbit[0, 0, 0]  # a ball's centre fan, side 0 only
-    tags[fan * m :].reshape(-1, m, 2)[...] = orbit[fan:]
-    norms = np.linalg.norm(cents, axis=1).reshape(n, 2)
-    near = np.zeros(n, bool)
-    for rho in config.conforming_radii():
-        near |= (np.abs(norms - rho) <= 1e-9 * rho).any(axis=1)
+    bands, sectors = np.arange(n), np.arange(m)
+    # the norms of bands b-1 .. b+1: band b's reach, with one band of margin
+    lo_r = radii[np.maximum(bands - 1, 0)] * math.cos(math.pi / m)
+    hi_r = radii[np.minimum(bands + 2, n)]
+    test = np.zeros((n, m), bool)  # the (band, sector)s to test centroid by centroid
     for p in config.phases:
         if p.shape == "disk" and any(p.center):
-            d = math.hypot(*p.center)
-            near |= (radii[1:] > d - p.radius) & (radii[:-1] * math.cos(math.pi / m) < d + p.radius)
-    near = np.convolve(near, [1, 1, 1], "same") > 0  # the margin
-    ends = np.flatnonzero(np.diff(near, prepend=False, append=False))
-    for lo, hi in zip(ends[::2], ends[1::2]):  # each run of bands to test at every centroid
-        run = slice(first[lo], first[hi])
-        tags[run] = config.region_index_at(_centroids(V, T[run]))
+            d, rho = math.hypot(*p.center), p.radius
+            reach = (hi_r > d - rho) & (lo_r < d + rho)
+            # the widest angle, seen from the origin, between the centre and a
+            # point of the disk at a norm in [lo_r, hi_r]: where the circle of
+            # that norm touches the disk, or at the nearer end; all round when
+            # the disk covers the circle or the arithmetic fails
+            r = np.clip(math.sqrt(max(d * d - rho * rho, 0.0)), lo_r, hi_r)
+            with np.errstate(all="ignore"):
+                half = np.arccos(np.clip((r * r + d * d - rho * rho) / (2 * r * d), -1.0, 1.0))
+            half = np.nan_to_num(half, nan=np.pi) * (m / (2 * math.pi))  # in sectors
+            mid = math.atan2(p.center[1], p.center[0]) * (m / (2 * math.pi))
+            first = np.floor(mid - half) - 1  # one sector of margin either side
+            width = np.floor(mid + half) + 1 - first
+            test[reach] |= ((sectors - first[:, None]) % m <= width[:, None])[reach]
+    ref = np.argmin(test, axis=1)  # each band's first untested sector
+    orbits = _triangle_index(m, fan, bands[:, None], ref[:, None], np.arange(2))
+    cents = _centroids(V, T[orbits.reshape(-1)])
+    orbit = config.region_index_at(cents).reshape(n, 2)
+    tags = np.empty(len(T), np.int64)
+    tags[: fan * m] = orbit[0, 0]  # a ball's centre fan, side 0 only
+    tags[fan * m :].reshape(-1, m, 2)[...] = orbit[fan:, None]
+    norms = np.linalg.norm(cents, axis=1).reshape(n, 2)
+    for rho in config.conforming_radii():
+        test[(np.abs(norms - rho) <= 1e-9 * rho).any(axis=1)] = True
+    band, sector = np.nonzero(test)
+    idx = _triangle_index(m, fan, band[:, None], sector[:, None], np.arange(2))
+    idx = idx[band[:, None] >= fan * np.arange(2)]  # the centre fan has no side 1
+    tags[idx] = config.region_index_at(_centroids(V, T[idx]))
     return tags
 
 
@@ -270,16 +297,19 @@ def _centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _tri_geometry(vertices: np.ndarray, triangles: np.ndarray):
-    """Edge coefficients b, c and areas of all triangles; raises on inverted cells.
+    """Edge coefficients b, c (..., 3) and areas (...) of the triangles (..., 3); raises on
+    inverted cells.
 
     Each corner coordinate is one column gather: the same arithmetic as
-    gathering ``vertices[triangles]`` whole, without its (nt, 3, 2) temporary.
+    gathering ``vertices[triangles]`` whole, without its (..., 3, 2) temporary.
+    The arithmetic is per triangle, so any subset of a mesh's triangles gets
+    the bits the whole mesh would.
     """
-    x0, x1, x2 = (vertices[triangles[:, k], 0] for k in range(3))
-    y0, y1, y2 = (vertices[triangles[:, k], 1] for k in range(3))
-    b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=1)
-    c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=1)
-    area = 0.5 * (x0 * b[:, 0] + x1 * b[:, 1] + x2 * b[:, 2])
+    x0, x1, x2 = (vertices[triangles[..., k], 0] for k in range(3))
+    y0, y1, y2 = (vertices[triangles[..., k], 1] for k in range(3))
+    b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=-1)
+    c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=-1)
+    area = 0.5 * (x0 * b[..., 0] + x1 * b[..., 1] + x2 * b[..., 2])
     if not (area > 0).all():
         raise ValueError("mesh contains an inverted or degenerate triangle")
     return b, c, area
@@ -309,9 +339,11 @@ class FemSystem:
     The homogeneous boundary condition is applied by *index partitioning*
     (`free` vs `boundary`), never by rewriting rows, so the full operator
     stays available for variational flux recovery.  The full mass matrix is
-    assembled on first use, so an elliptic run never builds it.  Every solver
-    works on the free blocks `Kff` and `Mff`, sliced once on first use and
-    kept in CSC, the format SuperLU factors.
+    assembled on first use, so an elliptic run never builds it.  The heat
+    flow's solvers work on the free blocks `Kff` and `Mff`, sliced once on
+    first use and kept in CSC, the format SuperLU factors.  The elliptic
+    solve multiplies by the full stiffness instead (`solve_elliptic`), so an
+    elliptic run slices neither block.
     """
 
     mesh: Mesh
@@ -324,7 +356,7 @@ class FemSystem:
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
-        area = self.mesh.geometry[2]
+        area = self.mesh.areas
         return _assemble(self.mesh, lambda blk: _element_mass(area[blk]))
 
     @cached_property
@@ -434,8 +466,11 @@ def _assemble(mesh: Mesh, element_blocks) -> sp.csr_matrix:
     indptr[fan] = len(head_vals)
     np.cumsum(keep.sum(axis=2).reshape(-1), out=indptr[fan + 1 :])
     indptr[fan + 1 :] += len(head_vals)
-    data = np.concatenate([head_vals, rows[keep]])
-    indices = np.concatenate([head_cols, cols[keep]])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    data[: indptr[fan]], indices[: indptr[fan]] = head_vals, head_cols
+    starts = indptr[fan :: m]  # each ring's first entry: a ring at a time, no second copy
+    for q, (a, b) in enumerate(zip(starts, starts[1:])):
+        data[a:b], indices[a:b] = rows[q][keep[q]], cols[q][keep[q]]
     return sp.csr_matrix((data, indices, indptr), shape=(mesh.nv, mesh.nv))
 
 
@@ -468,9 +503,16 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     sigma_e = table[tags]
 
     V, T = mesh.vertices, mesh.triangles
-    b, c, area = mesh.geometry
     nv = len(V)
-    K = _assemble(mesh, lambda blk: _element_stiffness(b[blk], c[blk], area[blk], sigma_e[blk]))
+    area = np.empty(len(T))
+
+    def stiffness(blk):  # a block's edge coefficients live only as long as the block
+        b, c, area[blk] = _tri_geometry(V, T[blk])
+        return _element_stiffness(b, c, area[blk], sigma_e[blk])
+
+    K = _assemble(mesh, stiffness)
+    area.setflags(write=False)
+    area = vars(mesh).setdefault("areas", area)  # `Mesh.areas`, filled in the same pass
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if callable(source):
@@ -482,7 +524,10 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
             if gv.shape != (nv,):
                 raise ValueError("per-vertex source has the wrong length")
         F = np.zeros(nv)
-        np.add.at(F, T.reshape(-1), np.repeat(area / 3.0, 3) * gv[T].reshape(-1))
+        for lo in range(0, len(T), _BLOCK_TRIANGLES):  # in triangle order, as one call adds
+            blk = slice(lo, lo + _BLOCK_TRIANGLES)
+            load = np.repeat(area[blk] / 3.0, 3) * gv[T[blk]].reshape(-1)
+            np.add.at(F, T[blk].reshape(-1), load)
     if not np.isfinite(gv).all():
         raise ValueError("the source must be finite at every mesh vertex")
     if not np.isfinite(F).all():
@@ -604,8 +649,9 @@ def _sector_blocks(system: FemSystem) -> tuple[np.ndarray, np.ndarray]:
     The stiffness weights each (band, side) block with sigma averaged over
     the block's rotation orbit; on a rotation-invariant layout that is sigma.
     """
-    orbits = _orbits(system.mesh)
-    b, c, area = (a[orbits[:, 0]] for a in system.mesh.geometry)
+    mesh = system.mesh
+    orbits = _orbits(mesh)
+    b, c, area = _tri_geometry(mesh.vertices, mesh.triangles[orbits[:, 0]])
     sigma_bar = system.sigma_e[orbits].mean(axis=1)
     return _element_mass(area), _element_stiffness(b, c, area, sigma_bar)
 
@@ -643,8 +689,9 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
-    """CG from a zero start, preconditioned by ``precond(r)``; deterministic by construction."""
+def _pcg(matvec, F: np.ndarray, tol: float, maxit: int, precond):
+    """CG from a zero start for the operator ``matvec(p)``, preconditioned by ``precond(r)``;
+    deterministic by construction."""
     x = np.zeros_like(F)
     if not F.any():
         return x, 0
@@ -663,7 +710,7 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
     scale = 2.0 ** -max(int(np.frexp(np.abs(F).max())[1]), -1023)
     f0 = _norm(scale * F)
     for it in range(1, maxit + 1):
-        Kp = K @ p
+        Kp = matvec(p)
         pKp = _dot(p, Kp)
         if not pKp > 0.0:  # K is positive definite: only underflow or NaN gets here
             raise ValueError(_TOO_SMALL)
@@ -683,13 +730,27 @@ def _pcg(K: sp.csr_matrix, F: np.ndarray, tol: float, maxit: int, precond):
 
 
 def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) -> EllipticSolution:
-    free = system.free
-    K = system.Kff.T  # Kff is exactly symmetric: this is Kff in CSR, whose matvec is faster
-    Ff = system.load[free]
-    uf, its = _pcg(K, Ff, tol, maxit, _orbit_mean_solver(system))
-    res = _norm(K @ uf - Ff) / max(_norm(Ff), 1e-300)
+    """Preconditioned CG on the free block, multiplying by the full stiffness.
+
+    The free vertices are one index range (see `FemSystem._free_block`).  CG's
+    vector is copied into that range of a vector that is +0.0 at every
+    boundary vertex, and K's rows of the range multiply it.  A boundary
+    column then adds a signed zero to a sum that starts at +0.0, which moves
+    no bit, so each product is bitwise the one by `Kff` and no free block is
+    sliced.
+    """
+    lo, hi = system.free[0], system.free[-1] + 1
+    padded = np.zeros(system.mesh.nv)
+
+    def matvec(p):
+        padded[lo:hi] = p
+        return (system.stiffness @ padded)[lo:hi]
+
+    Ff = system.load[lo:hi]
+    uf, its = _pcg(matvec, Ff, tol, maxit, _orbit_mean_solver(system))
+    res = _norm(matvec(uf) - Ff) / max(_norm(Ff), 1e-300)
     u = np.zeros(system.mesh.nv)
-    u[free] = uf
+    u[lo:hi] = uf
     return EllipticSolution(u=u, iterations=its, rel_residual=res)
 
 
@@ -835,7 +896,7 @@ class CircleSampler:
         th = 2 * np.pi * (np.arange(self.count) + 0.5) / self.count
         radial = np.column_stack([np.cos(th), np.sin(th)])
         tri_idx, bary = locate_points(mesh, radius * radial)
-        b, c, area = (a[tri_idx] for a in mesh.geometry)
+        b, c, area = _tri_geometry(mesh.vertices, mesh.triangles[tri_idx])
         grad_x, grad_y = b / (2 * area)[:, None], c / (2 * area)[:, None]
         flux = system.sigma_e[tri_idx][:, None] * (grad_x * radial[:, :1] + grad_y * radial[:, 1:])
         # the free vertices are one range (see `FemSystem._free_block`)
@@ -868,7 +929,7 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
     quads = err[fan * m :].reshape(-1, m, 2, 3)  # a view: (band, sector, side, edge)
     quads -= ref[fan:, None]
     err **= 2
-    err *= mesh.geometry[2][:, None] / 3
+    err *= mesh.areas[:, None] / 3
     return float(np.sqrt(err.sum()))
 
 

@@ -132,7 +132,7 @@ def test_c6_time_integral_reaches_equilibrium_within_tail(parabolic64):
     gap = res.system.mass_norm(ext.v_field[free] - res.run.v_field[free])
     assert 0.0 < gap <= res.tail, f"gap {gap:.3e} vs tail {res.tail:.3e}"
     area_form = tail_bound(
-        math.sqrt(res.system.mesh.geometry[2].sum()), res.run.lam_min, res.run.final_time
+        math.sqrt(res.system.mesh.areas.sum()), res.run.lam_min, res.run.final_time
     )
     assert res.tail <= area_form
 

@@ -868,15 +868,17 @@ def test_scenario_derives_geometry_and_free_blocks_once(monkeypatch):
     calls = []
 
     def counting_geometry(vertices, triangles):
-        calls.append(len(triangles))
+        calls.append(np.array(triangles))
         return real_geometry(vertices, triangles)
 
     # every module that could bind the function, so that no caller escapes the count
     for module in (fem2d, symmetry_checks):
         monkeypatch.setattr(module, "_tri_geometry", counting_geometry, raising=False)
+    assembly = []
 
     def assemble_then_guard(*args):
         system = fem2d.assemble_system(*args)
+        assembly[:], calls[:] = calls, []
         assert system.Kff.shape == system.Mff.shape  # builds both free blocks
         system.stiffness, system.mass = _NoSlicing(system.stiffness), _NoSlicing(system.mass)
         return system
@@ -884,4 +886,42 @@ def test_scenario_derives_geometry_and_free_blocks_once(monkeypatch):
     monkeypatch.setattr(cli_reporting, "assemble_system", assemble_then_guard)
     res = run_scenario(build_preset("two_phase_displaced", n=8, pipeline="both"))
     assert res.expectation_match and res.run is not None
-    assert calls == [res.system.mesh.nt]
+    mesh = res.system.mesh
+    # assembly derives every triangle's geometry once, a block at a time, in order
+    assert np.array_equal(np.concatenate(assembly), mesh.triangles)
+    # later stages derive it only for the triangles they read: the preconditioner's
+    # sector 0, the transmission's core and the probe circle's one triangle per sector
+    sector0 = mesh.triangles[fem2d._orbits(mesh)[:, 0]]
+    core = mesh.triangles[mesh.tri_tags >= 1]
+    assert [len(t) for t in calls] == [len(sector0), len(core), mesh.sectors]
+    assert np.array_equal(calls[0], sector0) and np.array_equal(calls[1], core)
+
+
+def test_an_elliptic_run_peaks_within_its_arrays():
+    tracemalloc.start()
+    try:
+        res = run_scenario(build_preset("two_phase_displaced", n=64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    system, mesh = res.system, res.system.mesh
+    assert "Kff" not in vars(system) and "Mff" not in vars(system)
+    # the mesh keeps its areas, and no per-triangle float triple such as the edge coefficients
+    assert not hasattr(mesh, "geometry")
+    floats = [a for a in vars(mesh).values() if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+    assert all(a.shape != (mesh.nt, 3) for a in floats)
+
+    def nbytes(*arrays):
+        return sum(a.nbytes for a in arrays)
+
+    K = system.stiffness
+    held = (
+        nbytes(mesh.vertices, mesh.triangles, mesh.tri_tags, mesh.boundary_edges, mesh.edge_tags)
+        + nbytes(mesh.areas, system.sigma_e, system.load, system.g_vertex, system.free)
+        + nbytes(system.boundary, res.solution.u)
+        + 2 * nbytes(K.data, K.indices, K.indptr)  # K, and assembly's temporaries (at most K)
+    )
+    # CG's x, r, z, p and K p, the padded vector and its product, one temporary per
+    # update, and the preconditioner's factored chain and coefficients, each a complex
+    # vector of about half the free length: twelve free-length vectors
+    assert peak <= held + 12 * 8 * len(system.free)

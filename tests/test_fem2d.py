@@ -132,8 +132,8 @@ def test_triangles_counterclockwise():
 
 
 def test_mesh_total_area_converges():
-    a8 = generate_mesh(ball_config(), 8).geometry[2].sum()
-    a16 = generate_mesh(ball_config(), 16).geometry[2].sum()
+    a8 = generate_mesh(ball_config(), 8).areas.sum()
+    a16 = generate_mesh(ball_config(), 16).areas.sum()
     assert abs(a16 - math.pi) < abs(a8 - math.pi) / 3.5  # ~O(h^2)
 
 
@@ -153,7 +153,7 @@ def test_resolution_and_interface_guards():
 
 def test_displaced_core_area_from_tags():
     mesh = generate_mesh(DISPLACED, 32)
-    core_area = mesh.geometry[2][mesh.tri_tags == 1].sum()
+    core_area = mesh.areas[mesh.tri_tags == 1].sum()
     assert abs(core_area - math.pi * 0.09) / (math.pi * 0.09) < 0.02
 
 
@@ -210,7 +210,7 @@ def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
         sys_.mass
     # the reference: every element block at once, one COO matrix per operator
     T, nv = mesh.triangles, mesh.nv
-    b, c, area = mesh.geometry
+    b, c, area = _tri_geometry(mesh.vertices, T)
     ij = (np.repeat(T, 3, axis=1).reshape(-1), np.tile(T, (1, 3)).reshape(-1))
     Ke = _element_stiffness(b, c, area, sys_.sigma_e)
     Me = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
@@ -229,7 +229,6 @@ def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
 
 def test_assembly_temporaries_stay_within_twice_the_matrices():
     mesh = generate_mesh(DISPLACED, 64)
-    mesh.geometry  # kept by the mesh, not an assembly temporary
     tracemalloc.start()
     try:
         sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
@@ -252,12 +251,14 @@ def test_free_vertices_are_the_sorted_complement_of_the_boundary(cfg):
 def test_geometry_and_free_blocks_are_cached_read_only():
     mesh = generate_mesh(DISPLACED, 8)
     sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
-    assert mesh.geometry is mesh.geometry
-    assert not any(a.flags.writeable for a in mesh.geometry)
+    # assembly stores the areas it computed on the mesh: the bits a mesh computes alone
+    assert mesh.areas is mesh.areas and not mesh.areas.flags.writeable
+    assert mesh.areas.tobytes() == generate_mesh(DISPLACED, 8).areas.tobytes()
+    assert not hasattr(mesh, "geometry")  # the edge coefficients are not kept
     Kff, Mff = sys_.Kff, sys_.Mff
     assert sys_.Kff is Kff and sys_.Mff is Mff
     assert Kff.format == Mff.format == "csc" and Kff.shape == (len(sys_.free),) * 2
-    # solve_elliptic multiplies by Kff.T, which is Kff itself only while Kff is exactly symmetric
+    # the transposed view of the CSR slice is its CSC form only while the slice is exactly symmetric
     assert (Kff != Kff.T).nnz == 0
     # the contiguous slices are bitwise the blocks that the free index array selects
     free = sys_.free
@@ -310,6 +311,51 @@ def test_solver_iterations_do_not_grow_with_n():
         if cfg.is_radially_layered():
             sol = solve_elliptic(assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0))
             assert sol.iterations == 1, name
+
+
+def _kff_solve(system, tol=1e-10, maxit=50000):
+    """CG on the sliced free block, as `solve_elliptic` ran before its zero-padded product:
+    its reference, bit for bit.  Returns u, the iteration count and the relative residual."""
+    K, free = system.Kff.T, system.free  # Kff in CSR
+    F = system.load[free]
+    precond = _orbit_mean_solver(system)
+    x, r = np.zeros_like(F), F.copy()
+    z = precond(r)
+    p = z.copy()
+    rz = fem2d._dot(r, z)
+    scale = 2.0 ** -max(int(np.frexp(np.abs(F).max())[1]), -1023)
+    f0 = fem2d._norm(scale * F)
+    for it in range(1, maxit + 1):
+        Kp = K @ p
+        alpha = rz / fem2d._dot(p, Kp)
+        x += alpha * p
+        r -= alpha * Kp
+        if fem2d._norm(scale * r) <= tol * f0:
+            break
+        z = precond(r)
+        rz_new = fem2d._dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    u = np.zeros(system.mesh.nv)
+    u[free] = x
+    return u, it, fem2d._norm(K @ x - F) / max(fem2d._norm(F), 1e-300)
+
+
+@pytest.mark.parametrize("n", [8, 13, 16])
+@pytest.mark.parametrize("layout", ["ball", "annulus", "two_phase_displaced", "multiphase_discrete"])
+def test_zero_padded_solve_matches_the_free_block_solve_bitwise(layout, n):
+    # an annulus's boundary columns lead each first-ring row, so its products
+    # start with a signed zero
+    if layout in ("ball", "annulus"):
+        cfg = DISPLACED if layout == "ball" else DISPLACED_IN_ANNULUS
+        system = assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+    else:
+        system = run_scenario(build_preset(layout, n=n)).system
+    sol = solve_elliptic(system)
+    u, iterations, rel_residual = _kff_solve(system)
+    assert sol.iterations == iterations > 1
+    assert sol.u.tobytes() == u.tobytes()
+    assert sol.rel_residual == rel_residual
 
 
 def _orbit_mean_stiffness(system):
@@ -404,8 +450,7 @@ def _l2_error_per_triangle(mesh, u, profile):
     r_mid = np.linalg.norm((mesh.vertices[i] + mesh.vertices[j]) / 2, axis=2)
     um = (u[i] + u[j]) / 2
     ref = profile(np.clip(r_mid, profile.r0, profile.R))
-    _, _, area = mesh.geometry
-    return float(np.sqrt((area[:, None] / 3 * (um - ref) ** 2).sum()))
+    return float(np.sqrt((mesh.areas[:, None] / 3 * (um - ref) ** 2).sum()))
 
 
 @pytest.mark.parametrize("n", [8, 13, 32])
@@ -495,7 +540,8 @@ def test_tag_triangles_matches_generator():
 
 @st.composite
 def tagged_layouts(draw):
-    """Centred disks and rings, off-centre disks turned by whole sectors, in a ball or annulus."""
+    """Centred disks and rings, off-centre disks turned by whole sectors or by any angle, in a
+    ball or annulus."""
     r0 = draw(st.sampled_from([0.0, 0.2, 0.45]))
     domain = DomainSpec("annulus", inner_radius=r0) if r0 else DomainSpec("ball")
     # interfaces on a grid of the free span, so every centred phase fits in the domain
@@ -508,9 +554,10 @@ def tagged_layouts(draw):
     while len(radius) >= 2:  # centred rings
         inner, outer = radius.pop(0), radius.pop(0)
         phases.append(PhaseRegion(shape="ring", sigma=3.0, r_inner=inner, r_outer=outer))
-    for _ in range(draw(st.integers(0, 2))):  # off-centre disks, turned by whole sectors
+    for _ in range(draw(st.integers(0, 2))):  # off-centre disks
         d = draw(st.floats(0.05, 0.9))
-        turn = 2 * math.pi * draw(st.integers(0, 6 * n - 1)) / (6 * n)
+        sectors = st.integers(0, 6 * n - 1).map(lambda k: 2 * math.pi * k / (6 * n))
+        turn = draw(st.one_of(sectors, st.floats(-math.pi, math.pi)))
         phases.append(
             PhaseRegion(
                 shape="disk",
@@ -540,8 +587,23 @@ DIPPING_CHORDS = ball_config(
 )
 
 
+# off-centre disks whose sector windows hold sector 0, wrap past angle pi, or
+# start at the centre: a disk on sector 0's centroids, one across the negative
+# x-axis, and one whose rim passes through the centre; each takes precedence
+# over the centred ring it overlaps
+SECTOR_WINDOWS = ball_config(
+    (
+        PhaseRegion(shape="disk", sigma=5.0, center=(0.6, 0.0), radius=0.1),
+        PhaseRegion(shape="disk", sigma=4.0, center=(-0.6, 1e-3), radius=0.15),
+        PhaseRegion(shape="disk", sigma=6.0, center=(0.0, -0.12), radius=0.12),
+        PhaseRegion(shape="ring", sigma=3.0, r_inner=0.3, r_outer=0.8),
+    )
+)
+
+
 @settings(deadline=None, max_examples=60)
 @given(tagged_layouts())
+@example((SECTOR_WINDOWS, 8))
 @example((DISPLACED, 4))
 @example((DISPLACED_IN_ANNULUS, 40))
 @example((DIPPING_CHORDS, 5))
@@ -549,8 +611,8 @@ DIPPING_CHORDS = ball_config(
 @example(_thin_ring(32))
 def test_orbit_tags_match_the_per_centroid_tags(layout):
     # the generator tests centred phases once per rotation orbit and every
-    # centroid only near an off-centre disk or a centred interface; the tags
-    # must be bitwise the per-centroid ones
+    # centroid only in an off-centre disk's sector window or near a centred
+    # interface; the tags must be bitwise the per-centroid ones
     config, n = layout
     mesh = generate_mesh(config, n)
     want = tag_triangles(mesh.vertices, mesh.triangles, config)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from phaselab import symmetry_checks
 from phaselab.cli_reporting import build_preset, run_scenario
 from phaselab.fem2d import (
     BoundaryFlux,
@@ -230,6 +231,20 @@ def test_transmission_residual_concentric_small_displaced_large():
     sys_d = assemble_system(generate_mesh(disp, 16), [1.0, 2.0], 1.0)
     t_d = transmission_residual(sys_d, solve_elliptic(sys_d).u, aux)
     assert t_d.residual > 0.05
+
+
+@pytest.mark.parametrize("name", ["two_phase_displaced", "multiphase_discrete"])
+def test_transmission_blocks_move_no_bit(name, monkeypatch):
+    res = run_scenario(build_preset(name, n=16))
+    core = int((res.system.mesh.tri_tags >= 1).sum())
+    # the default takes every core triangle in one block, as one array did; 7 leaves a partial block
+    default = symmetry_checks._BLOCK_TRIANGLES
+    assert core <= default and core % 7
+    for block in (1, 7, default):
+        monkeypatch.setattr(symmetry_checks, "_BLOCK_TRIANGLES", block)
+        got = transmission_residual(res.system, res.solution.u, res.aux_profile)
+        assert got.defined and res.transmission.defined
+        assert (got.residual, got.core_area) == (res.transmission.residual, res.transmission.core_area)
 
 
 def test_transmission_residual_vacuous_without_inclusions():

@@ -380,6 +380,12 @@ def _spectrum_radii(domain: DomainSpec) -> tuple[float, ...]:
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     """Execute the selected pipeline and (optionally) write all artifacts."""
     t_start = time.perf_counter()
+    if scenario.pipeline in ("parabolic", "both"):
+        # the heat flow's scipy, before the elliptic stage: scipy's OpenBLAS
+        # threads spin for tens of milliseconds once loaded, and here they do
+        # it beside the elliptic stage instead of the heat flow
+        import scipy.linalg
+        import scipy.sparse.linalg
     cfg = scenario.config
     tol = scenario.tolerances
     flags = validate_configuration(cfg)

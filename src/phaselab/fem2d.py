@@ -15,24 +15,26 @@ edge coefficients (one weight per triangle times two outer products), exact
 3x3 mass blocks, vertex-rule load.  It needs a polar mesh: a band block of
 triangles at a time, the element blocks are summed straight into the mesh's
 seven-slot coupling pattern (ring q, sector j to rings q-1..q+1 at sectors
-j-1..j+1), which compresses to CSR with no sort and no merge, and its
-temporaries do not grow with the mesh.  Each block's edge coefficients are
-computed from the vertices and dropped after use; the mesh keeps only the
-areas, which assembly stores as it goes.  A later stage computes the edge
-coefficients of just the triangles it reads, with the same arithmetic.
-Each derived fact has one owner that builds it on first use: the mesh its
-areas, the assembled system its mass matrix and its Dirichlet-free blocks,
-which are one index range on a polar mesh and which only the heat flow
-reads.  Setup stages read the ring x sector layout too: geometry and
-centroids are column gathers, and the L2 distance to a radial profile
-evaluates the profile once per rotation orbit.  The linear solve is a
-hand-rolled conjugate gradient with a deterministic zero start, multiplying
-by the full stiffness through a vector padded with zeros at the boundary
-vertices (bitwise the product by the free block), preconditioned by an
+j-1..j+1), and its temporaries do not grow with the mesh.  The operators
+stay in that pattern (`PolarOperator`), which multiplies in place, bitwise
+as CSR would, and compresses to CSR with no sort and no merge only for the
+heat flow.  Each block's edge coefficients are computed from ring slices of
+the vertices and dropped after use; the mesh keeps only the areas, which
+assembly stores as it goes.  A later stage computes the edge coefficients
+of just the triangles it reads, with the same arithmetic.  Each derived
+fact has one owner that builds it on first use: the mesh its areas, the
+assembled system its mass matrix and its Dirichlet-free blocks, which are
+one index range on a polar mesh and which only the heat flow reads.  Setup
+stages read the ring x sector layout too: centroids are column gathers, and
+the L2 distance to a radial profile evaluates the profile once per rotation
+orbit.  The linear solve is a hand-rolled conjugate gradient with a
+deterministic zero start and in-place updates, multiplying by the
+stiffness's free block in its seven-slot pattern, preconditioned by an
 exact solve with the stiffness whose conductivity is averaged over each
-rotation orbit: an FFT in angle and one LAPACK solve over every mode's
-tridiagonal radial system, so the iteration count does not grow with n and
-a concentric layout converges in one step.  The same angular-Fourier
+rotation orbit: an FFT in angle and one sweep over the rings that solves
+every mode's tridiagonal radial system in LAPACK's arithmetic, so the
+iteration count does not grow with n and a concentric layout converges in
+one step.  The same angular-Fourier
 coefficients (`_AngularModes`) solve the heat flow's cap step exactly on
 layouts whose sigma is constant on every rotation orbit.  Boundary fluxes
 are recovered variationally from the residual of the full (uneliminated)
@@ -40,6 +42,11 @@ operator, which makes the discrete divergence identity hold to solver
 precision.  Inner products and norms of mesh-sized vectors are summed by
 numpy's own loop (`_dot`), never by BLAS, so no result depends on the BLAS
 thread count.
+
+An elliptic run needs numpy alone.  The scipy imports are local to the code
+that only the heat flow runs (`PolarOperator.tocsr`, `CircleSampler`), so
+importing this module, or running the elliptic pipeline, loads no scipy
+module, and no second OpenBLAS thread pool starts.
 
 Point location is closed-form on the generated layout: sector, band, one
 side test.  Values on a circle at the vertex angles need no location: they
@@ -59,12 +66,11 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import zpttrf, zpttrs
 
 __all__ = [
     "Mesh",
     "FemSystem",
+    "PolarOperator",
     "EllipticSolution",
     "BoundaryFlux",
     "CircleSampler",
@@ -300,13 +306,40 @@ def _tri_geometry(vertices: np.ndarray, triangles: np.ndarray):
     """Edge coefficients b, c (..., 3) and areas (...) of the triangles (..., 3); raises on
     inverted cells.
 
-    Each corner coordinate is one column gather: the same arithmetic as
-    gathering ``vertices[triangles]`` whole, without its (..., 3, 2) temporary.
-    The arithmetic is per triangle, so any subset of a mesh's triangles gets
-    the bits the whole mesh would.
+    Each corner is one row gather: the same arithmetic as gathering
+    ``vertices[triangles]`` whole, without its (..., 3, 2) temporary.  The
+    arithmetic is per triangle, so any subset of a mesh's triangles gets the
+    bits the whole mesh would.
     """
-    x0, x1, x2 = (vertices[triangles[..., k], 0] for k in range(3))
-    y0, y1, y2 = (vertices[triangles[..., k], 1] for k in range(3))
+    return _corner_geometry(*(vertices[triangles[..., k]] for k in range(3)))
+
+
+def _block_geometry(mesh: Mesh, blk: slice):
+    """`_tri_geometry` of the triangles ``blk``, bitwise: a ball's centre fan or whole bands.
+
+    The corners are ring slices of the vertices, with one wrap column for
+    sector j+1 at the last sector, not gathers: side 0 of a band at sector j
+    is (inner j, outer j, outer j+1), side 1 is (inner j, outer j+1, inner j+1),
+    and the fan's triangle is (centre, ring j, ring j+1).
+    """
+    V, m = mesh.vertices, mesh.sectors
+    fan = mesh.nv % m
+    lo, hi = ((end + fan * m) // (2 * m) for end in (blk.start, blk.stop))  # bands
+    rings = V[fan:].reshape(-1, m, 2)[max(lo - fan, 0) : hi - fan + 1]
+    rings = np.concatenate([rings, rings[:, :1]], axis=1)
+    if lo < fan:
+        corners = (np.broadcast_to(V[0], (m, 2)), rings[0, :m], rings[0, 1:])
+    else:  # (band, sector, side, xy), the order of the triangles
+        inner, outer = rings[:-1], rings[1:]
+        sides = ((inner[:, :m], inner[:, :m]), (outer[:, :m], outer[:, 1:]), (outer[:, 1:], inner[:, 1:]))
+        corners = (np.stack(pair, axis=2) for pair in sides)
+    b, c, area = _corner_geometry(*corners)
+    return b.reshape(-1, 3), c.reshape(-1, 3), area.reshape(-1)
+
+
+def _corner_geometry(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray):
+    """`_tri_geometry` of the triangles with corner coordinates p0, p1, p2 (..., 2)."""
+    (x0, y0), (x1, y1), (x2, y2) = (np.moveaxis(p, -1, 0) for p in (p0, p1, p2))
     b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=-1)
     c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=-1)
     area = 0.5 * (x0 * b[..., 0] + x1 * b[..., 1] + x2 * b[..., 2])
@@ -338,16 +371,17 @@ class FemSystem:
 
     The homogeneous boundary condition is applied by *index partitioning*
     (`free` vs `boundary`), never by rewriting rows, so the full operator
-    stays available for variational flux recovery.  The full mass matrix is
-    assembled on first use, so an elliptic run never builds it.  The heat
-    flow's solvers work on the free blocks `Kff` and `Mff`, sliced once on
-    first use and kept in CSC, the format SuperLU factors.  The elliptic
-    solve multiplies by the full stiffness instead (`solve_elliptic`), so an
-    elliptic run slices neither block.
+    stays available for variational flux recovery.  Both operators are
+    `PolarOperator`s; the mass is assembled on first use, so an elliptic run
+    never builds it.  The heat flow's solvers work on the free blocks `Kff`
+    and `Mff` in CSC, the format SuperLU factors, sliced once on first use
+    from the operators' CSR forms.  The elliptic solve multiplies by the
+    stiffness's free block in place (`solve_elliptic`), so an elliptic run
+    compresses nothing to CSR and imports no scipy.
     """
 
     mesh: Mesh
-    stiffness: sp.csr_matrix
+    stiffness: PolarOperator
     load: np.ndarray
     g_vertex: np.ndarray  # nodal source values, also the default initial heat
     sigma_e: np.ndarray  # per-element conductivity
@@ -355,24 +389,24 @@ class FemSystem:
     boundary: np.ndarray
 
     @cached_property
-    def mass(self) -> sp.csr_matrix:
+    def mass(self) -> PolarOperator:
         area = self.mesh.areas
         return _assemble(self.mesh, lambda blk: _element_mass(area[blk]))
 
     @cached_property
-    def Kff(self) -> sp.csc_matrix:
+    def Kff(self):
         return self._free_block(self.stiffness)
 
     @cached_property
-    def Mff(self) -> sp.csc_matrix:
+    def Mff(self):
         return self._free_block(self.mass)
 
-    def _free_block(self, A: sp.csr_matrix) -> sp.csc_matrix:
+    def _free_block(self, A: PolarOperator):
         # the free vertices of a polar mesh are one range: a ball's before its
         # outer ring, an annulus's between its two rings; A is exactly
         # symmetric, so the transposed view of the CSR slice is its CSC form
         lo, hi = self.free[0], self.free[-1] + 1
-        return A[lo:hi, lo:hi].T
+        return A.tocsr()[lo:hi, lo:hi].T
 
     @cached_property
     def rotation_invariant(self) -> bool:
@@ -385,6 +419,7 @@ class FemSystem:
 
 
 _BLOCK_TRIANGLES = 16384  # triangles per assembly block, at most
+_BLOCK_VERTICES = 24576  # rows per block of `PolarOperator.matvec`, at most a whole ring
 _TOO_SMALL = "the load is too small to solve in double precision"
 
 # The seven couplings of the vertex of ring q, sector j, as (ring, sector)
@@ -398,11 +433,129 @@ _SIDES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 _WRAPPED = ((0, (1, 0, 3, 4, 2, 5, 6)), (-1, (0, 1, 4, 2, 3, 6, 5)))
 
 
+class PolarOperator:
+    """A symmetric operator on a polar mesh, held in the mesh's seven-slot pattern.
+
+    ``values[k, q, j]`` couples the vertex of ring q, sector j (rings counted
+    outwards, a ball's centre not among them) to its neighbour along slot k
+    of `_SLOTS`; a ball's first ring reaches the centre along slot 1 alone.
+    ``centre`` is a ball's centre row, its diagonal and then its couplings to
+    the first ring in sector order; an annulus has none.
+
+    `matvec` (and ``@``) sums every row in CSR column order from +0.0, as
+    scipy's CSR product does: the slots in order in the body, the `_WRAPPED`
+    orders at sectors 0 and m-1, the centre row one entry at a time.  A slot
+    whose value is exactly 0, which CSR drops, adds a signed zero, which moves
+    no bit of a sum that starts at +0.0, so the product is bitwise the one by
+    `tocsr()`.  `tocsr` compresses the slots that are not exactly 0, with
+    int32 indices, no sort and no merge; it is the only method that imports
+    scipy.
+    """
+
+    def __init__(self, values: np.ndarray, centre: np.ndarray):
+        self.values, self.centre = values, centre
+        self.fan = min(len(centre), 1)
+        self.sectors = values.shape[2]
+        nv = self.fan + values[0].size
+        self.shape = (nv, nv)
+
+    @cached_property
+    def nnz(self) -> int:
+        """The entries `tocsr` stores: the slots that are not exactly 0."""
+        return int(np.count_nonzero(self.values)) + int(np.count_nonzero(self.centre))
+
+    @cached_property
+    def _buffers(self):
+        rings, m = self.values.shape[1:]
+        # the ghosts: one flat vector with ring q, sector j at 1 + (q + 1) m + j (a
+        # ball's centre stands in for ring -1), so every slot's neighbours of a
+        # range of rings are one contiguous slice, right but at sectors 0 and m-1
+        ghosts = np.zeros((rings + 2) * m + 2)
+        # sectors 0 and m-1 in their wrapped slot orders: values and ghost indices
+        sectors = np.array([s % m for s, _ in _WRAPPED])[:, None]
+        order = np.array([o for _, o in _WRAPPED]).T[..., None]  # (7, 2, 1)
+        dq, dj = (np.array(d)[order] for d in zip(*_SLOTS))
+        at = 1 + (np.arange(rings) + 1 + dq) * m + (sectors + dj) % m  # (7, 2, rings)
+        work = np.empty(min(rings, max(1, _BLOCK_VERTICES // m)) * m)  # one block's terms
+        return ghosts, work, self.values[order, np.arange(rings), sectors], at
+
+    def matvec(self, x: np.ndarray, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
+        """The rows and columns [lo, hi) of the operator times ``x``, of length hi - lo.
+
+        The range must hold whole rings, and a ball's centre if it starts at 0:
+        the whole mesh, or the free vertices.  The result is bitwise
+        ``tocsr()[lo:hi, lo:hi] @ x``.
+        """
+        m, fan = self.sectors, self.fan
+        hi = self.shape[0] if hi is None else hi
+        head = fan if lo == 0 else 0  # the centre row leads the range
+        a, b = (lo + head - fan) // m, (hi - fan) // m  # its rings
+        out = np.empty(hi - lo) if out is None else out
+        ghosts, work, wrapped, at = self._buffers
+        ghosts[1 + a * m : 1 + (a + 1) * m] = x[0] if head else 0.0  # ring a - 1
+        ghosts[1 + (a + 1) * m : 1 + (b + 1) * m] = x[head:]
+        ghosts[1 + (b + 1) * m : 1 + (b + 2) * m] = 0.0  # ring b
+        y = out[head:]
+        step = len(work) // m  # a block of rings at a time, so that its sums stay in cache
+        for first in range(a, b, step):
+            last = min(first + step, b)
+            size = (last - first) * m
+            rows, term = y[(first - a) * m : (last - a) * m], work[:size]
+            for k, (dq, dj) in enumerate(_SLOTS):
+                start = 1 + (first + 1 + dq) * m + dj
+                values, column = self.values[k, first:last].reshape(-1), ghosts[start : start + size]
+                if k:
+                    np.add(rows, np.multiply(values, column, out=term), out=rows)
+                else:
+                    np.multiply(values, column, out=rows)
+            rows += 0.0  # a row whose every term is -0.0 sums to +0.0 from +0.0
+        terms = wrapped[..., a:b] * ghosts[at[..., a:b]]
+        wrap = terms[0]
+        for term in terms[1:]:
+            wrap += term
+        wrap += 0.0
+        y = y.reshape(b - a, m)
+        y[:, 0], y[:, -1] = wrap
+        if head:  # summed one entry at a time, in column order
+            out[0] = np.cumsum(self.centre * x[: 1 + m])[-1] + 0.0
+        return out
+
+    __matmul__ = matvec
+
+    def tocsr(self):
+        """The operator in canonical CSR, without the entries that are exactly 0."""
+        import scipy.sparse as sp  # only the heat flow, and tests, compress the operator
+
+        m, fan = self.sectors, self.fan
+        rings = self.values.shape[1]
+        order = np.tile(np.arange(7), (m, 1))
+        for sector, o in _WRAPPED:
+            order[sector] = o
+        dq, dj = (np.array(d, np.int32)[order] for d in zip(*_SLOTS))
+        cols = fan + (np.arange(rings, dtype=np.int32)[:, None, None] + dq) * m
+        cols += (np.arange(m, dtype=np.int32)[:, None] + dj) % m
+        if fan:
+            cols[0, :, :2] = 0  # the first ring's inner slots reach the centre
+        head_cols = np.flatnonzero(self.centre).astype(np.int32)
+        indptr = np.zeros(self.shape[0] + 1, np.int32)
+        indptr[fan] = len(head_cols)
+        np.cumsum(np.count_nonzero(self.values, axis=0).reshape(-1), out=indptr[fan + 1 :])
+        indptr[fan + 1 :] += len(head_cols)
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+        data[: indptr[fan]], indices[: indptr[fan]] = self.centre[head_cols], head_cols
+        starts = indptr[fan :: m]  # each ring's first entry: a ring at a time, no second copy
+        for q, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            rows = np.take_along_axis(self.values[:, q].T, order, axis=1)
+            keep = rows != 0.0
+            data[lo:hi], indices[lo:hi] = rows[keep], cols[q][keep]
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+
+
 def _add_bands(A: np.ndarray, E: np.ndarray) -> None:
     """Add the element blocks E (bands, m, sides, 3, 3) of consecutive bands into A.
 
-    A's first axis holds the bands' rings, innermost first, so it is one
-    longer than E's; ``A[q, j, k]`` is the coupling of ring q, sector j along
+    A's second axis holds the bands' rings, innermost first, so it is one
+    longer than E's; ``A[k, q, j]`` is the coupling of ring q, sector j along
     slot k.  Entry (a, c) of side s at sector j lands in the row of corner a,
     one sector further on where that corner sits at j+1.
     """
@@ -410,7 +563,7 @@ def _add_bands(A: np.ndarray, E: np.ndarray) -> None:
     for s in range(E.shape[2]):
         for a, (ra, ja) in enumerate(_SIDES[s]):
             for c, (rc, jc) in enumerate(_SIDES[s]):
-                dst = A[ra : ra + bands, :, _SLOTS.index((rc - ra, jc - ja))]
+                dst = A[_SLOTS.index((rc - ra, jc - ja)), ra : ra + bands]
                 src = E[:, :, s, a, c]
                 if ja:  # shifted adds along the sectors, wrapping at sector 0
                     dst[:, 1:] += src[:, :-1]
@@ -419,59 +572,36 @@ def _add_bands(A: np.ndarray, E: np.ndarray) -> None:
                     dst += src
 
 
-def _assemble(mesh: Mesh, element_blocks) -> sp.csr_matrix:
-    """Sum ``element_blocks(blk)``, the (len, 3, 3) blocks of triangles ``blk``, into CSR.
+def _assemble(mesh: Mesh, element_blocks) -> PolarOperator:
+    """Sum ``element_blocks(blk)``, the (len, 3, 3) blocks of triangles ``blk``, into a
+    `PolarOperator`.
 
     On the polar mesh the vertex of ring q, sector j couples to at most seven
     vertices (`_SLOTS`), and a ball's centre to itself and the first ring.
     Element blocks are summed a band block of at most `_BLOCK_TRIANGLES`
     triangles at a time, by shifted adds along the sectors, into one
-    ``(rings, m, 7)`` value array, a ball's centre standing in as ring 0.
-    Reordering the slots of sectors 0 and m-1 sorts every row, so the values
-    compress straight into canonical CSR with int32 indices: no COO, no sort
-    and no merge.  Entries that cancel to exactly 0 are dropped.
+    ``(7, rings, m)`` value array, a ball's centre standing in as ring 0.
     """
     m = mesh.sectors
     fan, n = mesh.nv % m, m // 6
-    A = np.zeros((n + 1, m, 7))
+    A = np.zeros((7, n + 1, m))
     if fan:
-        _add_bands(A[:2], element_blocks(slice(0, m)).reshape(1, m, 1, 3, 3))
+        _add_bands(A[:, :2], element_blocks(slice(0, m)).reshape(1, m, 1, 3, 3))
     step = max(1, _BLOCK_TRIANGLES // (2 * m))  # whole bands per block
     for lo in range(fan, n, step):
         hi = min(lo + step, n)
         blk = slice((2 * lo - fan) * m, (2 * hi - fan) * m)
-        _add_bands(A[lo : hi + 1], element_blocks(blk).reshape(hi - lo, m, 2, 3, 3))
+        _add_bands(A[:, lo : hi + 1], element_blocks(blk).reshape(hi - lo, m, 2, 3, 3))
 
-    dq, dj = (np.array(d, np.int32) for d in zip(*_SLOTS))
-    q = np.arange(n + 1 - fan, dtype=np.int32)[:, None, None]
-    j = np.arange(m, dtype=np.int32)[:, None]
-    cols = fan + (q + dq) * m + (j + dj) % m
-    rows = A[fan:]
-    head_vals, head_cols = np.empty(0), np.empty(0, np.int32)  # a ball's centre row
+    values, centre = A[:, fan:], np.empty(0)
     if fan:  # ring 1 reaches the centre along both inner slots
-        rows[0, :, 1] += rows[0, :, 0]
-        rows[0, :, 0] = 0.0
-        cols[0, :, 1] = 0
-        centre = A[0]  # the fan's inner rows: the centre's couplings, sector by sector
+        values[1, 0] += values[0, 0]
+        values[0, 0] = 0.0
+        inner = A[:, 0]  # the fan's inner rows: the centre's couplings, sector by sector
         # its diagonal summed a sector at a time, in order, as every other entry is
-        diagonal = np.cumsum(centre[:, 3])[-1]
-        head_vals = np.concatenate([[diagonal], centre[:, 5] + np.roll(centre[:, 6], 1)])
-        head_cols = np.flatnonzero(head_vals).astype(np.int32)
-        head_vals = head_vals[head_cols]
-    for sector, order in _WRAPPED:
-        rows[:, sector] = rows[:, sector, order]
-        cols[:, sector] = cols[:, sector, order]
-    keep = rows != 0.0
-    indptr = np.zeros(mesh.nv + 1, np.int32)
-    indptr[fan] = len(head_vals)
-    np.cumsum(keep.sum(axis=2).reshape(-1), out=indptr[fan + 1 :])
-    indptr[fan + 1 :] += len(head_vals)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
-    data[: indptr[fan]], indices[: indptr[fan]] = head_vals, head_cols
-    starts = indptr[fan :: m]  # each ring's first entry: a ring at a time, no second copy
-    for q, (a, b) in enumerate(zip(starts, starts[1:])):
-        data[a:b], indices[a:b] = rows[q][keep[q]], cols[q][keep[q]]
-    return sp.csr_matrix((data, indices, indptr), shape=(mesh.nv, mesh.nv))
+        diagonal = np.cumsum(inner[3])[-1]
+        centre = np.concatenate([[diagonal], inner[5] + np.roll(inner[6], 1)])
+    return PolarOperator(values, centre)
 
 
 def _require_polar(mesh: Mesh) -> None:
@@ -482,9 +612,10 @@ def _require_polar(mesh: Mesh) -> None:
 def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     """Assemble the stiffness and the load for one conductivity layout.
 
-    K is summed into the polar mesh's seven-slot CSR pattern a band block at
-    a time by `_assemble`; the mass matrix M is assembled the same way on
-    first use of `FemSystem.mass`.  The mesh must be a polar mesh from
+    K is summed into the polar mesh's seven-slot pattern a band block at a
+    time by `_assemble`, each block's geometry taken from ring slices
+    (`_block_geometry`); the mass matrix M is assembled the same way on first
+    use of `FemSystem.mass`.  The mesh must be a polar mesh from
     `generate_mesh`: a mesh without sectors raises ``ValueError``.
 
     ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
@@ -507,7 +638,7 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     area = np.empty(len(T))
 
     def stiffness(blk):  # a block's edge coefficients live only as long as the block
-        b, c, area[blk] = _tri_geometry(V, T[blk])
+        b, c, area[blk] = _block_geometry(mesh, blk)
         return _element_stiffness(b, c, area[blk], sigma_e[blk])
 
     K = _assemble(mesh, stiffness)
@@ -559,19 +690,25 @@ class EllipticSolution:
 
 
 class _AngularModes:
-    """Mode-major angular Fourier coefficients of free nodal vectors on a polar mesh.
+    """Ring-major angular Fourier coefficients of free nodal vectors on a polar mesh.
 
     A rotation by one sector maps the polar mesh onto itself, so an operator
     summed from element matrices that are constant on every rotation orbit
     is block-circulant in angle: ring r couples only to rings r-1, r, r+1,
     at angular offsets 0 and ±1.  An rfft along every free ring splits it
     into one Hermitian tridiagonal radial system per mode (Swarztrauber,
-    SIAM Review 19, 1977).  The coefficients are stored mode by mode, each
-    mode's rings innermost first, so the modes' systems lie end to end in
-    one tridiagonal chain with zero couplings between them, and one LAPACK
-    ``zpttrf`` or ``zpttrs`` call factors or solves them all.  A ball's
-    centre couples only to mode 0 of ring 1, so it heads mode 0's stretch,
-    scaled by sqrt(m) to keep the chain Hermitian.
+    SIAM Review 19, 1977).  The coefficients are stored ring by ring, each
+    ring's modes in a row, so one sweep over the rings factors or solves every
+    mode's system at once.  A ball's centre couples only to mode 0 of the
+    first ring, so it heads mode 0's system, scaled by sqrt(m) to keep it
+    Hermitian.
+
+    The sweeps do LAPACK's ``zpttrf`` and ``zptts2`` arithmetic (L D L^H,
+    lower) on every mode, bit for bit: each division by a pivot on the real
+    and imaginary parts apart, and each product by an entry f + gi of L as
+    the sum of the products by f + 0i and by 0 + gi, each exact however
+    numpy forms it.  numpy's own product by f + gi may fuse a multiply and
+    an add, so its bits differ.
     """
 
     def __init__(self, mesh: Mesh):
@@ -592,8 +729,13 @@ class _AngularModes:
         self._phase = phase.view(float)
 
     def symbol(self, blocks: np.ndarray):
-        """The chain ``(diagonal, subdiagonal)`` of the operator that sums every
-        rotated copy of ``blocks``, the (n, 2, 3, 3) element matrices of sector 0."""
+        """The chain ``(d, e)`` of the operator that sums every rotated copy of
+        ``blocks``, the (n, 2, 3, 3) element matrices of sector 0.
+
+        ``d`` holds a ball's centre, then the (rings, modes) diagonal; ``e``
+        the centre's coupling to mode 0 of the first ring, then the (rings - 1,
+        modes) couplings of ring r to ring r + 1.
+        """
         n, fan = self.rings + 1, self.fan
         # stencil[row ring, column ring, angular offset + 1]: each rotated copy of a
         # sector-0 element adds the same entries one sector further on
@@ -602,43 +744,94 @@ class _AngularModes:
         np.add.at(S, where, blocks * self._present[..., None, None])
         rings = np.arange(1, n)  # the free rings
 
-        def by_mode(stencil):  # (rings, 3) -> (modes, rings); einsum, since @ would call BLAS
-            return np.einsum("rd,dk->rk", stencil, self._phase).view(complex).T
+        def by_mode(stencil):  # (rings, 3) -> (rings, modes); einsum, since @ would call BLAS
+            return np.einsum("rd,dk->rk", stencil, self._phase).view(complex)
 
-        diag = by_mode(S[rings, rings]).real
-        sub = np.zeros((self.modes, self.rings), complex)
-        sub[:, :-1] = by_mode(S[rings[1:], rings[:-1]])
         # a ball's centre row: its diagonal summed over the m fan elements, and
         # its coupling to every ring-1 vertex, seen by mode 0 as m times one vertex
         centre_d, centre_e = [self.m * S[0, 0].sum()], [self.root_m * S[0, 1].sum()]
         return (
-            np.concatenate([centre_d[:fan], diag.reshape(-1)]),
-            np.concatenate([centre_e[:fan], sub.reshape(-1)[:-1]]),
+            np.concatenate([centre_d[:fan], by_mode(S[rings, rings]).real.reshape(-1)]),
+            np.concatenate([centre_e[:fan], by_mode(S[rings[1:], rings[:-1]]).reshape(-1)]),
         )
 
-    @staticmethod
-    def factor(d: np.ndarray, e: np.ndarray):
-        """The exact solve by the positive definite chain ``(d, e)``."""
-        df, ef, info = zpttrf(d, e)
-        if info != 0:
-            raise ValueError("the angular-mode system is not positive definite")
-        return lambda X: zpttrs(df, ef, X, lower=1)[0]
+    def factor(self, d: np.ndarray, e: np.ndarray):
+        """The exact solve by the positive definite chain ``(d, e)``, in place on coefficients.
 
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of the free nodal vector ``v``."""
+        Raises ``ValueError`` where ``zpttrf`` reports a pivot that is not positive.
+        Every step works on one ring's modes as contiguous vectors, which is
+        where numpy's calls cost least.
+        """
+        fan, rings, modes = self.fan, self.rings, self.modes
+        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+        d = d.copy()
+        D = d[fan:].reshape(rings, modes)
+        er, ei = (np.ascontiguousarray(part.reshape(rings - 1, modes)) for part in (e[fan:].real, e[fan:].imag))
+        f, g, fe = np.empty_like(er), np.empty_like(ei), np.empty(modes)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a bad pivot is reported below
+            if fan:
+                f0, g0 = e[0].real / d[0], e[0].imag / d[0]
+                D[0, 0] = D[0, 0] - f0 * e[0].real - g0 * e[0].imag
+            for r in range(rings - 1):
+                div(er[r], D[r], f[r])
+                div(ei[r], D[r], g[r])
+                sub(D[r + 1], mul(f[r], er[r], fe), D[r + 1])
+                sub(D[r + 1], mul(g[r], ei[r], fe), D[r + 1])
+        if (d <= 0).any():
+            raise ValueError("the angular-mode system is not positive definite")
+        # L's entries as f + 0i and 0 + gi: a complex product by either is exact
+        # however it is formed, since one of its two real products is zero, and
+        # the two sum to the product by f + gi (minus it for the conjugate's)
+        del er, ei
+        real = f.astype(complex)
+        del f
+        imag = np.zeros_like(real)
+        imag.imag = g
+        del g
+        pivots = np.repeat(D, 2).reshape(rings, modes, 2)  # one per real and imaginary part
+        d0 = float(d[0]) if fan else None
+        del d, D
+        t, u, p = np.empty((3, modes), complex)
+        bound = [None]
+
+        def solve(X: np.ndarray) -> np.ndarray:
+            if bound[0] is not X:  # every ring's view, made once per coefficient buffer
+                Y = X[fan:].reshape(rings, modes)
+                steps = list(zip(Y[:-1], Y[1:], real, imag))
+                bound[:] = X, steps, [(b, a, re, im) for a, b, re, im in reversed(steps)]
+            _, forward, backward = bound
+            if fan:  # L y = b along the centre's coupling
+                c, b = X[0], X[1]
+                X[1] = complex(b.real - (c.real * f0 - c.imag * g0), b.imag - (c.real * g0 + c.imag * f0))
+                X[0] = complex(c.real / d0, c.imag / d0)
+            for y, b, re, im in forward:
+                sub(b, add(mul(y, re, t), mul(y, im, u), p), b)
+            Y = X[fan:].view(float).reshape(pivots.shape)
+            div(Y, pivots, Y)
+            for x, b, re, im in backward:
+                sub(b, sub(mul(x, re, t), mul(x, im, u), p), b)
+            if fan:  # L^H x = y along the centre's coupling
+                c, b = X[0], X[1]
+                X[0] = complex(c.real - (b.real * f0 + b.imag * g0), c.imag - (b.imag * f0 - b.real * g0))
+            return X
+
+        return solve
+
+    def forward(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of the free nodal vector ``v``, into ``out`` if given."""
         fan = self.fan
-        X = np.empty(fan + self.modes * self.rings, complex)
+        X = np.empty(fan + self.rings * self.modes, complex) if out is None else out
         X[:fan] = self.root_m * v[:fan]
-        rings = v[fan:].reshape(self.rings, self.m).T  # (sector, ring)
-        np.fft.rfft(rings, axis=0, out=X[fan:].reshape(self.modes, self.rings))
+        rings = v[fan:].reshape(self.rings, self.m)
+        np.fft.rfft(rings, axis=1, out=X[fan:].reshape(self.rings, self.modes))
         return X
 
-    def inverse(self, X: np.ndarray) -> np.ndarray:
-        """The free nodal vector of coefficients ``X``."""
+    def inverse(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The free nodal vector of coefficients ``X``, into ``out`` if given."""
         fan = self.fan
-        v = np.empty(fan + self.rings * self.m)
+        v = np.empty(fan + self.rings * self.m) if out is None else out
         v[:fan] = X[:fan].real / self.root_m
-        Y = X[fan:].reshape(self.modes, self.rings).T  # (ring, mode)
+        Y = X[fan:].reshape(self.rings, self.modes)
         np.fft.irfft(Y, n=self.m, axis=1, out=v[fan:].reshape(self.rings, self.m))
         return v
 
@@ -658,20 +851,22 @@ def _sector_blocks(system: FemSystem) -> tuple[np.ndarray, np.ndarray]:
 
 def _orbit_mean_solver(system: FemSystem, dt: float | None = None):
     """Exact solve by K̄, the free stiffness with sigma averaged over each rotation orbit,
-    or by ``Mff + dt*K̄`` with ``dt``.
+    or by ``Mff + dt*K̄`` with ``dt``: ``solve(r, out=None)``.
 
     K̄ sums rotated copies of sector 0's elements, so it is block-circulant
     in angle and solves mode by mode in `_AngularModes`' coefficients, with
-    one LAPACK call over every mode's radial tridiagonal; so does M.  K and
-    K̄ sum the same element matrices with weights sigma and its orbit mean,
-    so the preconditioned condition number is at most (max sigma / min
+    one sweep over the rings for every mode's radial tridiagonal; so does M.
+    K and K̄ sum the same element matrices with weights sigma and its orbit
+    mean, so the preconditioned condition number is at most (max sigma / min
     sigma)^2 at any n; on a rotation-invariant layout K̄ is K, the solve is
-    exact and CG stops after one iteration.
+    exact and CG stops after one iteration.  The coefficients live in one
+    buffer that every call reuses.
     """
     modes = _AngularModes(system.mesh)
     mass, stiffness = _sector_blocks(system)
     solve = modes.factor(*modes.symbol(stiffness if dt is None else mass + dt * stiffness))
-    return lambda r: modes.inverse(solve(modes.forward(r)))
+    X = np.empty(modes.fan + modes.rings * modes.modes, complex)
+    return lambda r, out=None: modes.inverse(solve(modes.forward(r, X)), out)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -690,14 +885,21 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _pcg(matvec, F: np.ndarray, tol: float, maxit: int, precond):
-    """CG from a zero start for the operator ``matvec(p)``, preconditioned by ``precond(r)``;
-    deterministic by construction."""
+    """CG from a zero start for the operator ``matvec(p, out)``, preconditioned by
+    ``precond(r, out)``; deterministic by construction.
+
+    Every update is made in place in one of five vectors, with the arithmetic
+    of ``x + alpha * p`` and ``z + beta * p``, so no iteration allocates a
+    vector: ``alpha * p`` goes into z, which the preconditioner refills next,
+    and ``alpha * Kp`` and the scaled residual into Kp.
+    """
     x = np.zeros_like(F)
     if not F.any():
         return x, 0
     r = F.copy()
     z = precond(r)
     p = z.copy()
+    Kp = np.empty_like(F)
     with np.errstate(over="ignore"):  # the check below reports the overflow
         rz = _dot(r, z)
     if not np.isfinite(rz):
@@ -708,20 +910,21 @@ def _pcg(matvec, F: np.ndarray, tol: float, maxit: int, precond):
     # the load near one, so a residual norm cannot underflow to zero; the
     # exponent stops where the power would overflow
     scale = 2.0 ** -max(int(np.frexp(np.abs(F).max())[1]), -1023)
-    f0 = _norm(scale * F)
+    f0 = _norm(np.multiply(F, scale, out=Kp))
     for it in range(1, maxit + 1):
-        Kp = matvec(p)
+        matvec(p, Kp)
         pKp = _dot(p, Kp)
         if not pKp > 0.0:  # K is positive definite: only underflow or NaN gets here
             raise ValueError(_TOO_SMALL)
         alpha = rz / pKp
-        x += alpha * p
-        r -= alpha * Kp
-        if _norm(scale * r) <= tol * f0:
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(Kp, alpha, out=Kp)
+        if _norm(np.multiply(r, scale, out=Kp)) <= tol * f0:
             return x, it
-        z = precond(r)
+        precond(r, z)
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise RuntimeError(
         f"conjugate gradient did not converge in {maxit} iterations "
@@ -730,21 +933,17 @@ def _pcg(matvec, F: np.ndarray, tol: float, maxit: int, precond):
 
 
 def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) -> EllipticSolution:
-    """Preconditioned CG on the free block, multiplying by the full stiffness.
+    """Preconditioned CG on the free block, multiplied in the stiffness's seven-slot pattern.
 
-    The free vertices are one index range (see `FemSystem._free_block`).  CG's
-    vector is copied into that range of a vector that is +0.0 at every
-    boundary vertex, and K's rows of the range multiply it.  A boundary
-    column then adds a signed zero to a sum that starts at +0.0, which moves
-    no bit, so each product is bitwise the one by `Kff` and no free block is
-    sliced.
+    The free vertices are one index range (see `FemSystem._free_block`), and
+    `PolarOperator.matvec` multiplies by that block of K in place, bitwise
+    the product by `Kff`; no free block is sliced.
     """
     lo, hi = system.free[0], system.free[-1] + 1
-    padded = np.zeros(system.mesh.nv)
+    K = system.stiffness
 
-    def matvec(p):
-        padded[lo:hi] = p
-        return (system.stiffness @ padded)[lo:hi]
+    def matvec(p, out=None):
+        return K.matvec(p, lo, hi, out)
 
     Ff = system.load[lo:hi]
     uf, its = _pcg(matvec, Ff, tol, maxit, _orbit_mean_solver(system))
@@ -896,6 +1095,7 @@ class CircleSampler:
         th = 2 * np.pi * (np.arange(self.count) + 0.5) / self.count
         radial = np.column_stack([np.cos(th), np.sin(th)])
         tri_idx, bary = locate_points(mesh, radius * radial)
+        import scipy.sparse as sp  # only the heat flow samples a circle this way
         b, c, area = _tri_geometry(mesh.vertices, mesh.triangles[tri_idx])
         grad_x, grad_y = b / (2 * area)[:, None], c / (2 * area)[:, None]
         flux = system.sigma_e[tri_idx][:, None] * (grad_x * radial[:, :1] + grad_y * radial[:, 1:])

@@ -30,9 +30,16 @@ symmetric mode, without pivoting, under a minimum-degree ordering of
 ``A + A^T``, which stores about half the fill of its default column
 ordering.  On a rotation-invariant layout (sigma constant on every rotation
 orbit of the polar mesh) it is block-circulant in angle instead, and solved
-exactly by FFT in angle and one LAPACK call over every mode's radial
-tridiagonal.  Every reduction is summed by numpy's own loops, so no result
+exactly by FFT in angle and one sweep over the rings that solves every
+mode's radial tridiagonal.  Every reduction is summed by numpy's own loops, so no result
 depends on the BLAS thread count.
+
+scipy (SuperLU, ``eigh_tridiagonal``, the free blocks in CSR) is imported
+inside the functions that call it, so that ``import phaselab``, which
+imports this module, loads no scipy, and an elliptic run needs numpy alone;
+``run_scenario`` imports it at the start of a run with the heat flow.
+SuperLU is still called as ``spla.splu``, through the module, where a
+tracer that wraps the module's attribute sees the call.
 
 The largest Ritz value gives the smallest generalized eigenvalue of (K, M),
 ``lam = (1 - theta) / (DT_MAX * theta)`` (Parlett, *The Symmetric Eigenvalue
@@ -50,8 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from .fem2d import CircleSampler, FemSystem, _dot, _orbit_mean_solver
 from .symmetry_checks import _probe_table
@@ -112,6 +117,8 @@ def _factor(system: FemSystem, dt: float | None = None):
     """
     if system.rotation_invariant:
         return _orbit_mean_solver(system, dt)
+    import scipy.sparse.linalg as spla
+
     A = system.Kff if dt is None else system.Mff + dt * system.Kff
     return spla.splu(A, **_SPD_LU).solve
 
@@ -231,6 +238,8 @@ def _lanczos(system: FemSystem, u0: np.ndarray, beta0: float, solve):
     `KRYLOV_BLOCK` rows, grows a block at a time until `_error_estimate` is
     at most `KRYLOV_TOL`, or stops at a zero vector: its space is invariant.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     Mff = system.Mff
     blocks, alpha, beta = [], [], []
     q = u0 / beta0

@@ -181,7 +181,7 @@ def test_reference_element_matrices():
 
 def test_stiffness_rows_sum_to_zero():
     sys_ = assemble_system(generate_mesh(CONCENTRIC, 8), [1.0, 2.0], 1.0)
-    row_sums = np.asarray(sys_.stiffness.sum(axis=1)).ravel()
+    row_sums = sys_.stiffness @ np.ones(sys_.mesh.nv)
     assert np.max(np.abs(row_sums)) < 1e-13
 
 
@@ -214,8 +214,10 @@ def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
     ij = (np.repeat(T, 3, axis=1).reshape(-1), np.tile(T, (1, 3)).reshape(-1))
     Ke = _element_stiffness(b, c, area, sys_.sigma_e)
     Me = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    for got, blocks in ((sys_.stiffness, Ke), (sys_.mass, Me)):
+    for operator, blocks in ((sys_.stiffness, Ke), (sys_.mass, Me)):
         ref = sp.coo_matrix((blocks.reshape(-1), ij), shape=(nv, nv)).tocsr()
+        got = operator.tocsr()
+        assert got.nnz == operator.nnz
         assert got.format == "csr" and got.has_canonical_format
         assert got.indices.dtype == got.indptr.dtype == np.int32
         assert abs(got - ref).max() <= 1e-15 * abs(ref).max()
@@ -235,8 +237,9 @@ def test_assembly_temporaries_stay_within_twice_the_matrices():
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # only K: the mass matrix is assembled on first use, outside this window
-    K = sys_.stiffness
+    # only K: the mass matrix is assembled on first use, outside this window; K's
+    # CSR form, compressed after the window, is the measure
+    K = sys_.stiffness.tocsr()
     assert peak - live <= 2 * sum(a.nbytes for a in (K.data, K.indices, K.indptr))
 
 
@@ -263,7 +266,7 @@ def test_geometry_and_free_blocks_are_cached_read_only():
     # the contiguous slices are bitwise the blocks that the free index array selects
     free = sys_.free
     for got, A in ((Kff, sys_.stiffness), (Mff, sys_.mass)):
-        ref = A[free][:, free].tocsc()
+        ref = A.tocsr()[free][:, free].tocsc()
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
@@ -314,8 +317,9 @@ def test_solver_iterations_do_not_grow_with_n():
 
 
 def _kff_solve(system, tol=1e-10, maxit=50000):
-    """CG on the sliced free block, as `solve_elliptic` ran before its zero-padded product:
-    its reference, bit for bit.  Returns u, the iteration count and the relative residual."""
+    """CG on the sliced free block in CSR, a new vector per update, as `solve_elliptic`
+    once ran: its reference, bit for bit.  Returns u, the iteration count and the
+    relative residual."""
     K, free = system.Kff.T, system.free  # Kff in CSR
     F = system.load[free]
     precond = _orbit_mean_solver(system)
@@ -344,18 +348,112 @@ def _kff_solve(system, tol=1e-10, maxit=50000):
 @pytest.mark.parametrize("n", [8, 13, 16])
 @pytest.mark.parametrize("layout", ["ball", "annulus", "two_phase_displaced", "multiphase_discrete"])
 def test_zero_padded_solve_matches_the_free_block_solve_bitwise(layout, n):
-    # an annulus's boundary columns lead each first-ring row, so its products
+    # the in-place CG with the stencil product against the CSR free block; an
+    # annulus's boundary columns lead each first-ring row, so its products
     # start with a signed zero
-    if layout in ("ball", "annulus"):
-        cfg = DISPLACED if layout == "ball" else DISPLACED_IN_ANNULUS
-        system = assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
-    else:
-        system = run_scenario(build_preset(layout, n=n)).system
+    system = _layout_system(layout, n)
     sol = solve_elliptic(system)
     u, iterations, rel_residual = _kff_solve(system)
     assert sol.iterations == iterations > 1
     assert sol.u.tobytes() == u.tobytes()
     assert sol.rel_residual == rel_residual
+
+
+def _layout_system(layout, n):
+    """A displaced ball, a disk in an annulus's shell, or a preset's system."""
+    if layout in ("ball", "annulus"):
+        cfg = DISPLACED if layout == "ball" else DISPLACED_IN_ANNULUS
+        return assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+    return run_scenario(build_preset(layout, n=n)).system
+
+
+@pytest.mark.parametrize("n", [8, 13, 16])
+@pytest.mark.parametrize("layout", ["ball", "annulus", "two_phase_displaced", "multiphase_discrete"])
+def test_stencil_product_matches_the_csr_product_bitwise(layout, n):
+    system = _layout_system(layout, n)
+    nv, (lo, hi) = system.mesh.nv, (system.free[0], system.free[-1] + 1)
+    x = np.random.default_rng(n).standard_normal(nv)
+    for operator in (system.stiffness, system.mass):
+        A = operator.tocsr()
+        assert operator.nnz == A.nnz and operator.shape == A.shape
+        # every row: a ball's centre row, and each ring's sectors 0 and m-1, whose
+        # columns wrap, in their CSR order
+        assert (operator @ x).tobytes() == (A @ x).tobytes()
+        # the free block, which the solver multiplies in place
+        out = np.empty(hi - lo)
+        assert operator.matvec(x[lo:hi], lo, hi, out) is out
+        assert out.tobytes() == (A[lo:hi, lo:hi] @ x[lo:hi]).tobytes()
+    # every term of every mass row is -0.0 here, and CSR sums them from +0.0
+    zeros = np.full(nv, -0.0)
+    assert (system.mass @ zeros).tobytes() == (system.mass.tocsr() @ zeros).tobytes()
+    assert not np.signbit(system.mass @ zeros).any()
+
+
+@pytest.mark.parametrize("n", [8, 13, 16])
+@pytest.mark.parametrize("cfg", [DISPLACED, DISPLACED_IN_ANNULUS], ids=["ball", "annulus"])
+def test_block_geometry_matches_the_gathers_bitwise(cfg, n):
+    mesh = generate_mesh(cfg, n)
+    m, fan = mesh.sectors, mesh.nv % mesh.sectors
+    # a ball's centre fan; every band alone, all bands at once, and three bands
+    bands = [(b, b + 1) for b in range(fan, n)] + [(fan, n), (fan + 1, fan + 4)]
+    blocks = [slice(0, m)][: fan] + [slice((2 * lo - fan) * m, (2 * hi - fan) * m) for lo, hi in bands]
+    for blk in blocks:
+        got = fem2d._block_geometry(mesh, blk)
+        for a, b in zip(got, _tri_geometry(mesh.vertices, mesh.triangles[blk])):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), blk
+
+
+def _by_mode(modes, X):
+    """Ring-major coefficients (a ball's centre, then (rings, modes)) in mode-major order."""
+    body = X[modes.fan :].reshape(modes.rings, modes.modes)
+    return np.concatenate([X[: modes.fan], body.T.reshape(-1)])
+
+
+def _lapack_chain(modes, d, e):
+    """`_AngularModes`' chain as one LAPACK chain: a ball's centre, then every mode's
+    rings, innermost first, with a zero coupling from each mode's last ring to the next."""
+    fan, count = modes.fan, modes.modes
+    couplings = np.vstack([e[fan:].reshape(modes.rings - 1, count), np.zeros((1, count))])
+    return _by_mode(modes, d), np.concatenate([e[:fan], couplings.T.reshape(-1)[:-1]])
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_chain_solve_matches_lapack_bitwise(name):
+    from scipy.linalg.lapack import zpttrf, zpttrs
+
+    from phaselab.parabolic import DT_MAX
+
+    cfg = build_preset(name, n=16).config
+    system = assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0)
+    modes = fem2d._AngularModes(system.mesh)
+    mass, stiffness = fem2d._sector_blocks(system)
+    rng = np.random.default_rng(3)
+    # K̄, the preconditioner's, and the heat flow's cap matrix M + DT_MAX K̄
+    for blocks in (stiffness, mass + DT_MAX * stiffness):
+        d, e = modes.symbol(blocks)
+        df, ef, info = zpttrf(*_lapack_chain(modes, d, e))
+        assert info == 0
+        solve = modes.factor(d, e)
+        # complex coefficients, and those of a real vector, whose modes 0 and m/2 are real
+        v = rng.standard_normal(len(system.free))
+        for X in (rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d)), modes.forward(v)):
+            ref = zpttrs(df, ef, _by_mode(modes, X), lower=1)[0]
+            assert _by_mode(modes, solve(X.copy())).tobytes() == ref.tobytes()
+
+
+def test_a_chain_that_is_not_positive_definite_raises():
+    from scipy.linalg.lapack import zpttrf
+
+    system = assemble_system(generate_mesh(DISPLACED, 8), DISPLACED.sigma_table(), 1.0)
+    modes = fem2d._AngularModes(system.mesh)
+    d, e = modes.symbol(fem2d._sector_blocks(system)[1])
+    negative, zero = d.copy(), d.copy()
+    negative[1 + 3 * modes.modes + 5] = -1.0  # ring 3, mode 5
+    zero[0] = 0.0  # the centre
+    for bad in ((negative, e), (zero, e), (d, 10.0 * e)):  # the last has a late negative pivot
+        assert zpttrf(*_lapack_chain(modes, *bad))[2] != 0
+        with pytest.raises(ValueError, match="the angular-mode system is not positive definite"):
+            modes.factor(*bad)
 
 
 def _orbit_mean_stiffness(system):

@@ -630,8 +630,8 @@ def test_time_integral_approximates_elliptic_solution():
 def semi_discrete_integral(sys_):
     # the exact limit of the time integral: K V = M u0 on the free block
     free = sys_.free
-    Kff = sys_.stiffness[free][:, free].tocsc()
-    Mff = sys_.mass[free][:, free]
+    Kff = sys_.stiffness.tocsr()[free][:, free].tocsc()
+    Mff = sys_.mass.tocsr()[free][:, free]
     return spla.splu(Kff).solve(Mff @ sys_.g_vertex[free])
 
 

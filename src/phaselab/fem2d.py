@@ -18,23 +18,24 @@ seven-slot coupling pattern (ring q, sector j to rings q-1..q+1 at sectors
 j-1..j+1), and its temporaries do not grow with the mesh.  The operators
 stay in that pattern (`PolarOperator`), which multiplies in place, bitwise
 as CSR would, and compresses to CSR with no sort and no merge only for the
-heat flow.  Each block's edge coefficients are computed from ring slices of
-the vertices and dropped after use; the mesh keeps only the areas, which
+heat flow: the mass's free block, and the cap matrix that SuperLU factors.
+Each block's edge coefficients are computed from ring slices of the
+vertices and dropped after use; the mesh keeps only the areas, which
 assembly stores as it goes.  A later stage computes the edge coefficients
 of just the triangles it reads, with the same arithmetic.  Each derived
 fact has one owner that builds it on first use: the mesh its areas, the
-assembled system its mass matrix and its Dirichlet-free blocks, which are
-one index range on a polar mesh and which only the heat flow reads.  Setup
-stages read the ring x sector layout too: centroids are column gathers, and
-the L2 distance to a radial profile evaluates the profile once per rotation
-orbit.  The linear solve is a hand-rolled conjugate gradient with a
-deterministic zero start and in-place updates, multiplying by the
-stiffness's free block in its seven-slot pattern, preconditioned by an
-exact solve with the stiffness whose conductivity is averaged over each
-rotation orbit: an FFT in angle and one sweep over the rings that solves
-every mode's tridiagonal radial system in LAPACK's arithmetic, so the
-iteration count does not grow with n and a concentric layout converges in
-one step.  The same angular-Fourier
+assembled system its mass matrix and the mass's Dirichlet-free block, one
+index range on a polar mesh.  Setup stages read the ring x sector layout
+too: centroids are column gathers, and the L2 distance to a radial profile
+evaluates the profile once per rotation orbit.  The linear solve is a
+hand-rolled conjugate gradient with a deterministic zero start and
+in-place updates, multiplying by the stiffness's free block in its
+seven-slot pattern, preconditioned by an exact solve with the stiffness
+whose conductivity is averaged over each rotation orbit: its stencil is
+the slot values averaged over the sectors, and an FFT in angle and one
+sweep over the rings solve every mode's tridiagonal radial system in
+LAPACK's arithmetic, so the iteration count does not grow with n and a
+concentric layout converges in one step.  The same angular-Fourier
 coefficients (`_AngularModes`) solve the heat flow's cap step exactly on
 layouts whose sigma is constant on every rotation orbit.  Boundary fluxes
 are recovered variationally from the residual of the full (uneliminated)
@@ -107,7 +108,8 @@ class Mesh:
         return len(self.triangles)
 
     def boundary_vertices(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
+        # sorted like np.unique, which would import numpy.ma on an int array
+        return np.flatnonzero(np.bincount(self.boundary_edges.reshape(-1)))
 
     @cached_property
     def areas(self) -> np.ndarray:
@@ -373,11 +375,12 @@ class FemSystem:
     (`free` vs `boundary`), never by rewriting rows, so the full operator
     stays available for variational flux recovery.  Both operators are
     `PolarOperator`s; the mass is assembled on first use, so an elliptic run
-    never builds it.  The heat flow's solvers work on the free blocks `Kff`
-    and `Mff` in CSC, the format SuperLU factors, sliced once on first use
-    from the operators' CSR forms.  The elliptic solve multiplies by the
-    stiffness's free block in place (`solve_elliptic`), so an elliptic run
-    compresses nothing to CSR and imports no scipy.
+    never builds it.  Every solver multiplies the stiffness in its seven-slot
+    pattern and reads its angular-mode symbol from the slots, so no run
+    compresses K.  The heat flow's mass products use `Mff`, the free block
+    of M in CSR, sliced once on first use: at n=32 scipy's CSR product takes
+    0.03 ms against 0.07 ms for the slot product, and the Lanczos basis
+    takes four per vector.
     """
 
     mesh: Mesh
@@ -394,23 +397,21 @@ class FemSystem:
         return _assemble(self.mesh, lambda blk: _element_mass(area[blk]))
 
     @cached_property
-    def Kff(self):
-        return self._free_block(self.stiffness)
-
-    @cached_property
     def Mff(self):
         return self._free_block(self.mass)
 
     def _free_block(self, A: PolarOperator):
-        # the free vertices of a polar mesh are one range: a ball's before its
-        # outer ring, an annulus's between its two rings; A is exactly
-        # symmetric, so the transposed view of the CSR slice is its CSC form
+        """The free rows and columns of ``A`` in CSR.
+
+        The free vertices of a polar mesh are one range: a ball's before its
+        outer ring, an annulus's between its two rings.
+        """
         lo, hi = self.free[0], self.free[-1] + 1
-        return A.tocsr()[lo:hi, lo:hi].T
+        return A.tocsr()[lo:hi, lo:hi]
 
     @cached_property
     def rotation_invariant(self) -> bool:
-        """Is sigma constant on every rotation orbit of the polar mesh, so that K̄ is Kff?"""
+        """Is sigma constant on every rotation orbit of the polar mesh, so that K̄ is K?"""
         sigma = self.sigma_e[_orbits(self.mesh)]
         return bool((sigma == sigma[:, :1]).all())
 
@@ -695,9 +696,10 @@ class _AngularModes:
     A rotation by one sector maps the polar mesh onto itself, so an operator
     summed from element matrices that are constant on every rotation orbit
     is block-circulant in angle: ring r couples only to rings r-1, r, r+1,
-    at angular offsets 0 and ±1.  An rfft along every free ring splits it
-    into one Hermitian tridiagonal radial system per mode (Swarztrauber,
-    SIAM Review 19, 1977).  The coefficients are stored ring by ring, each
+    at angular offsets 0 and ±1, the same in every sector.  An rfft along
+    every free ring splits it into one Hermitian tridiagonal radial system
+    per mode (Swarztrauber, SIAM Review 19, 1977), whose entries come from
+    that stencil alone.  The coefficients are stored ring by ring, each
     ring's modes in a row, so one sweep over the rings factors or solves every
     mode's system at once.  A ball's centre couples only to mode 0 of the
     first ring, so it heads mode 0's system, scaled by sqrt(m) to keep it
@@ -713,46 +715,39 @@ class _AngularModes:
 
     def __init__(self, mesh: Mesh):
         m = self.m = mesh.sectors
-        fan = self.fan = mesh.nv % m  # a ball's one centre vertex
-        n = m // 6
-        self.rings, self.modes = n - 1, m // 2 + 1
+        self.fan = mesh.nv % m  # a ball's one centre vertex
+        self.rings, self.modes = m // 6 - 1, m // 2 + 1
         self.root_m = np.sqrt(m)
-        # the ball's centre fan has no side 1: its (band, side) blocks are masked out
-        self._present = np.arange(n)[:, None] >= fan * np.arange(2)
-        V = mesh.triangles[_orbits(mesh)[:, 0]]  # the (band, side) elements of sector 0
-        self._ring = (V - fan) // m + fan
-        sector = np.where(V < fan, 0, (V - fan) % m)
-        self._offset = sector[..., None, :] - sector[..., :, None] + 1
         # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m);
         # the phases are kept as interleaved real and imaginary parts, so a real sum forms it
         phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(self.modes)) / m)
         self._phase = phase.view(float)
 
-    def symbol(self, blocks: np.ndarray):
-        """The chain ``(d, e)`` of the operator that sums every rotated copy of
-        ``blocks``, the (n, 2, 3, 3) element matrices of sector 0.
+    def symbol(self, A: PolarOperator):
+        """The chain ``(d, e)`` of the block-circulant operator whose stencil is ``A``'s
+        slot values on each free ring, averaged over the sectors.
 
-        ``d`` holds a ball's centre, then the (rings, modes) diagonal; ``e``
-        the centre's coupling to mode 0 of the first ring, then the (rings - 1,
-        modes) couplings of ring r to ring r + 1.
+        That average sums each rotation orbit's element matrices with the
+        orbit's mean weight: it is K̄ of the stiffness in exact arithmetic,
+        and ``A``'s free block to round-off where ``A`` is rotation-invariant.
+        ``d`` holds a ball's centre, then the (rings, modes) diagonal, from
+        slots (0, -1), (0, 0) and (0, 1); ``e`` the centre's coupling to mode 0
+        of the first ring, then the (rings - 1, modes) couplings of ring r to
+        ring r + 1, from ring r + 1's slots (-1, -1) and (-1, 0).
         """
-        n, fan = self.rings + 1, self.fan
-        # stencil[row ring, column ring, angular offset + 1]: each rotated copy of a
-        # sector-0 element adds the same entries one sector further on
-        S = np.zeros((n + 1, n + 1, 3))
-        where = (self._ring[..., :, None], self._ring[..., None, :], self._offset)
-        np.add.at(S, where, blocks * self._present[..., None, None])
-        rings = np.arange(1, n)  # the free rings
+        fan = self.fan
+        first = 1 - fan  # the first free ring: an annulus's inner ring is not free
+        stencil = A.values[:, first : first + self.rings].mean(axis=2)  # (7, rings)
 
-        def by_mode(stencil):  # (rings, 3) -> (rings, modes); einsum, since @ would call BLAS
-            return np.einsum("rd,dk->rk", stencil, self._phase).view(complex)
+        def by_mode(slots):  # (3 or 2, rings) -> (rings, modes); einsum, since @ would call BLAS
+            return np.einsum("dr,dk->rk", slots, self._phase[: len(slots)]).view(complex)
 
-        # a ball's centre row: its diagonal summed over the m fan elements, and
-        # its coupling to every ring-1 vertex, seen by mode 0 as m times one vertex
-        centre_d, centre_e = [self.m * S[0, 0].sum()], [self.root_m * S[0, 1].sum()]
+        # a ball's centre row: its diagonal, and its coupling to every ring-1
+        # vertex, which mode 0 sees as sqrt(m) times the mean one
+        centre_e = [A.centre[1:].sum() / self.root_m]
         return (
-            np.concatenate([centre_d[:fan], by_mode(S[rings, rings]).real.reshape(-1)]),
-            np.concatenate([centre_e[:fan], by_mode(S[rings[1:], rings[:-1]]).reshape(-1)]),
+            np.concatenate([A.centre[:1], by_mode(stencil[2:5]).real.reshape(-1)]),
+            np.concatenate([centre_e[:fan], by_mode(stencil[:2, 1:]).reshape(-1)]),
         )
 
     def factor(self, d: np.ndarray, e: np.ndarray):
@@ -836,35 +831,22 @@ class _AngularModes:
         return v
 
 
-def _sector_blocks(system: FemSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Sector 0's mass and orbit-mean stiffness element matrices, (n, 2, 3, 3) each.
+def _orbit_mean_solver(mesh: Mesh, A: PolarOperator):
+    """Exact solve by the free block of Ā, ``A`` with its stencil averaged over the
+    sectors (`_AngularModes.symbol`): ``solve(r, out=None)``.
 
-    The stiffness weights each (band, side) block with sigma averaged over
-    the block's rotation orbit; on a rotation-invariant layout that is sigma.
+    Ā is block-circulant in angle and solves mode by mode in `_AngularModes`'
+    coefficients, with one sweep over the rings for every mode's radial
+    tridiagonal.  For the stiffness Ā is K̄, the stiffness whose conductivity
+    is averaged over each rotation orbit: K and K̄ sum the same element
+    matrices with weights sigma and its orbit mean, so the preconditioned
+    condition number is at most (max sigma / min sigma)^2 at any n.  On a
+    rotation-invariant layout Ā is ``A`` to round-off, so the solve is exact:
+    CG stops after one iteration, and the heat flow solves its cap matrix so.
+    The coefficients live in one buffer that every call reuses.
     """
-    mesh = system.mesh
-    orbits = _orbits(mesh)
-    b, c, area = _tri_geometry(mesh.vertices, mesh.triangles[orbits[:, 0]])
-    sigma_bar = system.sigma_e[orbits].mean(axis=1)
-    return _element_mass(area), _element_stiffness(b, c, area, sigma_bar)
-
-
-def _orbit_mean_solver(system: FemSystem, dt: float | None = None):
-    """Exact solve by K̄, the free stiffness with sigma averaged over each rotation orbit,
-    or by ``Mff + dt*K̄`` with ``dt``: ``solve(r, out=None)``.
-
-    K̄ sums rotated copies of sector 0's elements, so it is block-circulant
-    in angle and solves mode by mode in `_AngularModes`' coefficients, with
-    one sweep over the rings for every mode's radial tridiagonal; so does M.
-    K and K̄ sum the same element matrices with weights sigma and its orbit
-    mean, so the preconditioned condition number is at most (max sigma / min
-    sigma)^2 at any n; on a rotation-invariant layout K̄ is K, the solve is
-    exact and CG stops after one iteration.  The coefficients live in one
-    buffer that every call reuses.
-    """
-    modes = _AngularModes(system.mesh)
-    mass, stiffness = _sector_blocks(system)
-    solve = modes.factor(*modes.symbol(stiffness if dt is None else mass + dt * stiffness))
+    modes = _AngularModes(mesh)
+    solve = modes.factor(*modes.symbol(A))
     X = np.empty(modes.fan + modes.rings * modes.modes, complex)
     return lambda r, out=None: modes.inverse(solve(modes.forward(r, X)), out)
 
@@ -937,7 +919,7 @@ def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) ->
 
     The free vertices are one index range (see `FemSystem._free_block`), and
     `PolarOperator.matvec` multiplies by that block of K in place, bitwise
-    the product by `Kff`; no free block is sliced.
+    the product by its CSR form; no free block is sliced.
     """
     lo, hi = system.free[0], system.free[-1] + 1
     K = system.stiffness
@@ -946,7 +928,7 @@ def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) ->
         return K.matvec(p, lo, hi, out)
 
     Ff = system.load[lo:hi]
-    uf, its = _pcg(matvec, Ff, tol, maxit, _orbit_mean_solver(system))
+    uf, its = _pcg(matvec, Ff, tol, maxit, _orbit_mean_solver(system.mesh, K))
     res = _norm(matvec(uf) - Ff) / max(_norm(Ff), 1e-300)
     u = np.zeros(system.mesh.nv)
     u[lo:hi] = uf

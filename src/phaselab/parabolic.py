@@ -7,7 +7,7 @@ follow one fixed schedule: a uniform warm-up resolving the initial transient,
 then geometric growth up to a cap ``DT_MAX``.
 
 Every step is a rational function of the cap step
-``B = (Mff + DT_MAX*Kff)^-1 Mff``, which is self-adjoint in the mass inner
+``B = (M + DT_MAX*K)^-1 M`` on the free block, self-adjoint in the mass inner
 product: a step of size dt is ``DT_MAX*B ((DT_MAX - dt)*B + dt)^-1``.  So
 the cap matrix is factored once, and Lanczos from the source, in the mass
 inner product with full reorthogonalisation, gives a basis Q and the
@@ -25,14 +25,16 @@ Saad's error estimate is below ``KRYLOV_TOL`` at every step of the schedule,
 whatever the stopping norm, so a run to a smaller stopping norm repeats a
 shorter run's record bit for bit, then goes on.
 
-The cap matrix is symmetric positive definite, so SuperLU factors it in
+The cap matrix is summed once from M's and K's seven-slot values.  It is
+symmetric positive definite, so SuperLU factors its free block in
 symmetric mode, without pivoting, under a minimum-degree ordering of
 ``A + A^T``, which stores about half the fill of its default column
 ordering.  On a rotation-invariant layout (sigma constant on every rotation
-orbit of the polar mesh) it is block-circulant in angle instead, and solved
-exactly by FFT in angle and one sweep over the rings that solves every
-mode's radial tridiagonal.  Every reduction is summed by numpy's own loops, so no result
-depends on the BLAS thread count.
+orbit of the polar mesh) it is block-circulant in angle instead: its chain
+is read from the same slots, and solved exactly by FFT in angle and one
+sweep over the rings that solves every mode's radial tridiagonal.  Every
+reduction is summed by numpy's own loops, so no result depends on the BLAS
+thread count.
 
 scipy (SuperLU, ``eigh_tridiagonal``, the free blocks in CSR) is imported
 inside the functions that call it, so that ``import phaselab``, which
@@ -58,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem2d import CircleSampler, FemSystem, _dot, _orbit_mean_solver
+from .fem2d import CircleSampler, FemSystem, PolarOperator, _dot, _orbit_mean_solver
 from .symmetry_checks import _probe_table
 
 __all__ = [
@@ -109,18 +111,23 @@ _FLUSH_BELOW = np.finfo(float).tiny
 
 
 def _factor(system: FemSystem, dt: float | None = None):
-    """The solve by ``Mff + dt*Kff``, or by ``Kff`` without ``dt``.
+    """The solve by the free block of ``M + dt*K``, or of ``K`` without ``dt``.
 
-    SuperLU factors it, except on a rotation-invariant layout, where the
-    orbit-mean stiffness is ``Kff`` itself and the FFT-in-angle solve is
-    exact.
+    The operator is built once, M and K summed slot by slot, as scipy sums
+    their free blocks entry by entry.  On a rotation-invariant layout its
+    orbit-mean chain is the block itself, and the FFT-in-angle solve is
+    exact; otherwise SuperLU factors the free block, compressed once.
     """
+    K = A = system.stiffness
+    if dt is not None:
+        M = system.mass
+        A = PolarOperator(M.values + dt * K.values, M.centre + dt * K.centre)
     if system.rotation_invariant:
-        return _orbit_mean_solver(system, dt)
+        return _orbit_mean_solver(system.mesh, A)
     import scipy.sparse.linalg as spla
 
-    A = system.Kff if dt is None else system.Mff + dt * system.Kff
-    return spla.splu(A, **_SPD_LU).solve
+    # exactly symmetric, so the transposed view of the CSR block is its CSC form
+    return spla.splu(system._free_block(A).T, **_SPD_LU).solve
 
 
 @dataclass(frozen=True)
@@ -138,9 +145,10 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
     deterministic.  The pipeline reads the eigenvalue from `evolve`'s Lanczos
     basis instead; this iteration is kept as an independent reference for it.
     """
-    Kff, Mff = system.Kff, system.Mff
+    lo, hi = system.free[0], system.free[-1] + 1
+    K, Mff = system.stiffness, system.Mff
     solve = _factor(system)
-    My = Mff @ np.ones(Kff.shape[0])  # the next right-hand side
+    My = Mff @ np.ones(hi - lo)  # the next right-hand side
     lam_old = 0.0
     for it in range(1, maxit + 1):
         y = solve(My)
@@ -148,7 +156,7 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
         norm = math.sqrt(_dot(y, My))
         y /= norm
         My /= norm
-        lam = _dot(y, Kff @ y) / _dot(y, My)
+        lam = _dot(y, K.matvec(y, lo, hi)) / _dot(y, My)
         if abs(lam - lam_old) <= tol * lam:
             return EigenResult(value=lam, iterations=it)
         lam_old = lam

@@ -72,7 +72,8 @@ def flux_residual(flux: BoundaryFlux) -> FluxStats:
     worst_dev = 0.0
     worst_rel = 0.0
     fallback = False
-    for tag in np.unique(flux.component):
+    # the loop tags, sorted like np.unique, which would import numpy.ma on ints
+    for tag in np.flatnonzero(np.bincount(flux.component)):
         m = flux.component == tag
         wm, fm = w[m], f[m]
         cmean = float((wm * fm).sum() / wm.sum())

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phaselab import cli_reporting, fem2d, symmetry_checks
+from phaselab import cli_reporting, fem2d, parabolic, symmetry_checks
 from phaselab.cli_reporting import (
     DIAG_COLUMNS,
     OUT_ENV_VAR,
@@ -874,26 +874,43 @@ def test_scenario_derives_geometry_and_free_blocks_once(monkeypatch):
     monkeypatch.setattr(fem2d, "_block_geometry", counting_block)
     monkeypatch.setattr(fem2d.PolarOperator, "tocsr", counting_tocsr)
 
-    # an elliptic run never compresses an operator to CSR
-    assert run_scenario(build_preset("two_phase_displaced", n=8)).expectation_match
-    assert compressed == []
+    def assembled_in_blocks(mesh):
+        # assembly derives every triangle's geometry once, a block at a time, in
+        # order, from ring slices; the mass reuses the areas
+        return (
+            blocks[0][0] == 0
+            and blocks[-1][1] == mesh.nt
+            and all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+        )
 
-    calls[:], blocks[:] = [], []
-    res = run_scenario(build_preset("two_phase_displaced", n=8, pipeline="both"))
-    assert res.expectation_match and res.run is not None
-    system, mesh = res.system, res.system.mesh
-    # the heat flow compresses the stiffness and the mass once each, for their free blocks
-    assert sorted(map(id, compressed)) == sorted(map(id, (system.stiffness, system.mass)))
-    # assembly derives every triangle's geometry once, a block at a time, in order,
-    # from ring slices; the mass reuses the areas
-    assert blocks[0][0] == 0 and blocks[-1][1] == mesh.nt
-    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
-    # later stages gather it only for the triangles they read: the preconditioner's
-    # sector 0, the transmission's core and the probe circle's one triangle per sector
-    sector0 = mesh.triangles[fem2d._orbits(mesh)[:, 0]]
-    core = mesh.triangles[mesh.tri_tags >= 1]
-    assert [len(t) for t in calls] == [len(sector0), len(core), mesh.sectors]
-    assert np.array_equal(calls[0], sector0) and np.array_equal(calls[1], core)
+    # an elliptic run compresses no operator; after assembly it gathers geometry
+    # only for the transmission's core
+    res = run_scenario(build_preset("two_phase_displaced", n=8))
+    mesh = res.system.mesh
+    assert res.expectation_match and compressed == []
+    assert assembled_in_blocks(mesh)
+    assert [t.tobytes() for t in calls] == [mesh.triangles[mesh.tri_tags >= 1].tobytes()]
+
+    for name in ("two_phase_displaced", "two_phase_concentric"):
+        calls[:], blocks[:], compressed[:] = [], [], []
+        res = run_scenario(build_preset(name, n=8, pipeline="both"))
+        assert res.expectation_match and res.run is not None
+        system, mesh = res.system, res.system.mesh
+        K, M = system.stiffness, system.mass
+        # the heat flow compresses the mass once, for its products, and, where the
+        # layout is not rotation-invariant, the cap operator M + DT_MAX K, summed
+        # once slot by slot, for SuperLU; never the stiffness
+        assert compressed[0] is M and K not in compressed
+        assert len(compressed) == 1 + (not system.rotation_invariant), name
+        for cap in compressed[1:]:
+            assert cap.values.tobytes() == (M.values + parabolic.DT_MAX * K.values).tobytes()
+            assert cap.centre.tobytes() == (M.centre + parabolic.DT_MAX * K.centre).tobytes()
+        # after assembly, geometry is gathered only for the triangles read: the
+        # transmission's core and the probe circle's one triangle per sector
+        assert assembled_in_blocks(mesh)
+        core = mesh.triangles[mesh.tri_tags >= 1]
+        assert [len(t) for t in calls] == [len(core), mesh.sectors], name
+        assert np.array_equal(calls[0], core), name
 
 
 _BLOCK_SCIPY = """
@@ -910,6 +927,7 @@ from phaselab.cli_reporting import build_preset, main, preset_names, run_scenari
 out = sys.argv[1]
 codes = [main(["preset", name, "--n", "16", "--out", out]) for name in preset_names()]
 assert not [k for k in sys.modules if k.split(".")[0] == "scipy"]
+assert "numpy.ma" not in sys.modules
 try:
     run_scenario(build_preset("one_phase_disk", n=8, pipeline="both"))
 except ImportError as exc:
@@ -943,7 +961,7 @@ def test_an_elliptic_run_peaks_within_its_arrays():
     finally:
         tracemalloc.stop()
     system, mesh = res.system, res.system.mesh
-    assert "Kff" not in vars(system) and "Mff" not in vars(system) and "mass" not in vars(system)
+    assert "Mff" not in vars(system) and "mass" not in vars(system)
     # the mesh keeps its areas, and no per-triangle float triple such as the edge coefficients
     assert not hasattr(mesh, "geometry")
     floats = [a for a in vars(mesh).values() if isinstance(a, np.ndarray) and a.dtype.kind == "f"]

@@ -258,15 +258,15 @@ def test_geometry_and_free_blocks_are_cached_read_only():
     assert mesh.areas is mesh.areas and not mesh.areas.flags.writeable
     assert mesh.areas.tobytes() == generate_mesh(DISPLACED, 8).areas.tobytes()
     assert not hasattr(mesh, "geometry")  # the edge coefficients are not kept
-    Kff, Mff = sys_.Kff, sys_.Mff
-    assert sys_.Kff is Kff and sys_.Mff is Mff
-    assert Kff.format == Mff.format == "csc" and Kff.shape == (len(sys_.free),) * 2
-    # the transposed view of the CSR slice is its CSC form only while the slice is exactly symmetric
-    assert (Kff != Kff.T).nnz == 0
-    # the contiguous slices are bitwise the blocks that the free index array selects
+    assert sys_.Mff is sys_.Mff and not hasattr(sys_, "Kff")
     free = sys_.free
-    for got, A in ((Kff, sys_.stiffness), (Mff, sys_.mass)):
-        ref = A.tocsr()[free][:, free].tocsc()
+    for got, A in ((sys_._free_block(sys_.stiffness), sys_.stiffness), (sys_.Mff, sys_.mass)):
+        assert got.format == "csr" and got.shape == (len(free),) * 2
+        # the heat flow factors the transposed view as CSC, which is the block only
+        # while it is exactly symmetric
+        assert (got != got.T).nnz == 0
+        # the contiguous slices are bitwise the blocks that the free index array selects
+        ref = A.tocsr()[free][:, free]
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
@@ -316,13 +316,18 @@ def test_solver_iterations_do_not_grow_with_n():
             assert sol.iterations == 1, name
 
 
+def _free_csr(A, system):
+    """The free block of the operator ``A`` in CSR, selected by the free index array."""
+    return A.tocsr()[system.free][:, system.free]
+
+
 def _kff_solve(system, tol=1e-10, maxit=50000):
     """CG on the sliced free block in CSR, a new vector per update, as `solve_elliptic`
     once ran: its reference, bit for bit.  Returns u, the iteration count and the
     relative residual."""
-    K, free = system.Kff.T, system.free  # Kff in CSR
+    K, free = _free_csr(system.stiffness, system), system.free
     F = system.load[free]
-    precond = _orbit_mean_solver(system)
+    precond = _orbit_mean_solver(system.mesh, system.stiffness)
     x, r = np.zeros_like(F), F.copy()
     z = precond(r)
     p = z.copy()
@@ -426,11 +431,12 @@ def test_chain_solve_matches_lapack_bitwise(name):
     cfg = build_preset(name, n=16).config
     system = assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0)
     modes = fem2d._AngularModes(system.mesh)
-    mass, stiffness = fem2d._sector_blocks(system)
+    K, M = system.stiffness, system.mass
+    cap = fem2d.PolarOperator(M.values + DT_MAX * K.values, M.centre + DT_MAX * K.centre)
     rng = np.random.default_rng(3)
-    # K̄, the preconditioner's, and the heat flow's cap matrix M + DT_MAX K̄
-    for blocks in (stiffness, mass + DT_MAX * stiffness):
-        d, e = modes.symbol(blocks)
+    # K̄, the preconditioner's, and the orbit mean of the heat flow's cap operator M + DT_MAX K
+    for operator in (K, cap):
+        d, e = modes.symbol(operator)
         df, ef, info = zpttrf(*_lapack_chain(modes, d, e))
         assert info == 0
         solve = modes.factor(d, e)
@@ -446,7 +452,7 @@ def test_a_chain_that_is_not_positive_definite_raises():
 
     system = assemble_system(generate_mesh(DISPLACED, 8), DISPLACED.sigma_table(), 1.0)
     modes = fem2d._AngularModes(system.mesh)
-    d, e = modes.symbol(fem2d._sector_blocks(system)[1])
+    d, e = modes.symbol(system.stiffness)
     negative, zero = d.copy(), d.copy()
     negative[1 + 3 * modes.modes + 5] = -1.0  # ring 3, mode 5
     zero[0] = 0.0  # the centre
@@ -475,7 +481,7 @@ def _orbit_mean_stiffness(system):
         sectors=mesh.sectors,
     )
     table = np.bincount(orbit, weights=system.sigma_e) / np.bincount(orbit)
-    return assemble_system(orbits, table, 1.0).Kff
+    return _free_csr(assemble_system(orbits, table, 1.0).stiffness, system)
 
 
 @pytest.mark.parametrize("cfg", [DISPLACED, DISPLACED_IN_ANNULUS], ids=["ball", "annulus"])
@@ -486,9 +492,10 @@ def test_preconditioner_solves_with_the_orbit_mean_stiffness(cfg):
     Kbar = _orbit_mean_stiffness(sys_)
     r = np.random.default_rng(7).standard_normal(len(sys_.free))
     ref = spsolve(Kbar, r)
-    z = _orbit_mean_solver(sys_)(r)
+    z = _orbit_mean_solver(mesh, sys_.stiffness)(r)
     assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert np.linalg.norm(z - spsolve(sys_.Kff, r)) > 1e-3 * np.linalg.norm(ref)  # K̄ is not K
+    K = _free_csr(sys_.stiffness, sys_)
+    assert np.linalg.norm(z - spsolve(K, r)) > 1e-3 * np.linalg.norm(ref)  # K̄ is not K
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -503,7 +510,7 @@ def test_preconditioner_solves_with_the_orbit_mean_stiffness(cfg):
     ),
 )
 def test_concentric_layouts_solve_in_one_iteration(kind, n, layers):
-    # nested centred disks, innermost first: every interface is a mesh ring, so K̄ is Kff
+    # nested centred disks, innermost first: every interface is a mesh ring, so K̄ is K
     dom = DomainSpec(kind, inner_radius=0.5 if kind == "annulus" else 0.0)
     r0, R = dom.inner_radius, dom.outer_radius
     phases = tuple(
@@ -596,6 +603,36 @@ def test_flux_identity_random_sources():
         flux = recover_boundary_flux(sys_, solve_elliptic(sys_).u)
         scale = max(abs(sys_.load).sum(), 1e-30)
         assert abs(flux.total + sys_.load.sum()) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("name", preset_names())
+def test_weak_form_holds_as_a_discrete_identity(name, n):
+    # Tested with a sigma-harmonic w, -div(sigma grad u) = g gives
+    # int g w = -int_boundary sigma du/dnu w.  Discretely, let w extend a trace w_b
+    # (Kff w_f = -K_fb w_b) and r_f = Kff u_f - F_f be the solve's residual; then
+    # the recovered boundary residual obeys (K u - F)_b . w_b + F . w = -w_f . r_f
+    # exactly, for traces cos k theta and sin k theta on each boundary loop apart
+    res = run_scenario(build_preset(name, n=n))
+    system, u = res.system, res.solution.u
+    flux = recover_boundary_flux(system, u)
+    free, bn, F = system.free, flux.vertex_ids, system.load
+    K = system.stiffness.tocsr()
+    Kff, Kfb = K[free][:, free].tocsc(), K[free][:, bn]
+    r_f = Kff @ u[free] - F[free]
+    x, y = system.mesh.vertices[bn].T
+    theta = np.arctan2(y, x)
+    loops = np.unique(flux.component)
+    assert len(loops) == (2 if system.mesh.nv % system.mesh.sectors == 0 else 1)
+    for loop in loops:
+        for k in range(1, 5):
+            for trace in (np.cos(k * theta), np.sin(k * theta)):
+                w = np.zeros(system.mesh.nv)
+                w[bn] = np.where(flux.component == loop, trace, 0.0)
+                w[free] = spsolve(Kff, -(Kfb @ w[bn]))
+                lhs = (flux.values * flux.weights) @ w[bn] + F @ w
+                bound = 1e-13 * np.abs(F).sum() * np.abs(w).max()
+                assert abs(lhs + w[free] @ r_f) <= bound, (loop, k)
 
 
 def test_discrete_rotational_symmetry():

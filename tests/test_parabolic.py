@@ -142,13 +142,15 @@ def live_factors(monkeypatch):
     return tally
 
 
-def same_matrix(A, B):
-    return A.shape == B.shape and abs(A - B).max() == 0.0
+def free_blocks(sys_):
+    """The free blocks of K and M in CSR, selected by the free index array."""
+    free = sys_.free
+    return tuple(A.tocsr()[free][:, free] for A in (sys_.stiffness, sys_.mass))
 
 
 def test_evolve_keeps_one_step_factor_alive(live_factors):
     sys_ = disk_system(8, sigma=2.0, center=(0.2, 0.0), radius=0.3)
-    Kff, Mff = sys_.Kff, sys_.Mff
+    Kff, Mff = free_blocks(sys_)
     full = evolve(sys_, eps=1e-6)
     assert full.step_solver == "SuperLU"
     assert live_factors.peak == 1
@@ -156,7 +158,13 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     # the Krylov basis it builds
     assert full.factorizations == len(live_factors.built) == 1
     ((cap, _),) = live_factors.built
-    assert same_matrix(cap, Mff + parabolic.DT_MAX * Kff)
+    # the stored pattern, which SuperLU's MMD_AT_PLUS_A ordering reads, as well as
+    # the values: bitwise scipy's sum of the free blocks
+    ref = (Mff + parabolic.DT_MAX * Kff).tocsc()
+    assert cap.format == "csc" and cap.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(cap, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
     assert len({_step_size(k) for k in range(full.steps)}) == 30
 
     # a rotation-invariant layout solves the cap step and the eigen-solver's
@@ -200,12 +208,13 @@ def test_invariant_layout_solves_exactly_by_fft(kind, dt, live_factors):
     sys_ = ring_system(kind)
     assert sys_.rotation_invariant
     u = np.random.default_rng(7).standard_normal(len(sys_.free))
+    Kff, Mff = free_blocks(sys_)
     if dt is None:  # the eigen-solver's solve by Kff
-        ref = spsolve(sys_.Kff, u)
+        ref = spsolve(Kff, u)
         z = parabolic._factor(sys_)(u)
     else:  # one backward Euler step; the heat flow solves with dt = DT_MAX
-        ref = spsolve(sys_.Mff + dt * sys_.Kff, sys_.Mff @ u)
-        z = parabolic._factor(sys_, dt)(sys_.Mff @ u)
+        ref = spsolve(Mff + dt * Kff, Mff @ u)
+        z = parabolic._factor(sys_, dt)(Mff @ u)
     assert rel(z, ref) <= 1e-12
     assert live_factors.built == []
 
@@ -218,9 +227,9 @@ def factor_every_size(sys_, eps, factor=None, start=None, probe=None):
     ``probe`` records the probe rows of every state.
     """
     free = sys_.free
-    Kff, Mff = sys_.Kff, sys_.Mff
+    Kff, Mff = free_blocks(sys_)
     if factor is None:
-        factor = lambda dt: spla.splu(Mff + dt * Kff).solve
+        factor = lambda dt: spla.splu((Mff + dt * Kff).tocsc()).solve
     if start is None:
         u, V = sys_.g_vertex[free], np.zeros(len(free))
         times, norms, samples = [0.0], [sys_.mass_norm(u)], []
@@ -629,10 +638,8 @@ def test_time_integral_approximates_elliptic_solution():
 
 def semi_discrete_integral(sys_):
     # the exact limit of the time integral: K V = M u0 on the free block
-    free = sys_.free
-    Kff = sys_.stiffness.tocsr()[free][:, free].tocsc()
-    Mff = sys_.mass.tocsr()[free][:, free]
-    return spla.splu(Kff).solve(Mff @ sys_.g_vertex[free])
+    Kff, Mff = free_blocks(sys_)
+    return spla.splu(Kff.tocsc()).solve(Mff @ sys_.g_vertex[sys_.free])
 
 
 def test_backward_euler_integral_is_first_order(monkeypatch):

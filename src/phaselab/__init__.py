@@ -50,7 +50,6 @@ from .symmetry_checks import (
     angular_spectrum,
     flux_residual,
     probe_deviation,
-    radiality_verdict,
     spectrum_from_samples,
     transmission_residual,
 )

@@ -62,7 +62,6 @@ from .radial_core import (
 from .symmetry_checks import (
     angular_spectrum,
     flux_residual,
-    radiality_verdict,
     transmission_residual,
 )
 
@@ -91,11 +90,29 @@ class Tolerances:
     decay_slack: float = 0.02  # allowed excess over the spectral decay bound
 
     def __post_init__(self) -> None:
-        for name in ("flux_symmetry", "spectrum", "transmission", "probe"):
+        for _, _, name, _ in _DETECTORS:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"tolerance {name!r} must be positive")
         if not self.decay_slack >= 0.0:
             raise ValueError("tolerance 'decay_slack' must be non-negative")
+
+
+# the detector stages of each pipeline; every pipeline solves the elliptic problem
+_PIPELINES = {
+    "elliptic": ("elliptic",),
+    "parabolic": ("parabolic",),
+    "both": ("elliptic", "parabolic"),
+}
+
+# the symmetry detectors: verdict name, the stage that runs it, its Tolerances field and the
+# values it tests.  A detector is quiet when every value is below its threshold, so NaN fires it.
+_DETECTORS = (
+    ("flux_symmetric", "elliptic", "flux_symmetry", lambda r: (r.flux_stats.rel_deviation,)),
+    ("radial", "elliptic", "spectrum", lambda r: (r.spectrum.nonradial_fraction,)),
+    # the residual reads 0.0 where it is undefined: no inclusion element, nothing to compare
+    ("transmission_symmetric", "elliptic", "transmission", lambda r: (r.transmission.residual,)),
+    ("probes_symmetric", "parabolic", "probe", lambda r: r.run.probe_dev_max),
+)
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,7 @@ class Scenario:
     name: str
     config: PhaseConfig
     n: int = 64
-    pipeline: str = "elliptic"  # "elliptic" | "parabolic" | "both"
+    pipeline: str = "elliptic"  # a key of _PIPELINES
     probe_radius: float | None = None
     source: tuple[float, ...] = (1.0,)  # radial polynomial g(|x|), ascending
     expect_symmetric: bool = True
@@ -117,7 +134,7 @@ class Scenario:
                 "'name' must be a non-empty directory name other than '.' and '..', "
                 f"without ',', '/', '\\' or control characters; got {self.name!r}"
             )
-        if self.pipeline not in ("elliptic", "parabolic", "both"):
+        if self.pipeline not in _PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.probe_radius is not None and not self.probe_radius > 0.0:
             raise ValueError(f"'probe_radius' must be positive, got {self.probe_radius!r}")
@@ -357,11 +374,8 @@ class ScenarioResult:
     monotone: bool | None = None
     v_rel_error: float | None = None
     tail: float | None = None
-    # verdicts
-    verdict_flux_symmetric: bool = True
-    verdict_radial: bool = True
-    verdict_transmission_symmetric: bool = True
-    verdict_probes_symmetric: bool | None = None
+    # the verdict of each detector the pipeline ran, keyed by its name in _DETECTORS
+    verdicts: dict[str, bool] = field(default_factory=dict)
     asymmetry_detected: bool = False
     expectation_match: bool = False
     elapsed: float = 0.0
@@ -380,7 +394,8 @@ def _spectrum_radii(domain: DomainSpec) -> tuple[float, ...]:
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     """Execute the selected pipeline and (optionally) write all artifacts."""
     t_start = time.perf_counter()
-    if scenario.pipeline in ("parabolic", "both"):
+    heat_flow = "parabolic" in _PIPELINES[scenario.pipeline]
+    if heat_flow:
         # the heat flow's scipy, before the elliptic stage: scipy's OpenBLAS
         # threads spin for tens of milliseconds once loaded, and here they do
         # it beside the elliptic stage instead of the heat flow
@@ -439,7 +454,7 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
         probe_placement_ok=placement_ok,
     )
 
-    if scenario.pipeline in ("parabolic", "both"):
+    if heat_flow:
         # probes must ride strictly inside the shell: crossing an inclusion
         # would measure interface jumps, not the symmetry of the layout
         if cfg.domain.circle_to_boundary(probe_rho) <= 0.0:
@@ -468,30 +483,20 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
 def _apply_verdicts(res: ScenarioResult) -> None:
     """Combine the diagnostics into the declared-expectation contract.
 
-    A layout counts as "asymmetry detected" when at least one selected
-    diagnostic fires; symmetry requires all of them quiet.  (An off-centre
-    layout need not trip every detector at a finite resolution -- one firing
-    witness is already inconsistent with a concentric layout.)
+    Only the detectors of the pipeline's stages give a verdict.  A layout
+    counts as "asymmetry detected" when at least one of them fires; symmetry
+    requires all of them quiet.  (An off-centre layout need not trip every
+    detector at a finite resolution -- one firing witness is already
+    inconsistent with a concentric layout.)
     """
     sc = res.scenario
-    tol = sc.tolerances
-    fired: list[bool] = []
-    if sc.pipeline in ("elliptic", "both"):
-        res.verdict_flux_symmetric = res.flux_stats.rel_deviation < tol.flux_symmetry
-        res.verdict_radial = radiality_verdict(res.spectrum, tol.spectrum)
-        res.verdict_transmission_symmetric = (
-            not res.transmission.defined or res.transmission.residual < tol.transmission
-        )
-        fired += [
-            not res.verdict_flux_symmetric,
-            not res.verdict_radial,
-            not res.verdict_transmission_symmetric,
-        ]
-    if sc.pipeline in ("parabolic", "both"):
-        res.verdict_probes_symmetric = all(dev < tol.probe for dev in res.run.probe_dev_max)
-        fired.append(not res.verdict_probes_symmetric)
-
-    res.asymmetry_detected = any(fired)
+    stages = _PIPELINES[sc.pipeline]
+    res.verdicts = {
+        name: all(v < getattr(sc.tolerances, tol) for v in values(res))
+        for name, stage, tol, values in _DETECTORS
+        if stage in stages
+    }
+    res.asymmetry_detected = not all(res.verdicts.values())
     match = res.asymmetry_detected == (not sc.expect_symmetric)
     match = match and (res.flags.all_ok == sc.expect_hypotheses_ok)
     if res.run is not None:
@@ -559,10 +564,7 @@ _DIAGNOSTICS = (
     ("probe_placement_ok", lambda r: r.probe_placement_ok),
     ("probe_dev_u_max", _heat(lambda r: r.run.probe_dev_max[0])),
     ("probe_dev_flux_max", _heat(lambda r: r.run.probe_dev_max[1])),
-    ("verdict_flux_symmetric", lambda r: r.verdict_flux_symmetric),
-    ("verdict_radial", lambda r: r.verdict_radial),
-    ("verdict_transmission_symmetric", lambda r: r.verdict_transmission_symmetric),
-    ("verdict_probes_symmetric", lambda r: r.verdict_probes_symmetric),
+    *((f"verdict_{name}", lambda r, name=name: r.verdicts.get(name)) for name, *_ in _DETECTORS),
     ("asymmetry_detected", lambda r: r.asymmetry_detected),
     ("expectation_match", lambda r: r.expectation_match),
 )
@@ -651,15 +653,8 @@ def _summary_text(res: ScenarioResult) -> str:
             f"probe circle r={res.probe_radius!r} placement_ok={_fmt(res.probe_placement_ok)}: "
             f"max dev u {dev_u:.6e}, max dev flux {dev_flux:.6e}",
         ]
-    verdicts = [
-        f"flux_symmetric={_fmt(res.verdict_flux_symmetric)}",
-        f"radial={_fmt(res.verdict_radial)}",
-        f"transmission_symmetric={_fmt(res.verdict_transmission_symmetric)}",
-    ]
-    if res.verdict_probes_symmetric is not None:
-        verdicts.append(f"probes_symmetric={_fmt(res.verdict_probes_symmetric)}")
     lines += [
-        "verdicts: " + " ".join(verdicts),
+        "verdicts: " + " ".join(f"{name}={_fmt(v)}" for name, v in res.verdicts.items()),
         f"asymmetry_detected={_fmt(res.asymmetry_detected)} "
         f"expected_symmetric={_fmt(sc.expect_symmetric)} "
         f"hypotheses_ok={_fmt(res.flags.all_ok)} "
@@ -706,11 +701,17 @@ def merge_reports(root) -> tuple[Path, bool]:
         if not diag.is_file():
             continue
         lines = diag.read_text().strip().split("\n")
-        if not lines or lines[0] != header:
+        if lines[0] != header:
             raise ValueError(f"{diag} does not match the expected diagnostics schema")
+        if len(lines) == 1:
+            raise ValueError(f"{diag} has no row under its header")
         for line in lines[1:]:
-            rows.append(line)
             cells = line.split(",")
+            if len(cells) != len(DIAG_COLUMNS):
+                raise ValueError(
+                    f"{diag} has a row of {len(cells)} cells under a header of {len(DIAG_COLUMNS)}"
+                )
+            rows.append(line)
             if cells[DIAG_COLUMNS.index("expectation_match")] != "true":
                 all_match = False
     if not rows:
@@ -750,9 +751,7 @@ def main(argv=None) -> int:
     p_preset = sub.add_parser("preset", help="run a named built-in scenario")
     p_preset.add_argument("name", help="preset name (see list-presets)")
     p_preset.add_argument("--n", type=int, default=None, help="mesh resolution override")
-    p_preset.add_argument(
-        "--pipeline", choices=("elliptic", "parabolic", "both"), default=None
-    )
+    p_preset.add_argument("--pipeline", choices=tuple(_PIPELINES), default=None)
     p_preset.add_argument("--out", default=None, help="output directory root")
     p_preset.add_argument(
         "--phases", type=int, default=None, help="inclusion count (multiphase_discrete only)"

@@ -3,9 +3,10 @@
 A concentric layout produces an equilibrium whose boundary flux is constant,
 whose angular spectrum on interior circles is purely radial, and whose flux
 inside each inclusion matches the gradient of the conductivity-one reference
-solution.  Each check here turns one of those statements into a scalar
-residual with a threshold; an off-centre inclusion makes at least one of
-them fire.
+solution (on an annulus, up to a multiple of e_r/r).  Each check here turns
+one of those statements into a scalar residual; the detector table in
+``cli_reporting`` holds their thresholds, and an off-centre inclusion makes
+at least one of them fire.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "flux_residual",
     "angular_spectrum",
     "spectrum_from_samples",
-    "radiality_verdict",
     "transmission_residual",
     "probe_deviation",
 ]
@@ -160,20 +160,17 @@ def angular_spectrum(mesh: Mesh, u: np.ndarray, radii) -> ModeSpectrum:
     return spectrum_from_samples(radii, _vertex_angle_values(mesh, u, radii))
 
 
-def radiality_verdict(spectrum: ModeSpectrum, tol: float = 1e-3) -> bool:
-    """True when the non-radial amplitude fraction stays below the threshold."""
-    return spectrum.nonradial_fraction < tol
-
-
 @dataclass(frozen=True)
 class TransmissionStats:
     """Inclusion-interior mismatch between sigma * grad(u) and the reference gradient.
 
     The reference is the radial conductivity-one equilibrium of the same
-    domain and source; for a concentric layout the co-normal flux of the true
-    solution reproduces its gradient inside every inclusion, so the
-    area-weighted relative mismatch is a symmetry residual.  ``defined`` is
-    False when the layout has no inclusion elements (nothing to compare).
+    domain and source.  On a ball, the co-normal flux of a concentric
+    layout's true solution reproduces its gradient inside every inclusion.
+    On an annulus the flux through the hole depends on sigma, so it
+    reproduces the gradient plus c/r along the radius for one constant c.
+    The area-weighted relative mismatch is a symmetry residual.  ``defined``
+    is False when the layout has no inclusion elements (nothing to compare).
     """
 
     residual: float
@@ -184,32 +181,48 @@ class TransmissionStats:
 def transmission_residual(system: FemSystem, u: np.ndarray, aux_profile) -> TransmissionStats:
     """Area-weighted mismatch over the inclusion elements (tag >= 1).
 
-    The per-triangle terms are computed a block of at most `_BLOCK_TRIANGLES`
-    core triangles at a time into one array per sum, and each sum runs once
-    over its whole array: numpy's pairwise sum of the same terms, so the
-    block size moves no bit.
+    On an annulus, the c of the hole's c/r term is first fitted by
+    area-weighted least squares over the same triangles; on a ball it is 0.
+    The per-triangle terms are computed a block of at most
+    `_BLOCK_TRIANGLES` core triangles at a time into one array per sum, and
+    each sum runs once over its whole array: numpy's pairwise sum of the
+    same terms, so the block size moves no bit.
     """
     mesh = system.mesh
     core = np.flatnonzero(mesh.tri_tags >= 1)
     if not len(core):
         return TransmissionStats(residual=0.0, defined=False, core_area=0.0)
-    terms = np.empty((3, len(core)))  # mismatch, reference and area of each core triangle
-    for lo in range(0, len(core), _BLOCK_TRIANGLES):
-        blk = slice(lo, lo + _BLOCK_TRIANGLES)
-        tri = core[blk]
-        corners = mesh.triangles[tri]
-        b, c, area = _tri_geometry(mesh.vertices, corners)
-        uT = u[corners]
-        A2 = (2 * area)[:, None]
-        gx = (uT * b / A2).sum(axis=1)
-        gy = (uT * c / A2).sum(axis=1)
-        sig = system.sigma_e[tri]
 
-        cents = _centroids(mesh.vertices, corners)
-        r_c = np.linalg.norm(cents, axis=1)
-        qp = aux_profile.derivative(np.clip(r_c, aux_profile.r0, aux_profile.R))
-        ex, ey = cents[:, 0] / r_c, cents[:, 1] / r_c
-        terms[0, blk] = area * ((sig * gx - qp * ex) ** 2 + (sig * gy - qp * ey) ** 2)
+    def blocks():
+        """Per block: its slice, areas, sigma * grad(u), q' and the centroids' e_r and radius."""
+        for lo in range(0, len(core), _BLOCK_TRIANGLES):
+            blk = slice(lo, lo + _BLOCK_TRIANGLES)
+            tri = core[blk]
+            corners = mesh.triangles[tri]
+            b, c, area = _tri_geometry(mesh.vertices, corners)
+            uT = u[corners]
+            A2 = (2 * area)[:, None]
+            sig = system.sigma_e[tri]
+            fx = sig * (uT * b / A2).sum(axis=1)
+            fy = sig * (uT * c / A2).sum(axis=1)
+
+            cents = _centroids(mesh.vertices, corners)
+            r_c = np.linalg.norm(cents, axis=1)
+            qp = aux_profile.derivative(np.clip(r_c, aux_profile.r0, aux_profile.R))
+            yield blk, area, fx, fy, qp, cents[:, 0] / r_c, cents[:, 1] / r_c, r_c
+
+    c_hole = 0.0
+    if aux_profile.r0 > 0.0:
+        fit = np.empty((2, len(core)))  # the normal equation's two sums
+        for blk, area, fx, fy, qp, ex, ey, r_c in blocks():
+            fit[0, blk] = area * (fx * ex + fy * ey - qp) / r_c
+            fit[1, blk] = area / r_c**2
+        c_hole = float(fit[0].sum() / fit[1].sum())
+
+    terms = np.empty((3, len(core)))  # mismatch, reference and area of each core triangle
+    for blk, area, fx, fy, qp, ex, ey, r_c in blocks():
+        q = qp + c_hole / r_c  # qp itself on a ball, bit for bit
+        terms[0, blk] = area * ((fx - q * ex) ** 2 + (fy - q * ey) ** 2)
         terms[1, blk] = area * qp**2
         terms[2, blk] = area
 

@@ -65,7 +65,7 @@ def test_c3_symmetry_dichotomy_across_layouts(elliptic64, asymmetric96):
     for res in (d64, d96, m64, m96):
         name = res.scenario.name
         assert res.spectrum.dominant_mode == 1, name
-        assert not res.verdict_radial, name
+        assert not res.verdicts["radial"], name
         assert res.transmission.residual > 5e-2, name
     for a, b in ((d64, d96), (m64, m96)):
         name = a.scenario.name
@@ -96,7 +96,7 @@ def test_c3_symmetry_dichotomy_across_layouts(elliptic64, asymmetric96):
     # that is just under the 1e-2 flux threshold, so the flux detector stays
     # quiet and the spectrum, transmission, and probe detectors carry the layout
     for res in (d64, d96):
-        assert res.verdict_flux_symmetric, res.scenario.n
+        assert res.verdicts["flux_symmetric"], res.scenario.n
         assert res.asymmetry_detected, res.scenario.n
 
 

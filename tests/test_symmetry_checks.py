@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phaselab import symmetry_checks
-from phaselab.cli_reporting import build_preset, run_scenario
+from phaselab.cli_reporting import Scenario, Tolerances, build_preset, run_scenario
 from phaselab.fem2d import (
     BoundaryFlux,
     CircleSampler,
@@ -22,7 +22,6 @@ from phaselab.symmetry_checks import (
     angular_spectrum,
     flux_residual,
     probe_deviation,
-    radiality_verdict,
     spectrum_from_samples,
     transmission_residual,
 )
@@ -93,7 +92,7 @@ def test_spectrum_radial_field_is_silent():
     spec = angular_spectrum_of(lambda P: 1.0 - np.linalg.norm(P, axis=1) ** 2, radii)
     assert spec.perp_energy < 1e-24
     assert spec.nonradial_fraction < 1e-12
-    assert radiality_verdict(spec)
+    assert spec.nonradial_fraction < Tolerances().spectrum
     assert spec.dominant_mode in (0, *range(1, 17))  # irrelevant when silent
 
 
@@ -107,7 +106,7 @@ def test_spectrum_coordinate_field_is_pure_mode_one():
         assert np.max(np.abs(others)) < 1e-12
         assert abs(spec.cos_coeffs[i, 0]) < 1e-12  # zero mean
     assert spec.dominant_mode == 1
-    assert not radiality_verdict(spec)
+    assert not spec.nonradial_fraction < Tolerances().spectrum
     # all energy is non-radial here
     assert abs(spec.nonradial_fraction - 1.0) < 1e-12
 
@@ -233,9 +232,42 @@ def test_transmission_residual_concentric_small_displaced_large():
     assert t_d.residual > 0.05
 
 
-@pytest.mark.parametrize("name", ["two_phase_displaced", "multiphase_discrete"])
+# a concentric ring in an annulus: sigma * grad(u) is the reference gradient plus c/r along the radius
+ANNULUS_RING = PhaseConfig(
+    domain=DomainSpec("annulus", inner_radius=0.5),
+    phases=(PhaseRegion(shape="ring", sigma=2.0, r_inner=0.6, r_outer=0.8),),
+)
+
+
+def transmission_on(cfg, n):
+    sys_ = assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+    return transmission_residual(sys_, solve_elliptic(sys_).u, build_auxiliary_profile(cfg.domain, [1.0]))
+
+
+def test_transmission_residual_on_a_concentric_annulus_converges_at_second_order():
+    # the flux through the hole depends on sigma; without fitting c the
+    # residual stalls at 2.28e-2, 2.18e-2 and 2.15e-2 here
+    res = [transmission_on(ANNULUS_RING, n).residual for n in (32, 64, 128)]
+    assert res[0] < 5e-3, res
+    for coarse, fine in zip(res, res[1:]):
+        assert coarse >= 3.5 * fine, res
+
+
+def test_transmission_residual_fires_on_a_displaced_disk_in_an_annulus():
+    cfg = PhaseConfig(
+        domain=DomainSpec("annulus", inner_radius=0.3),
+        phases=(PhaseRegion(shape="disk", sigma=2.0, center=(0.6, 0.0), radius=0.15),),
+    )
+    t = transmission_on(cfg, 64)
+    assert t.defined and t.residual > 5e-2
+
+
+@pytest.mark.parametrize("name", ["two_phase_displaced", "multiphase_discrete", "annulus_ring"])
 def test_transmission_blocks_move_no_bit(name, monkeypatch):
-    res = run_scenario(build_preset(name, n=16))
+    if name == "annulus_ring":  # the fit of c runs over the same blocks; at n=16 7 divides the core
+        res = run_scenario(Scenario(name=name, config=ANNULUS_RING, n=12))
+    else:
+        res = run_scenario(build_preset(name, n=16))
     core = int((res.system.mesh.tri_tags >= 1).sum())
     # the default takes every core triangle in one block, as one array did; 7 leaves a partial block
     default = symmetry_checks._BLOCK_TRIANGLES

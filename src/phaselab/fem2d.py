@@ -380,7 +380,7 @@ class FemSystem:
     compresses K.  The heat flow's mass products use `Mff`, the free block
     of M in CSR, sliced once on first use: at n=32 scipy's CSR product takes
     0.03 ms against 0.07 ms for the slot product, and the Lanczos basis
-    takes four per vector.
+    takes two per vector.
     """
 
     mesh: Mesh

@@ -10,20 +10,21 @@ Every step is a rational function of the cap step
 ``B = (M + DT_MAX*K)^-1 M`` on the free block, self-adjoint in the mass inner
 product: a step of size dt is ``DT_MAX*B ((DT_MAX - dt)*B + dt)^-1``.  So
 the cap matrix is factored once, and Lanczos from the source, in the mass
-inner product with full reorthogonalisation, gives a basis Q and the
-tridiagonal ``T = Z diag(theta) Z^T`` (Saad, SIAM J. Numer. Anal. 29, 1992;
-Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997).  Every recorded state
-is Q Z times its Ritz coordinates, the start's times the step functions at
-theta: the mass norm is their 2-norm, the probe samples are ``P Q Z`` times
-them, the trapezoidal time integral sums them, and only the final state and
-the integral go back to nodal values.  The coordinates of fast modes decay
-through the subnormal range, where every product is slow, so each one below
-the smallest normal float is flushed to zero: it is below half an ulp of any
-sum above 2**-969 that it joins, and the norms, samples and integrals it
-would join are far larger, so no output bit moves.  The basis grows until
-Saad's error estimate is below ``KRYLOV_TOL`` at every step of the schedule,
-whatever the stopping norm, so a run to a smaller stopping norm repeats a
-shorter run's record bit for bit, then goes on.
+inner product, each vector orthogonalised against the whole basis, gives a
+basis Q and the tridiagonal ``T = Z diag(theta) Z^T`` (Saad, SIAM J. Numer.
+Anal. 29, 1992; Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997).  Every
+recorded state is Q Z times its Ritz coordinates, the start's times the step
+functions at theta: the mass norm is their 2-norm, the probe samples are
+``P Q Z`` times them, the trapezoidal time integral sums them, and only the
+final state and the integral go back to nodal values.  The coordinates of
+fast modes decay through the subnormal range, where every product is slow,
+so each one below the smallest normal float is flushed to zero: it is below
+half an ulp of any sum above 2**-969 that it joins, and the norms, samples
+and integrals it would join are far larger, so no output bit moves.  A
+flushed coordinate stays zero, and the probe product skips it.  The basis
+grows until Saad's error estimate is below ``KRYLOV_TOL`` at every step of
+the schedule, whatever the stopping norm, so a run to a smaller stopping
+norm repeats a shorter run's record bit for bit, then goes on.
 
 The cap matrix is summed once from M's and K's seven-slot values.  It is
 symmetric positive definite, so SuperLU factors its free block in
@@ -101,6 +102,10 @@ KRYLOV_TOL = 1e-14
 KRYLOV_MAX = 400
 _NEGLIGIBLE = 60 * math.log(2.0)  # log of a Ritz weight ratio that no longer moves the estimate
 _ESTIMATE_CHUNK = 128  # steps of the schedule the estimate evaluates at once
+# A three-term step that leaves less than this share of a vector's squared
+# mass norm has cancelled so much that the mass product carried through it
+# has lost more than two of its digits.
+_CANCELLED = 1e-4
 
 # The states of PROBE_BLOCK consecutive recorded times are evaluated
 # together, their probe rows by one product and vectorised means and maxima.
@@ -184,7 +189,6 @@ class Evolution:
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
-    factorizations: int  # matrices factored: the cap step's
     lam_min: float  # smallest eigenvalue of (K, M), from the largest Ritz value
     krylov_dim: int
     krylov_estimate: float
@@ -238,41 +242,65 @@ def _step_factors(theta: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return DT_MAX * theta / ((DT_MAX - dt) * theta + dt)
 
 
-def _lanczos(system: FemSystem, u0: np.ndarray, beta0: float, solve):
+def _lanczos(system: FemSystem, u0: np.ndarray, Mu0: np.ndarray, beta0: float, solve):
     """Mass-orthonormal Lanczos basis of B from ``u0``, its tridiagonal's eigenpairs, the estimate.
 
-    Each new vector is orthogonalised twice against the whole basis, and the
-    diagonal takes both passes' coefficients.  The basis, kept as blocks of
-    `KRYLOV_BLOCK` rows, grows a block at a time until `_error_estimate` is
-    at most `KRYLOV_TOL`, or stops at a zero vector: its space is invariant.
+    ``Mu0`` is ``Mff @ u0`` and ``beta0`` its mass norm.  Each new vector
+    takes the three-term step, its mass product carried along with the
+    stored products of the last two vectors, then one classical Gram-Schmidt
+    pass against the whole basis, whose coefficient on the newest vector joins
+    the diagonal.  A second pass runs only where the first one cancelled at
+    least half the squared mass norm that the three-term step left (Daniel,
+    Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).  So a vector takes two
+    products by ``Mff``: the solve's, and the one that gives its mass norm
+    and the next right-hand side.  A third is formed only where the
+    three-term step cancels down to `_CANCELLED` of the squared norm, as at
+    the end of an invariant subspace: the carried product has lost its digits
+    there.  The basis, kept as blocks of `KRYLOV_BLOCK` rows, grows a block at
+    a time until `_error_estimate` is at most `KRYLOV_TOL`, or stops at a
+    zero vector: its space is invariant.
     """
     from scipy.linalg import eigh_tridiagonal
 
     Mff = system.Mff
-    blocks, alpha, beta = [], [], []
-    q = u0 / beta0
+    blocks, alpha, beta = [], [], [0.0]  # beta[-1] multiplies the previous vector
+    q, Mq = u0 / beta0, Mu0 / beta0
+    q_prev = Mq_prev = np.zeros_like(u0)
     while True:
         block = np.empty((KRYLOV_BLOCK, len(u0)))
+        block[0] = q
         blocks.append(block)
         for i in range(KRYLOV_BLOCK):
-            block[i] = q
             basis = blocks[:-1] + [block[: i + 1]]
-            w = solve(Mff @ q)
-            a = 0.0
-            for _ in range(2):
+            w = solve(Mq)
+            Mw = Mff @ w
+            a, full = _dot(q, Mw), _dot(w, Mw)
+            w -= a * q + beta[-1] * q_prev  # the three-term step
+            Mw -= a * Mq + beta[-1] * Mq_prev
+            kept = _dot(w, Mw)  # the squared mass norm the three-term step left
+            if kept < _CANCELLED * full:  # the carried product lost its digits: form it afresh
                 Mw = Mff @ w
+                kept = _dot(w, Mw)
+            for _ in range(2):
                 for b in basis:
                     h = np.einsum("ij,j->i", b, Mw)
                     w -= np.einsum("ij,i->j", b, h)
                 a += h[-1]  # the coefficient on q, the last row of the last block
+                Mw = Mff @ w
+                norm2 = _dot(w, Mw)
+                if norm2 > kept / 2.0:
+                    break
             alpha.append(a)
-            norm = math.sqrt(_dot(w, Mff @ w))
+            norm = math.sqrt(norm2)
             beta.append(norm)
             if norm == 0.0:
                 blocks[-1] = block[: i + 1]
                 break
-            q = w / norm
-        theta, Z = eigh_tridiagonal(np.array(alpha), np.array(beta[:-1]))
+            q_prev, Mq_prev = q, Mq
+            Mq = np.divide(Mw, norm, out=Mw)
+            # the next vector, into its row of the basis; a new block copies the last one in
+            q = np.divide(w, norm, out=block[i + 1] if i + 1 < KRYLOV_BLOCK else w)
+        theta, Z = eigh_tridiagonal(np.array(alpha), np.array(beta[1:-1]))
         estimate = _error_estimate(theta, Z, beta[-1])
         if estimate <= KRYLOV_TOL or beta[-1] == 0.0:
             return blocks, theta, Z, estimate
@@ -330,11 +358,12 @@ def evolve(
     """
     free = system.free
     u0 = system.g_vertex[free]
-    beta0 = math.sqrt(_dot(u0, system.Mff @ u0))
+    Mu0 = system.Mff @ u0
+    beta0 = math.sqrt(_dot(u0, Mu0))
     if not 0.0 < beta0 < math.inf:
         raise ValueError("the initial heat must have a positive, finite mass norm")
-    blocks, theta, Z, estimate = _lanczos(system, u0, beta0, _factor(system, DT_MAX))
-    PZ = None  # the probe's samples of the Ritz vectors
+    blocks, theta, Z, estimate = _lanczos(system, u0, Mu0, beta0, _factor(system, DT_MAX))
+    PZ = np.empty((0, len(theta)))  # the probe's samples of the Ritz vectors: none without a probe
     if probe is not None:
         PQ = np.hstack([probe.matrix @ b.T for b in blocks])
         PZ = np.einsum("sr,rt->st", PQ, Z)
@@ -348,7 +377,7 @@ def evolve(
         if lo == 0:
             dt[0] = 0.0  # the start, whose factor is exactly 1
         C = c * np.cumprod(_step_factors(theta, dt), axis=0)
-        C[np.abs(C) < _FLUSH_BELOW] *= 0.0  # keeps the sign of a zero
+        live = _flush(C)
         block_norms = np.sqrt(np.einsum("kr,kr->k", C, C))
         below = block_norms <= eps
         n = int(below.argmax()) + 1 if below.any() else PROBE_BLOCK
@@ -359,7 +388,7 @@ def evolve(
         times.append(np.cumsum(np.concatenate([[t], dt[:n]]))[1:])  # adds one step at a time
         t = times[-1][-1]
         norms.append(block_norms[:n])
-        rows.append(_probe_rows(PZ, C)[:n])
+        rows.append(_probe_rows(PZ[:, live], C[:, live])[:n])
         c = C[n - 1]
         if below.any():
             break
@@ -379,7 +408,6 @@ def evolve(
         v_field=nodal(V),
         u_final=nodal(c),
         steps=len(times) - 1,
-        factorizations=1,
         lam_min=float((1.0 - theta[-1]) / (DT_MAX * theta[-1])),  # theta ascends
         krylov_dim=len(theta),
         krylov_estimate=estimate,
@@ -387,15 +415,26 @@ def evolve(
     )
 
 
-def _probe_rows(PZ: np.ndarray | None, C: np.ndarray) -> np.ndarray:
+def _flush(C: np.ndarray) -> np.ndarray:
+    """Flush the coordinates of ``C`` below `_FLUSH_BELOW` to zero, in place; its live columns.
+
+    Every step factor is at most 1, so a coordinate only shrinks: a column
+    flushed in one block is zero in every later one, and the probe product
+    skips it.
+    """
+    C[np.abs(C) < _FLUSH_BELOW] *= 0.0  # keeps the sign of a zero
+    return C.any(axis=0)
+
+
+def _probe_rows(PZ: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Probe rows of a block of states: mean u, deviation of u, mean flux, deviation of the flux.
 
     ``C`` holds one state per row in the coordinates that ``PZ`` maps to the
-    probe's samples; without a probe the rows are empty.  The samples come
-    out C-contiguous, so each row's means take the same pairwise sums as a
-    single state's would.
+    probe's samples; without a probe ``PZ`` has no rows, and the probe rows
+    have no columns.  The samples come out C-contiguous, so each row's means
+    take the same pairwise sums as a single state's would.
     """
-    if PZ is None:
+    if not len(PZ):
         return np.empty((len(C), 0))
     samples = np.einsum("kr,sr->ks", C, PZ)
     count = len(PZ) // 2

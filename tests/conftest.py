@@ -1,9 +1,12 @@
-"""Session-cached scenario runs shared by the acceptance suite, and a spectrum of analytic fields.
+"""Session-cached scenario runs shared by the acceptance suite, a spectrum of analytic fields,
+and a count of the SuperLU factors a test makes.
 
 The acceptance checks all consume a handful of canonical runs; caching them
 at session scope keeps the suite to one solve per (scenario, resolution)
 pair.  Nothing here is random, so the cache cannot hide flakiness.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,3 +47,36 @@ def parabolic64():
     """Heat-flow runs (full pipeline) on the three canonical layouts."""
     names = ("one_phase_disk", "two_phase_concentric", "two_phase_displaced")
     return {name: run_scenario(build_preset(name, pipeline="both")) for name in names}
+
+
+@pytest.fixture
+def live_factors(monkeypatch):
+    """Route ``splu`` through a proxy that counts the factors still referenced.
+
+    ``peak`` is the most factors alive at once; ``built`` lists each factored
+    matrix with the factor that was made from it.
+    """
+    import scipy.sparse.linalg as spla
+
+    real = spla.splu
+    tally = SimpleNamespace(live=0, peak=0, built=[], real=real)
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+            tally.live += 1
+            tally.peak = max(tally.peak, tally.live)
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs)
+
+        def __del__(self):
+            tally.live -= 1
+
+    def counting_splu(A, **kwargs):
+        lu = real(A, **kwargs)
+        tally.built.append((A, lu))
+        return Factor(lu)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return tally

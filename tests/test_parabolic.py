@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -81,7 +82,7 @@ def test_eigenvalue_scales_exactly_with_conductivity():
     assert lam2 == 2.0 * lam1
 
 
-def test_step_schedule_uniform_then_geometric_then_capped():
+def test_step_schedule_uniform_then_geometric_then_capped(live_factors):
     sys_ = disk_system(8)
     run = evolve(sys_, eps=1e-6)
     dts = np.diff(run.times)
@@ -94,7 +95,7 @@ def test_step_schedule_uniform_then_geometric_then_capped():
     # every step, of every size, is read from one Krylov basis of the cap step,
     # which this rotation-invariant layout solves by FFT in angle
     assert run.step_solver == "angular Fourier"
-    assert run.factorizations == 1
+    assert live_factors.built == []
     assert run.krylov_dim % parabolic.KRYLOV_BLOCK == 0
     assert 0.0 <= run.krylov_estimate <= parabolic.KRYLOV_TOL
     assert run.mass_norms[-1] <= 1e-6 < run.mass_norms[-2]
@@ -111,37 +112,6 @@ def test_step_size_caps_its_exponent_and_keeps_every_earlier_bit():
     assert _step_sizes(np.array([10**6]))[0] == 2e-3
 
 
-@pytest.fixture
-def live_factors(monkeypatch):
-    """Route ``splu`` through a proxy that counts the factors still referenced.
-
-    ``peak`` is the most factors alive at once; ``built`` lists each factored
-    matrix with the factor that was made from it.
-    """
-    real = spla.splu
-    tally = SimpleNamespace(live=0, peak=0, built=[], real=real)
-
-    class Factor:
-        def __init__(self, lu):
-            self.lu = lu
-            tally.live += 1
-            tally.peak = max(tally.peak, tally.live)
-
-        def solve(self, rhs):
-            return self.lu.solve(rhs)
-
-        def __del__(self):
-            tally.live -= 1
-
-    def counting_splu(A, **kwargs):
-        lu = real(A, **kwargs)
-        tally.built.append((A, lu))
-        return Factor(lu)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    return tally
-
-
 def free_blocks(sys_):
     """The free blocks of K and M in CSR, selected by the free index array."""
     free = sys_.free
@@ -156,7 +126,7 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     assert live_factors.peak == 1
     # exactly one factor, the cap's: every step of every size is read from
     # the Krylov basis it builds
-    assert full.factorizations == len(live_factors.built) == 1
+    assert len(live_factors.built) == 1
     ((cap, _),) = live_factors.built
     # the stored pattern, which SuperLU's MMD_AT_PLUS_A ordering reads, as well as
     # the values: bitwise scipy's sum of the free blocks
@@ -173,7 +143,6 @@ def test_evolve_keeps_one_step_factor_alive(live_factors):
     run = evolve(concentric, eps=1e-6)
     smallest_eigenvalue(concentric)
     assert run.step_solver == "angular Fourier"
-    assert run.factorizations == 1
     assert len(live_factors.built) == 1
 
 
@@ -185,7 +154,6 @@ def test_a_heat_flow_run_factors_once_and_its_lam_matches_inverse_iteration(live
     res = run_scenario(build_preset(name, n=n, pipeline="both"))
     displaced = name in ("two_phase_displaced", "multiphase_discrete")
     assert res.system.rotation_invariant != displaced
-    assert res.run.factorizations == 1
     assert len(live_factors.built) == int(displaced)
     # the decay certificate and the tail read lam_min from the cap step's Lanczos
     # basis; inverse power iteration by Kff, a second factor, is the reference
@@ -304,7 +272,6 @@ def test_fft_steps_match_a_factor_for_every_size(live_factors):
         run = evolve(sys_, eps=1e-8)
         assert live_factors.built == []  # the cap step is solved by FFT in angle
         assert run.step_solver == "angular Fourier"
-        assert run.factorizations == 1
         ref = factor_every_size(sys_, eps=1e-8)
         assert run.steps == ref.steps
         assert np.array_equal(run.times, ref.times)
@@ -552,6 +519,131 @@ def test_krylov_max_guard(monkeypatch):
     message = r"more than 8 Lanczos vectors \(error estimate above 1e-14\)"
     with pytest.raises(RuntimeError, match=message):
         evolve(sys_, eps=1e-8)
+
+
+class CountingProducts:
+    """Stands in for ``system.Mff`` and counts its products."""
+
+    def __init__(self, A):
+        self.A, self.calls = A, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.A @ x
+
+
+def mass_gram_error(blocks, Mff):
+    """``max |Q^T M Q - I|`` of a basis kept as blocks of rows."""
+    Q = np.vstack(blocks)
+    return np.abs(Q @ (Mff @ Q.T) - np.eye(len(Q))).max()
+
+
+def lanczos_from(sys_, u0, solve=None):
+    """`parabolic._lanczos` from ``u0``, by the cap step's solve unless another is given."""
+    Mu0 = sys_.Mff @ u0
+    if solve is None:
+        solve = parabolic._factor(sys_, parabolic.DT_MAX)
+    return parabolic._lanczos(sys_, u0, Mu0, math.sqrt(Mu0 @ u0), solve)
+
+
+@pytest.mark.parametrize(
+    "name", ["two_phase_displaced", "multiphase_discrete", "two_phase_concentric"]
+)
+def test_lanczos_basis_is_mass_orthonormal_at_two_mass_products_per_vector(monkeypatch, name):
+    # one Gram-Schmidt pass per vector keeps the basis mass-orthonormal to
+    # round-off, by SuperLU or by FFT in angle; the start's mass norm takes one
+    # product, and each vector two: the solve's, and its norm's
+    sys_ = run_scenario(build_preset(name, n=16)).system
+    assert sys_.rotation_invariant == (name == "two_phase_concentric")
+    Mff = sys_.Mff
+    sys_.Mff = counted = CountingProducts(Mff)
+    bases = []
+    real = parabolic._lanczos
+
+    def spy(*args):
+        out = real(*args)
+        bases.append(out[0])
+        return out
+
+    monkeypatch.setattr(parabolic, "_lanczos", spy)
+    run = evolve(sys_, eps=1e-8)
+    assert mass_gram_error(bases[0], Mff) <= 1e-13
+    if sys_.rotation_invariant:
+        # the radial start spans the 16 radial vectors of the n=16 ball, and
+        # nothing else: the last three-term step cancels to round-off, and its
+        # mass product is formed afresh
+        assert run.krylov_dim == 16
+        assert counted.calls == 1 + 2 * run.krylov_dim + 1
+    else:
+        assert counted.calls == 1 + 2 * run.krylov_dim
+
+
+def test_a_start_in_an_invariant_subspace_keeps_the_basis_orthonormal():
+    # three generalized eigenvectors of (K, M) span an invariant subspace of
+    # B, so the fourth three-term step cancels to round-off, where the mass
+    # product carried through it has no digit left; it is formed afresh, and
+    # the vectors after it stay mass-orthogonal to the first three
+    sys_ = disk_system(4, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    Kff, Mff = free_blocks(sys_)
+    _, X = scipy.linalg.eigh(Kff.toarray(), Mff.toarray())
+    sys_.Mff = counted = CountingProducts(Mff)
+    blocks, *_ = lanczos_from(sys_, X[:, :3].sum(axis=1))
+    dim = sum(map(len, blocks))
+    assert counted.calls > 1 + 2 * dim
+    assert mass_gram_error(blocks, Mff) <= 1e-13
+
+
+def test_a_gram_schmidt_pass_that_cancels_most_of_a_vector_is_repeated(monkeypatch):
+    # a solve that leans hard on the start vector: the first three-term step
+    # takes the lean off with the diagonal entry, cancelling to round-off, so
+    # that vector's mass product is formed afresh; every later vector keeps a
+    # large component along the start, which one pass cancels, so a second
+    # pass runs (Daniel, Gragg, Kaufman & Stewart, 1976).  One pass alone
+    # leaves the basis mass-orthogonal to only about 1e-7.
+    sys_ = disk_system(8, sigma=2.0, center=(0.2, 0.0), radius=0.3)
+    u0 = sys_.g_vertex[sys_.free]
+    solve = parabolic._factor(sys_, parabolic.DT_MAX)
+    monkeypatch.setattr(parabolic, "_error_estimate", lambda *args: 0.0)  # one block
+    Mff = sys_.Mff
+    sys_.Mff = counted = CountingProducts(Mff)
+    blocks, *_ = lanczos_from(sys_, u0, lambda rhs: solve(rhs) + 1e3 * u0)
+    dim = sum(map(len, blocks))
+    assert dim == parabolic.KRYLOV_BLOCK
+    assert counted.calls == 1 + 2 * dim + 1 + (dim - 1)
+    assert mass_gram_error(blocks, Mff) <= 1e-13
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, 0.0)])  # concentric; displaced
+def test_probe_rows_skip_only_flushed_columns(monkeypatch, center):
+    # a Ritz coordinate flushed to zero stays zero in every later block, and the
+    # probe samples from the live columns are the samples from all of them
+    sys_ = disk_system(16, sigma=2.0, center=center, radius=0.3)
+    flushed, products = [], []
+    real_flush, real_rows = parabolic._flush, parabolic._probe_rows
+
+    def flush_spy(C):
+        live = real_flush(C)
+        flushed.append((C.copy(), live))
+        return live
+
+    def rows_spy(PZ, C):
+        products.append((PZ, C))
+        return real_rows(PZ, C)
+
+    monkeypatch.setattr(parabolic, "_flush", flush_spy)
+    monkeypatch.setattr(parabolic, "_probe_rows", rows_spy)
+    evolve(sys_, eps=1e-8, probe=CircleSampler(sys_, 0.75))
+    assert len(flushed) == len(products) > 1
+    assert flushed[0][1].all()  # the start has every Ritz coordinate
+    PZ = products[0][0]
+    for (C, live), (_, prev), (PZ_live, C_live) in zip(flushed[1:], flushed, products[1:]):
+        assert not (live & ~prev).any()  # no flushed column comes back
+        assert not C[:, ~live].any()
+        assert np.array_equal(C_live, C[:, live]) and np.array_equal(PZ_live, PZ[:, live])
+        every = np.einsum("kr,sr->ks", C, PZ)
+        skipped = np.einsum("kr,sr->ks", C_live, PZ_live)
+        assert np.abs(skipped - every).max() <= 1e-13 * np.abs(every).max()
+    assert not flushed[-1][1].all()  # the product had columns to skip
 
 
 def test_step_factor_uses_fill_reducing_ordering(live_factors):

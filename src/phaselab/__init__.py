@@ -39,7 +39,6 @@ from .fem2d import (
     locate_points,
     recover_boundary_flux,
     solve_elliptic,
-    tag_triangles,
     write_mesh,
 )
 from .symmetry_checks import (

@@ -33,11 +33,11 @@ in-place updates, multiplying by the stiffness's free block in its
 seven-slot pattern, preconditioned by an exact solve with the stiffness
 whose conductivity is averaged over each rotation orbit: its stencil is
 the slot values averaged over the sectors, and an FFT in angle and one
-sweep over the rings solve every mode's tridiagonal radial system in
-LAPACK's arithmetic, so the iteration count does not grow with n and a
-concentric layout converges in one step.  The same angular-Fourier
-coefficients (`_AngularModes`) solve the heat flow's cap step exactly on
-layouts whose sigma is constant on every rotation orbit.  Boundary fluxes
+sweep over the rings solve every mode's tridiagonal radial system by its
+L D L^H factor, so the iteration count does not grow with n and a
+concentric layout converges in one step.  The same solve
+(`_orbit_mean_solver`) is the heat flow's exact cap step on layouts whose
+sigma is constant on every rotation orbit.  Boundary fluxes
 are recovered variationally from the residual of the full (uneliminated)
 operator, which makes the discrete divergence identity hold to solver
 precision.  Inner products and norms of mesh-sized vectors are summed by
@@ -76,7 +76,6 @@ __all__ = [
     "BoundaryFlux",
     "CircleSampler",
     "generate_mesh",
-    "tag_triangles",
     "assemble_system",
     "solve_elliptic",
     "recover_boundary_flux",
@@ -236,13 +235,9 @@ def _unit_circle(m: int) -> np.ndarray:
     return np.column_stack([np.concatenate([x, x[-2:0:-1]]), np.concatenate([y, -y[-2:0:-1]])])
 
 
-def tag_triangles(vertices: np.ndarray, triangles: np.ndarray, config) -> np.ndarray:
-    """Region tag per triangle, decided at the centroid."""
-    return config.region_index_at(_centroids(vertices, triangles))
-
-
 def _polar_tags(V: np.ndarray, T: np.ndarray, config, m: int, radii: np.ndarray) -> np.ndarray:
-    """`tag_triangles` on the polar mesh with rings at ``radii``, bitwise, with fewer point tests.
+    """Region tag per triangle of the polar mesh with rings at ``radii``, decided at its
+    centroid: bitwise a test at every centroid, with fewer point tests.
 
     A centred phase tests a centroid's norm alone, so its tag is constant on
     each (band, side) rotation orbit up to round-off: ``region_index_at``
@@ -376,8 +371,8 @@ class FemSystem:
     stays available for variational flux recovery.  Both operators are
     `PolarOperator`s; the mass is assembled on first use, so an elliptic run
     never builds it.  Every solver multiplies the stiffness in its seven-slot
-    pattern and reads its angular-mode symbol from the slots, so no run
-    compresses K.  The heat flow's mass products use `Mff`, the free block
+    pattern, and `_orbit_mean_solver` reads its angular-mode symbol from the
+    slots, so no run compresses K.  The heat flow's mass products use `Mff`, the free block
     of M in CSR, sliced once on first use: at n=32 scipy's CSR product takes
     0.03 ms against 0.07 ms for the slot product, and the Lanczos basis
     takes two per vector.
@@ -690,165 +685,80 @@ class EllipticSolution:
     rel_residual: float  # Galerkin residual on the free block, relative to the load
 
 
-class _AngularModes:
-    """Ring-major angular Fourier coefficients of free nodal vectors on a polar mesh.
-
-    A rotation by one sector maps the polar mesh onto itself, so an operator
-    summed from element matrices that are constant on every rotation orbit
-    is block-circulant in angle: ring r couples only to rings r-1, r, r+1,
-    at angular offsets 0 and ±1, the same in every sector.  An rfft along
-    every free ring splits it into one Hermitian tridiagonal radial system
-    per mode (Swarztrauber, SIAM Review 19, 1977), whose entries come from
-    that stencil alone.  The coefficients are stored ring by ring, each
-    ring's modes in a row, so one sweep over the rings factors or solves every
-    mode's system at once.  A ball's centre couples only to mode 0 of the
-    first ring, so it heads mode 0's system, scaled by sqrt(m) to keep it
-    Hermitian.
-
-    The sweeps do LAPACK's ``zpttrf`` and ``zptts2`` arithmetic (L D L^H,
-    lower) on every mode, bit for bit: each division by a pivot on the real
-    and imaginary parts apart, and each product by an entry f + gi of L as
-    the sum of the products by f + 0i and by 0 + gi, each exact however
-    numpy forms it.  numpy's own product by f + gi may fuse a multiply and
-    an add, so its bits differ.
-    """
-
-    def __init__(self, mesh: Mesh):
-        m = self.m = mesh.sectors
-        self.fan = mesh.nv % m  # a ball's one centre vertex
-        self.rings, self.modes = m // 6 - 1, m // 2 + 1
-        self.root_m = np.sqrt(m)
-        # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m);
-        # the phases are kept as interleaved real and imaginary parts, so a real sum forms it
-        phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(self.modes)) / m)
-        self._phase = phase.view(float)
-
-    def symbol(self, A: PolarOperator):
-        """The chain ``(d, e)`` of the block-circulant operator whose stencil is ``A``'s
-        slot values on each free ring, averaged over the sectors.
-
-        That average sums each rotation orbit's element matrices with the
-        orbit's mean weight: it is K̄ of the stiffness in exact arithmetic,
-        and ``A``'s free block to round-off where ``A`` is rotation-invariant.
-        ``d`` holds a ball's centre, then the (rings, modes) diagonal, from
-        slots (0, -1), (0, 0) and (0, 1); ``e`` the centre's coupling to mode 0
-        of the first ring, then the (rings - 1, modes) couplings of ring r to
-        ring r + 1, from ring r + 1's slots (-1, -1) and (-1, 0).
-        """
-        fan = self.fan
-        first = 1 - fan  # the first free ring: an annulus's inner ring is not free
-        stencil = A.values[:, first : first + self.rings].mean(axis=2)  # (7, rings)
-
-        def by_mode(slots):  # (3 or 2, rings) -> (rings, modes); einsum, since @ would call BLAS
-            return np.einsum("dr,dk->rk", slots, self._phase[: len(slots)]).view(complex)
-
-        # a ball's centre row: its diagonal, and its coupling to every ring-1
-        # vertex, which mode 0 sees as sqrt(m) times the mean one
-        centre_e = [A.centre[1:].sum() / self.root_m]
-        return (
-            np.concatenate([A.centre[:1], by_mode(stencil[2:5]).real.reshape(-1)]),
-            np.concatenate([centre_e[:fan], by_mode(stencil[:2, 1:]).reshape(-1)]),
-        )
-
-    def factor(self, d: np.ndarray, e: np.ndarray):
-        """The exact solve by the positive definite chain ``(d, e)``, in place on coefficients.
-
-        Raises ``ValueError`` where ``zpttrf`` reports a pivot that is not positive.
-        Every step works on one ring's modes as contiguous vectors, which is
-        where numpy's calls cost least.
-        """
-        fan, rings, modes = self.fan, self.rings, self.modes
-        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-        d = d.copy()
-        D = d[fan:].reshape(rings, modes)
-        er, ei = (np.ascontiguousarray(part.reshape(rings - 1, modes)) for part in (e[fan:].real, e[fan:].imag))
-        f, g, fe = np.empty_like(er), np.empty_like(ei), np.empty(modes)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a bad pivot is reported below
-            if fan:
-                f0, g0 = e[0].real / d[0], e[0].imag / d[0]
-                D[0, 0] = D[0, 0] - f0 * e[0].real - g0 * e[0].imag
-            for r in range(rings - 1):
-                div(er[r], D[r], f[r])
-                div(ei[r], D[r], g[r])
-                sub(D[r + 1], mul(f[r], er[r], fe), D[r + 1])
-                sub(D[r + 1], mul(g[r], ei[r], fe), D[r + 1])
-        if (d <= 0).any():
-            raise ValueError("the angular-mode system is not positive definite")
-        # L's entries as f + 0i and 0 + gi: a complex product by either is exact
-        # however it is formed, since one of its two real products is zero, and
-        # the two sum to the product by f + gi (minus it for the conjugate's)
-        del er, ei
-        real = f.astype(complex)
-        del f
-        imag = np.zeros_like(real)
-        imag.imag = g
-        del g
-        pivots = np.repeat(D, 2).reshape(rings, modes, 2)  # one per real and imaginary part
-        d0 = float(d[0]) if fan else None
-        del d, D
-        t, u, p = np.empty((3, modes), complex)
-        bound = [None]
-
-        def solve(X: np.ndarray) -> np.ndarray:
-            if bound[0] is not X:  # every ring's view, made once per coefficient buffer
-                Y = X[fan:].reshape(rings, modes)
-                steps = list(zip(Y[:-1], Y[1:], real, imag))
-                bound[:] = X, steps, [(b, a, re, im) for a, b, re, im in reversed(steps)]
-            _, forward, backward = bound
-            if fan:  # L y = b along the centre's coupling
-                c, b = X[0], X[1]
-                X[1] = complex(b.real - (c.real * f0 - c.imag * g0), b.imag - (c.real * g0 + c.imag * f0))
-                X[0] = complex(c.real / d0, c.imag / d0)
-            for y, b, re, im in forward:
-                sub(b, add(mul(y, re, t), mul(y, im, u), p), b)
-            Y = X[fan:].view(float).reshape(pivots.shape)
-            div(Y, pivots, Y)
-            for x, b, re, im in backward:
-                sub(b, sub(mul(x, re, t), mul(x, im, u), p), b)
-            if fan:  # L^H x = y along the centre's coupling
-                c, b = X[0], X[1]
-                X[0] = complex(c.real - (b.real * f0 + b.imag * g0), c.imag - (b.imag * f0 - b.real * g0))
-            return X
-
-        return solve
-
-    def forward(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients of the free nodal vector ``v``, into ``out`` if given."""
-        fan = self.fan
-        X = np.empty(fan + self.rings * self.modes, complex) if out is None else out
-        X[:fan] = self.root_m * v[:fan]
-        rings = v[fan:].reshape(self.rings, self.m)
-        np.fft.rfft(rings, axis=1, out=X[fan:].reshape(self.rings, self.modes))
-        return X
-
-    def inverse(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The free nodal vector of coefficients ``X``, into ``out`` if given."""
-        fan = self.fan
-        v = np.empty(fan + self.rings * self.m) if out is None else out
-        v[:fan] = X[:fan].real / self.root_m
-        Y = X[fan:].reshape(self.rings, self.modes)
-        np.fft.irfft(Y, n=self.m, axis=1, out=v[fan:].reshape(self.rings, self.m))
-        return v
-
-
 def _orbit_mean_solver(mesh: Mesh, A: PolarOperator):
     """Exact solve by the free block of Ā, ``A`` with its stencil averaged over the
-    sectors (`_AngularModes.symbol`): ``solve(r, out=None)``.
+    sectors: ``solve(r, out=None)``.
 
-    Ā is block-circulant in angle and solves mode by mode in `_AngularModes`'
-    coefficients, with one sweep over the rings for every mode's radial
-    tridiagonal.  For the stiffness Ā is K̄, the stiffness whose conductivity
-    is averaged over each rotation orbit: K and K̄ sum the same element
-    matrices with weights sigma and its orbit mean, so the preconditioned
-    condition number is at most (max sigma / min sigma)^2 at any n.  On a
-    rotation-invariant layout Ā is ``A`` to round-off, so the solve is exact:
-    CG stops after one iteration, and the heat flow solves its cap matrix so.
-    The coefficients live in one buffer that every call reuses.
+    A rotation by one sector maps the polar mesh onto itself, so Ā, whose
+    stencil is ``A``'s slot values on each free ring averaged over the
+    sectors, is block-circulant in angle: ring q couples only to rings q-1,
+    q, q+1, at angular offsets 0 and ±1, the same in every sector.  An rfft
+    along every free ring splits it into one Hermitian tridiagonal radial
+    system per mode (Swarztrauber, SIAM Review 19, 1977), each factored as
+    L D L^H.  The coefficients are stored ring by ring, each ring's modes in
+    a row, so one sweep over the rings factors or solves every mode's system
+    at once.  A ball's centre couples only to mode 0 of the first ring, whose
+    coupling to it is sqrt(m) times the mean one, and heads mode 0's system.
+
+    For the stiffness Ā is K̄, the stiffness whose conductivity is averaged
+    over each rotation orbit: K and K̄ sum the same element matrices with
+    weights sigma and its orbit mean, so the preconditioned condition number
+    is at most (max sigma / min sigma)^2 at any n.  On a rotation-invariant
+    layout Ā is ``A`` to round-off, so the solve is exact: CG stops after one
+    iteration, and the heat flow solves its cap matrix so.  Raises
+    ``ValueError`` where a pivot is not positive.  The coefficients live in
+    one buffer that every call reuses.
     """
-    modes = _AngularModes(mesh)
-    solve = modes.factor(*modes.symbol(A))
-    X = np.empty(modes.fan + modes.rings * modes.modes, complex)
-    return lambda r, out=None: modes.inverse(solve(modes.forward(r, X)), out)
+    m = mesh.sectors
+    fan = mesh.nv % m  # a ball's one centre vertex
+    rings, modes, root_m = m // 6 - 1, m // 2 + 1, math.sqrt(m)
+    first = 1 - fan  # the first free ring: an annulus's inner ring is not free
+    stencil = A.values[:, first : first + rings].mean(axis=2)  # (7, rings)
+    # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m),
+    # the phases kept as interleaved real and imaginary parts, so a real einsum
+    # forms it (a complex one is slower, and @ would call BLAS)
+    phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(modes)) / m).view(float)
+    D = np.einsum("dr,dk->rk", stencil[2:5], phase).view(complex).real.copy()  # slots (0, -1..1)
+    E = np.einsum("dr,dk->rk", stencil[:2, 1:], phase[:2]).view(complex)  # ring q+1's inward slots
+    # a ball's centre: its diagonal and its coupling to mode 0 of the first ring;
+    # an annulus has none, and a unit pivot with no coupling stands in for it
+    d0, e0 = (A.centre[0], A.centre[1:].sum() / root_m) if fan else (1.0, 0.0)
+    E2 = np.square(E.real) + np.square(E.imag)  # |E|^2
+    with np.errstate(divide="ignore", invalid="ignore"):  # a bad pivot is reported below
+        D[0, 0] -= e0 * e0 / d0
+        for q in range(rings - 1):
+            D[q + 1] -= E2[q] / D[q]
+        if not (d0 > 0 and (D > 0).all()):
+            raise ValueError("the angular-mode system is not positive definite")
+        L = E * (1.0 / D[:-1])
+    l0 = e0 / d0
+    Y = np.empty((rings, modes), complex)  # the coefficient buffer
+    Yf, pivots = Y.view(float), np.repeat(D, 2).reshape(rings, 2 * modes)  # real and imaginary parts
+    t = np.empty(modes, complex)
+    # every ring's view, made once: (ring q, ring q + 1, L[q]) forward, and
+    # (ring q + 1, ring q, conj L[q]) from the outermost ring back
+    forward = list(zip(Y[:-1], Y[1:], L))
+    backward = list(zip(Y[:0:-1], Y[-2::-1], L.conj()[::-1]))
+    mul, sub = np.multiply, np.subtract
+
+    def solve(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        v = np.empty_like(r) if out is None else out
+        np.fft.rfft(r[fan:].reshape(rings, m), axis=1, out=Y)
+        if fan:  # L y = b along the centre's coupling
+            c = root_m * r[0]
+            Y[0, 0] -= c * l0
+            c /= d0
+        for y, b, l in forward:
+            sub(b, mul(y, l, t), b)
+        np.divide(Yf, pivots, Yf)
+        for x, b, l in backward:
+            sub(b, mul(x, l, t), b)
+        if fan:  # L^H x = y along the centre's coupling
+            v[0] = (c - l0 * Y[0, 0].real) / root_m
+        np.fft.irfft(Y, n=m, axis=1, out=v[fan:].reshape(rings, m))
+        return v
+
+    return solve
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _SIGMA_ONE_TOL = 1e-12
+_CENTRED_TOL = 1e-14  # a disk centre this close to the origin is the origin
+_SEPARATION_TOL = 1e-12  # slack in comparing a probe circle's distances
 
 
 @dataclass(frozen=True)
@@ -114,11 +116,11 @@ class PhaseRegion:
             m = min(m, self.r_inner - domain.inner_radius)
         return m
 
-    def is_centered(self, tol: float = 1e-14) -> bool:
+    def is_centered(self) -> bool:
         """Concentric with the domain (rings always are; disks if centred)."""
         if self.shape == "ring":
             return True
-        return math.hypot(*self.center) <= tol
+        return math.hypot(*self.center) <= _CENTRED_TOL
 
     def interface_radii(self) -> tuple[float, ...]:
         """Concentric interface circles this phase contributes, if any."""
@@ -255,7 +257,7 @@ def validate_configuration(config: PhaseConfig) -> HypothesisFlags:
     )
 
 
-def surface_separation_ok(config: PhaseConfig, rho: float, tol: float = 1e-12) -> bool:
+def surface_separation_ok(config: PhaseConfig, rho: float) -> bool:
     """Is the circle |x| = rho at least as close to the boundary as to every phase?
 
     Probe surfaces are only trustworthy in the outer shell: each point should
@@ -266,4 +268,4 @@ def surface_separation_ok(config: PhaseConfig, rho: float, tol: float = 1e-12) -
     if not dom.inner_radius < rho < dom.outer_radius:
         return False
     d_bdry = dom.circle_to_boundary(rho)
-    return all(p.distance_to_circle(rho) >= d_bdry - tol for p in config.phases)
+    return all(p.distance_to_circle(rho) >= d_bdry - _SEPARATION_TOL for p in config.phases)

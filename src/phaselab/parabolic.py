@@ -114,14 +114,20 @@ PROBE_BLOCK = 64
 # join is far above it, so they move no bit, and subnormal products are slow.
 _FLUSH_BELOW = np.finfo(float).tiny
 
+# `smallest_eigenvalue` stops where the Rayleigh quotient moves by at most
+# EIGEN_TOL relative, and fails after EIGEN_MAXIT iterations.
+EIGEN_TOL = 1e-8
+EIGEN_MAXIT = 300
+
 
 def _factor(system: FemSystem, dt: float | None = None):
     """The solve by the free block of ``M + dt*K``, or of ``K`` without ``dt``.
 
     The operator is built once, M and K summed slot by slot, as scipy sums
     their free blocks entry by entry.  On a rotation-invariant layout its
-    orbit-mean chain is the block itself, and the FFT-in-angle solve is
-    exact; otherwise SuperLU factors the free block, compressed once.
+    orbit mean is the block itself, and `_orbit_mean_solver`'s FFT in angle
+    and L D L^H sweep over the rings is exact; otherwise SuperLU factors the
+    free block, compressed once.
     """
     K = A = system.stiffness
     if dt is not None:
@@ -141,12 +147,12 @@ class EigenResult:
     iterations: int
 
 
-def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) -> EigenResult:
+def smallest_eigenvalue(system: FemSystem) -> EigenResult:
     """Smallest eigenvalue of K x = lambda M x on the free block.
 
     Inverse power iteration with one solve by K from `_factor` and one mass
     product per iteration, M-normalized iterates, the all-ones start vector,
-    and a relative Rayleigh-quotient stopping test.  Everything is
+    and a relative Rayleigh-quotient stopping test (`EIGEN_TOL`).  Everything is
     deterministic.  The pipeline reads the eigenvalue from `evolve`'s Lanczos
     basis instead; this iteration is kept as an independent reference for it.
     """
@@ -155,14 +161,14 @@ def smallest_eigenvalue(system: FemSystem, tol: float = 1e-8, maxit: int = 300) 
     solve = _factor(system)
     My = Mff @ np.ones(hi - lo)  # the next right-hand side
     lam_old = 0.0
-    for it in range(1, maxit + 1):
+    for it in range(1, EIGEN_MAXIT + 1):
         y = solve(My)
         My = Mff @ y
         norm = math.sqrt(_dot(y, My))
         y /= norm
         My /= norm
         lam = _dot(y, K.matvec(y, lo, hi)) / _dot(y, My)
-        if abs(lam - lam_old) <= tol * lam:
+        if abs(lam - lam_old) <= EIGEN_TOL * lam:
             return EigenResult(value=lam, iterations=it)
         lam_old = lam
     raise RuntimeError("inverse power iteration did not converge")

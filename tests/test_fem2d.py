@@ -27,12 +27,13 @@ from phaselab.fem2d import (
     locate_points,
     recover_boundary_flux,
     solve_elliptic,
-    tag_triangles,
     _tri_geometry,
     write_mesh,
 )
 from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
 from phaselab.radial_core import solve_radial
+
+from oracles import tag_triangles
 
 
 def ball_config(phases=()):
@@ -408,58 +409,50 @@ def test_block_geometry_matches_the_gathers_bitwise(cfg, n):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), blk
 
 
-def _by_mode(modes, X):
-    """Ring-major coefficients (a ball's centre, then (rings, modes)) in mode-major order."""
-    body = X[modes.fan :].reshape(modes.rings, modes.modes)
-    return np.concatenate([X[: modes.fan], body.T.reshape(-1)])
+ROTATION_INVARIANT_PRESETS = [name for name in preset_names() if build_preset(name, n=16).config.is_radially_layered()]
 
 
-def _lapack_chain(modes, d, e):
-    """`_AngularModes`' chain as one LAPACK chain: a ball's centre, then every mode's
-    rings, innermost first, with a zero coupling from each mode's last ring to the next."""
-    fan, count = modes.fan, modes.modes
-    couplings = np.vstack([e[fan:].reshape(modes.rings - 1, count), np.zeros((1, count))])
-    return _by_mode(modes, d), np.concatenate([e[:fan], couplings.T.reshape(-1)[:-1]])
-
-
-@pytest.mark.parametrize("name", preset_names())
-def test_chain_solve_matches_lapack_bitwise(name):
-    from scipy.linalg.lapack import zpttrf, zpttrs
-
+@pytest.mark.parametrize("n", [13, 16])
+@pytest.mark.parametrize("name", ROTATION_INVARIANT_PRESETS)
+def test_orbit_mean_solver_matches_the_sparse_solve(name, n):
+    # where sigma is constant on every rotation orbit, Ā is the operator itself:
+    # the stiffness, which CG solves in one step, and the heat flow's cap matrix
     from phaselab.parabolic import DT_MAX
 
-    cfg = build_preset(name, n=16).config
-    system = assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0)
-    modes = fem2d._AngularModes(system.mesh)
+    cfg = build_preset(name, n=n).config
+    system = assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+    assert system.rotation_invariant
     K, M = system.stiffness, system.mass
     cap = fem2d.PolarOperator(M.values + DT_MAX * K.values, M.centre + DT_MAX * K.centre)
-    rng = np.random.default_rng(3)
-    # K̄, the preconditioner's, and the orbit mean of the heat flow's cap operator M + DT_MAX K
+    r = np.random.default_rng(3).standard_normal(len(system.free))
     for operator in (K, cap):
-        d, e = modes.symbol(operator)
-        df, ef, info = zpttrf(*_lapack_chain(modes, d, e))
-        assert info == 0
-        solve = modes.factor(d, e)
-        # complex coefficients, and those of a real vector, whose modes 0 and m/2 are real
-        v = rng.standard_normal(len(system.free))
-        for X in (rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d)), modes.forward(v)):
-            ref = zpttrs(df, ef, _by_mode(modes, X), lower=1)[0]
-            assert _by_mode(modes, solve(X.copy())).tobytes() == ref.tobytes()
+        ref = spsolve(_free_csr(operator, system).tocsc(), r)
+        z = _orbit_mean_solver(system.mesh, operator)(r)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_a_chain_that_is_not_positive_definite_raises():
-    from scipy.linalg.lapack import zpttrf
-
-    system = assemble_system(generate_mesh(DISPLACED, 8), DISPLACED.sigma_table(), 1.0)
-    modes = fem2d._AngularModes(system.mesh)
-    d, e = modes.symbol(system.stiffness)
-    negative, zero = d.copy(), d.copy()
-    negative[1 + 3 * modes.modes + 5] = -1.0  # ring 3, mode 5
-    zero[0] = 0.0  # the centre
-    for bad in ((negative, e), (zero, e), (d, 10.0 * e)):  # the last has a late negative pivot
-        assert zpttrf(*_lapack_chain(modes, *bad))[2] != 0
+def test_an_operator_that_is_not_positive_definite_raises():
+    system = assemble_system(generate_mesh(CONCENTRIC, 8), CONCENTRIC.sigma_table(), 1.0)
+    K = system.stiffness
+    negative, coupled = K.values.copy(), K.values.copy()
+    negative[3, 3] *= -1.0  # the fourth free ring's diagonal slot, in every sector
+    # the couplings between rings from the fourth free ring out, scaled alike on
+    # both sides (outward slots 5, 6 and inward 0, 1): every mode's first four
+    # pivots stay positive, and the low modes' fifth is negative
+    coupled[5:, 3:] *= 10.0
+    coupled[:2, 4:] *= 10.0
+    bad = [
+        fem2d.PolarOperator(negative, K.centre),
+        # the centre's diagonal zero, then negated: the second leaves the next pivot positive
+        fem2d.PolarOperator(K.values, np.concatenate([[0.0], K.centre[1:]])),
+        fem2d.PolarOperator(K.values, np.concatenate([-K.centre[:1], K.centre[1:]])),
+        fem2d.PolarOperator(coupled, K.centre),
+    ]
+    for operator in bad:
+        assert np.linalg.eigvalsh(_free_csr(operator, system).toarray())[0] < 0  # indefinite
         with pytest.raises(ValueError, match="the angular-mode system is not positive definite"):
-            modes.factor(*bad)
+            _orbit_mean_solver(system.mesh, operator)
+    _orbit_mean_solver(system.mesh, K)  # the stiffness itself factors
 
 
 def _orbit_mean_stiffness(system):

@@ -44,7 +44,6 @@ from .fem2d import (
 from .symmetry_checks import (
     FluxStats,
     ModeSpectrum,
-    ProbeStats,
     TransmissionStats,
     angular_spectrum,
     flux_residual,

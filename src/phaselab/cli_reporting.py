@@ -394,16 +394,29 @@ def _spectrum_radii(domain: DomainSpec) -> tuple[float, ...]:
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     """Execute the selected pipeline and (optionally) write all artifacts."""
     t_start = time.perf_counter()
+    cfg = scenario.config
+    tol = scenario.tolerances
+    flags = validate_configuration(cfg)
+    probe_rho = scenario.resolved_probe_radius()
     heat_flow = "parabolic" in _PIPELINES[scenario.pipeline]
     if heat_flow:
+        # probes must ride strictly inside the shell: crossing an inclusion
+        # would measure interface jumps, not the symmetry of the layout
+        if cfg.domain.circle_to_boundary(probe_rho) <= 0.0:
+            raise ValueError(
+                f"probe circle r={probe_rho!r} is not strictly inside the domain"
+            )
+        for ph in cfg.phases:
+            if ph.distance_to_circle(probe_rho) <= 0.0:
+                raise ValueError(
+                    f"probe circle r={probe_rho!r} meets the closure of "
+                    f"phase {ph.label or ph.shape!r}"
+                )
         # the heat flow's scipy, before the elliptic stage: scipy's OpenBLAS
         # threads spin for tens of milliseconds once loaded, and here they do
         # it beside the elliptic stage instead of the heat flow
         import scipy.linalg
         import scipy.sparse.linalg
-    cfg = scenario.config
-    tol = scenario.tolerances
-    flags = validate_configuration(cfg)
 
     mesh = generate_mesh(cfg, scenario.n)
     # every detector reads a phase through its triangles: one with none would pass as symmetric
@@ -434,7 +447,6 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
         radial_ref = solve_radial(breaks, sigmas, scenario.source)
         l2 = l2_error_to_radial(mesh, sol.u, radial_ref)
 
-    probe_rho = scenario.resolved_probe_radius()
     placement_ok = surface_separation_ok(cfg, probe_rho)
 
     result = ScenarioResult(
@@ -455,18 +467,6 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     )
 
     if heat_flow:
-        # probes must ride strictly inside the shell: crossing an inclusion
-        # would measure interface jumps, not the symmetry of the layout
-        if cfg.domain.circle_to_boundary(probe_rho) <= 0.0:
-            raise ValueError(
-                f"probe circle r={probe_rho!r} is not strictly inside the domain"
-            )
-        for ph in cfg.phases:
-            if ph.distance_to_circle(probe_rho) <= 0.0:
-                raise ValueError(
-                    f"probe circle r={probe_rho!r} meets the closure of "
-                    f"phase {ph.label or ph.shape!r}"
-                )
         run = result.run = evolve(system, probe=CircleSampler(system, probe_rho))
         result.decay = decay_certificate(run, run.lam_min, slack=tol.decay_slack)
         result.monotone = monotone_decay(run)

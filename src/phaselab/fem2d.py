@@ -93,9 +93,10 @@ class Mesh:
     boundary_edges: np.ndarray  # (nb, 2) vertex pairs
     edge_tags: np.ndarray  # (nb,) boundary component: 0 = outer, 1 = inner
     sectors: int  # angular sector count of the generator
+    radii: np.ndarray  # the generator's ring radii, innermost first; 0 for a ball's centre
 
     def __post_init__(self) -> None:
-        for name in ("vertices", "triangles", "tri_tags", "boundary_edges", "edge_tags"):
+        for name in ("vertices", "triangles", "tri_tags", "boundary_edges", "edge_tags", "radii"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -185,10 +186,10 @@ def generate_mesh(config, n: int) -> Mesh:
     marks = np.array([r0, *config.conforming_radii(), R])
     counts = _allocate_intervals(marks, n)
     spans = [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(marks, marks[1:], counts)]
-    rings = np.concatenate([[r0], *spans])[fan:]
+    radii = np.concatenate([[r0], *spans])
 
     circle = _unit_circle(m)
-    V = np.vstack([np.zeros((fan, 2)), *(r * circle for r in rings)])
+    V = np.vstack([np.zeros((fan, 2)), *(r * circle for r in radii[fan:])])
     # vertex id of ring i at sector j; the ball's centre stands in for ring 0
     ids = np.vstack([np.zeros((fan, m), np.int64), np.arange(fan, len(V)).reshape(-1, m)])
 
@@ -204,7 +205,7 @@ def generate_mesh(config, n: int) -> Mesh:
     bedges = np.vstack([np.column_stack([ring, np.roll(ring, -1)]) for ring in loops])
     etags = np.repeat(np.arange(len(loops)), m)
 
-    tags = _polar_tags(V, T, config, m, np.concatenate([[r0], *spans]))
+    tags = _polar_tags(V, T, config, m, radii)
     return Mesh(
         vertices=V,
         triangles=T,
@@ -212,6 +213,7 @@ def generate_mesh(config, n: int) -> Mesh:
         boundary_edges=bedges,
         edge_tags=etags,
         sectors=m,
+        radii=radii,
     )
 
 
@@ -901,16 +903,6 @@ def recover_boundary_flux(system: FemSystem, u: np.ndarray) -> BoundaryFlux:
 _CONTAIN_TOL = 1e-10  # barycentric slack: a point on an edge belongs to either side
 
 
-def _ring_radii(mesh: Mesh) -> np.ndarray:
-    """Ring radii, innermost first, with 0 for a ball's centre.
-
-    Vertex 0 of every ring sits at angle 0, and the rings start after a ball's
-    one centre vertex, at vertex nv % m, and repeat every m = ``mesh.sectors``.
-    """
-    first = mesh.nv % mesh.sectors
-    return np.concatenate([np.zeros(first), mesh.vertices[first :: mesh.sectors, 0]])
-
-
 def _vertex_angle_values(mesh: Mesh, u: np.ndarray, radii) -> np.ndarray:
     """A nodal field on circles of the given radii at the m vertex angles 2 pi j / m.
 
@@ -918,8 +910,7 @@ def _vertex_angle_values(mesh: Mesh, u: np.ndarray, radii) -> np.ndarray:
     the P1 field at those angles is exactly (1 - w) ring_i + w ring_{i+1},
     with w linear in the radius.  Shape (len(radii), m).
     """
-    m = mesh.sectors
-    rings = _ring_radii(mesh)
+    m, rings = mesh.sectors, mesh.radii
     r = np.atleast_1d(np.asarray(radii, float))
     if not ((r >= rings[0]) & (r <= rings[-1])).all():
         raise ValueError(f"circle radii must lie in [{rings[0]}, {rings[-1]}], the mesh's span")
@@ -946,7 +937,7 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     pts = np.atleast_2d(np.asarray(points, float))
     x, y = pts[:, 0], pts[:, 1]
     fan = mesh.nv % m  # a ball's one centre vertex
-    radii = _ring_radii(mesh)
+    radii = mesh.radii
     sector = np.floor(np.arctan2(y, x) * (m / (2 * np.pi))).astype(np.int64) % m
     bisector = (sector + 0.5) * (2 * np.pi / m)
     proj = x * np.cos(bisector) + y * np.sin(bisector)

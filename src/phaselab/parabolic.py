@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .fem2d import CircleSampler, FemSystem, PolarOperator, _dot, _orbit_mean_solver
-from .symmetry_checks import _probe_table
+from .symmetry_checks import probe_deviation
 
 __all__ = [
     "EigenResult",
@@ -180,13 +180,12 @@ class Evolution:
 
     ``v_field`` is the trapezoidal running time integral of the solution
     (a full nodal vector, zero on the boundary), ``u_final`` the state at
-    the stopping time.  ``probes`` has one row per recorded time holding
-    the mean u, deviation of u, mean flux and deviation of the flux on the
-    probe circle, in that order; deviations follow the sup-norm convention
-    of :func:`phaselab.symmetry_checks.probe_deviation`.  A run without a
-    probe has no probe columns.  Every state is read from ``krylov_dim``
-    Lanczos vectors, with an estimated relative error of at most
-    ``krylov_estimate``.
+    the stopping time.  ``probes`` has one row per recorded time: the mean
+    u, deviation of u, mean flux and deviation of the flux on the probe
+    circle, as :func:`phaselab.symmetry_checks.probe_deviation` gives them.
+    A run without a probe has no probe columns.  Every state is read from
+    ``krylov_dim`` Lanczos vectors, with an estimated relative error of at
+    most ``krylov_estimate``.
     """
 
     times: np.ndarray
@@ -436,15 +435,14 @@ def _probe_rows(PZ: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Probe rows of a block of states: mean u, deviation of u, mean flux, deviation of the flux.
 
     ``C`` holds one state per row in the coordinates that ``PZ`` maps to the
-    probe's samples; without a probe ``PZ`` has no rows, and the probe rows
-    have no columns.  The samples come out C-contiguous, so each row's means
-    take the same pairwise sums as a single state's would.
+    probe's samples, which `probe_deviation` reduces; without a probe ``PZ``
+    has no rows, and the probe rows have no columns.  The samples come out
+    C-contiguous, so each row's means take the same pairwise sums as a
+    single state's would.
     """
     if not len(PZ):
         return np.empty((len(C), 0))
-    samples = np.einsum("kr,sr->ks", C, PZ)
-    count = len(PZ) // 2
-    return _probe_table(samples[:, :count], samples[:, count:])
+    return probe_deviation(np.einsum("kr,sr->ks", C, PZ))
 
 
 @dataclass(frozen=True)

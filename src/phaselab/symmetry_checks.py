@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem2d import BoundaryFlux, CircleSampler, FemSystem, Mesh, _centroids, _vertex_angle_values
+from .fem2d import BoundaryFlux, FemSystem, Mesh, _centroids, _vertex_angle_values
 from .fem2d import _BLOCK_TRIANGLES, _tri_geometry
 
 __all__ = [
     "FluxStats",
     "ModeSpectrum",
     "TransmissionStats",
-    "ProbeStats",
     "flux_residual",
     "angular_spectrum",
     "spectrum_from_samples",
@@ -35,8 +34,8 @@ __all__ = [
 K_MAX = 16
 
 # A mean below MEAN_GUARD times the flux's RMS makes a deviation relative to
-# it meaningless.  The probe compares its means with MEAN_GUARD itself: its flux
-# starts as round-off on a state of order one (see ``probe_deviation``).
+# it meaningless.  The probe compares its means with MEAN_GUARD itself (see
+# ``probe_deviation``).
 MEAN_GUARD = 1e-12
 
 
@@ -232,54 +231,23 @@ def transmission_residual(system: FemSystem, u: np.ndarray, aux_profile) -> Tran
     return TransmissionStats(residual=num / den, defined=True, core_area=core_area)
 
 
-@dataclass(frozen=True)
-class ProbeStats:
-    """Angular uniformity of a field and its radial flux on one probe circle.
-
-    Deviations are sup-norm relative to the angular mean; when a mean is
-    essentially zero the deviation is reported unscaled with the matching
-    ``*_absolute`` flag set (a ratio against noise would be meaningless).
-    The guard is absolute: the heat flow's probe flux starts as round-off on
-    a state of order one, which a guard relative to the samples would turn
-    into a deviation of order one.
-    """
-
-    mean_u: float
-    dev_u: float
-    u_absolute: bool
-    mean_flux: float
-    dev_flux: float
-    flux_absolute: bool
-
-
-def probe_deviation(sampler: CircleSampler, u: np.ndarray) -> ProbeStats:
-    """Probe statistics of the nodal field ``u``, read through ``sampler.matrix``."""
-    samples = sampler.matrix @ u[sampler.free]
-    return _probe_stats(samples[: sampler.count], samples[sampler.count :])
-
-
-def _probe_stats(values: np.ndarray, flux: np.ndarray) -> ProbeStats:
-    """Means and deviations of the samples of u and of its flux on one probe circle."""
-    mu, du, mf, df = _probe_table(values, flux).tolist()
-    return ProbeStats(
-        mean_u=mu,
-        dev_u=du,
-        u_absolute=abs(mu) < MEAN_GUARD,
-        mean_flux=mf,
-        dev_flux=df,
-        flux_absolute=abs(mf) < MEAN_GUARD,
-    )
-
-
-def _probe_table(values: np.ndarray, flux: np.ndarray) -> np.ndarray:
+def probe_deviation(samples: np.ndarray) -> np.ndarray:
     """Mean u, deviation of u, mean flux and deviation of the flux, shape (..., 4).
 
-    ``values`` and ``flux`` hold one probe circle's samples along their last
-    axis.  Each mean is numpy's pairwise sum of one row when that axis is
-    contiguous, so a block of rows gives the same bits as one row at a time.
+    ``samples`` holds one probe circle's samples along its last axis: u in
+    the first half, sigma times u's radial derivative in the second, as
+    ``CircleSampler.matrix`` gives them.  Deviations are sup-norm relative to
+    the angular mean; a mean below `MEAN_GUARD` leaves its deviation
+    unscaled, since a ratio against noise would be meaningless.  The guard is
+    absolute: the heat flow's probe flux starts as round-off on a state of
+    order one, which a guard relative to the samples would turn into a
+    deviation of order one.  Each mean is numpy's pairwise sum of one row
+    when the last axis is contiguous, so a block of rows gives the same bits
+    as one row at a time.
     """
+    count = samples.shape[-1] // 2
     out = []
-    for v in (values, flux):
+    for v in (samples[..., :count], samples[..., count:]):
         mean = v.mean(axis=-1)
         dev = np.abs(v - mean[..., None]).max(axis=-1)
         out += [mean, dev / np.where(np.abs(mean) < MEAN_GUARD, 1.0, np.abs(mean))]

@@ -358,6 +358,7 @@ def test_block_writers_match_the_per_row_format(tmp_path):
         boundary_edges=rng.integers(0, nv, (fem2d._BLOCK_ROWS, 2)),
         edge_tags=rng.integers(0, 2, fem2d._BLOCK_ROWS),
         sectors=sectors,
+        radii=np.zeros(0),  # write_mesh reads no radius
     )
     fem2d.write_mesh(tmp_path / "alone.txt", mesh)
     fem2d.write_mesh(tmp_path / "mesh.txt", mesh, (tmp_path / "u.csv", values))
@@ -734,6 +735,30 @@ def test_main_run_rejects_probe_through_inclusion_with_exit_2(tmp_path, capsys):
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "meets the closure" in capsys.readouterr().err
+
+
+def test_a_heat_flow_checks_its_probe_before_meshing(tmp_path, monkeypatch, capsys):
+    meshed = []
+    real = cli_reporting.generate_mesh
+    monkeypatch.setattr(cli_reporting, "generate_mesh", lambda *a: meshed.append(a) or real(*a))
+    core = [{"shape": "disk", "sigma": 2.0, "center": [0.2, 0.0], "radius": 0.3}]
+    for pipeline in ("parabolic", "both"):
+        for radius, message in ((0.25, "meets the closure"), (1.2, "strictly inside")):
+            cfg = write_config(
+                tmp_path / "probe.json",
+                n=128,
+                pipeline=pipeline,
+                probe_radius=radius,
+                phases=core,
+            )
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert message in capsys.readouterr().err
+    assert meshed == []
+    # the elliptic pipeline only records where the probe lies
+    cfg = write_config(tmp_path / "probe.json", pipeline="elliptic", probe_radius=0.25, phases=core)
+    res = run_scenario(load_config_file(cfg))
+    assert len(meshed) == 1
+    assert res.probe_placement_ok is False
 
 
 def test_main_run_rejects_interface_outside_domain_with_exit_2(tmp_path, capsys):

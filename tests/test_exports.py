@@ -51,3 +51,5 @@ def test_a_traced_run_leaves_no_benchmark_metric_null(monkeypatch):
     dummy = {"batch_s": 1.0, "artifact_bytes": 0}
     metrics = _layer_metrics(summarize(t.spans), t.installed, dummy, dummy)
     assert [name for name, value in metrics.items() if value is None] == []
+    # the heat flow reduces its probe rows through the traced public name
+    assert metrics["symmetry_checks.probe_deviation_calls"] > 0

@@ -102,11 +102,12 @@ def test_rings_are_mirror_exact(n, cfg):
     m = mesh.sectors
     first = mesh.nv % m
     assert not np.signbit(mesh.vertices[:first]).any()  # a ball's centre is (+0.0, +0.0)
+    # the mesh keeps its ring radii, 0 first on a ball, and every ring sits on its radius
+    assert len(mesh.radii) == n + 1 and mesh.radii[0] == cfg.domain.inner_radius
     j = np.arange(m)
     theta = 2 * np.pi * j / m
-    for ring in mesh.vertices[first:].reshape(-1, m, 2):
+    for r, ring in zip(mesh.radii[first:], mesh.vertices[first:].reshape(-1, m, 2), strict=True):
         x, y = ring.T
-        r = x[0]
         # mirror across the x-axis, then across the y-axis: bitwise
         assert (x[-j % m] == x).all() and (y[-j % m] == -y).all()
         assert (x[(m // 2 - j) % m] == -x).all() and (y[(m // 2 - j) % m] == y).all()
@@ -175,6 +176,7 @@ def test_reference_element_matrices():
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         edge_tags=np.array([0, 0, 0]),
         sectors=0,
+        radii=np.zeros(0),
     )
     with pytest.raises(ValueError, match="polar mesh"):
         assemble_system(mesh, [1.0], 1.0)
@@ -274,14 +276,7 @@ def test_geometry_and_free_blocks_are_cached_read_only():
 
 def test_untagged_or_bad_sigma_rejected():
     mesh = generate_mesh(ball_config(), 4)
-    broken = Mesh(
-        vertices=mesh.vertices,
-        triangles=mesh.triangles,
-        tri_tags=np.full(mesh.nt, -1),
-        boundary_edges=mesh.boundary_edges,
-        edge_tags=mesh.edge_tags,
-        sectors=mesh.sectors,
-    )
+    broken = replace(mesh, tri_tags=np.full(mesh.nt, -1))
     with pytest.raises(ValueError):
         assemble_system(broken, [1.0], 1.0)
     with pytest.raises(ValueError):
@@ -465,14 +460,7 @@ def _orbit_mean_stiffness(system):
     radius = np.round(np.linalg.norm(mesh.vertices[mesh.triangles].mean(axis=1), axis=1), 9)
     _, orbit = np.unique(radius, return_inverse=True)
     assert orbit.max() + 1 == mesh.nt // mesh.sectors  # one orbit per (band, side)
-    orbits = Mesh(
-        vertices=mesh.vertices,
-        triangles=mesh.triangles,
-        tri_tags=orbit,
-        boundary_edges=mesh.boundary_edges,
-        edge_tags=mesh.edge_tags,
-        sectors=mesh.sectors,
-    )
+    orbits = replace(mesh, tri_tags=orbit)
     table = np.bincount(orbit, weights=system.sigma_e) / np.bincount(orbit)
     return _free_csr(assemble_system(orbits, table, 1.0).stiffness, system)
 
@@ -598,16 +586,12 @@ def test_flux_identity_random_sources():
         assert abs(flux.total + sys_.load.sum()) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("n", [16, 24])
-@pytest.mark.parametrize("name", preset_names())
-def test_weak_form_holds_as_a_discrete_identity(name, n):
-    # Tested with a sigma-harmonic w, -div(sigma grad u) = g gives
-    # int g w = -int_boundary sigma du/dnu w.  Discretely, let w extend a trace w_b
-    # (Kff w_f = -K_fb w_b) and r_f = Kff u_f - F_f be the solve's residual; then
-    # the recovered boundary residual obeys (K u - F)_b . w_b + F . w = -w_f . r_f
-    # exactly, for traces cos k theta and sin k theta on each boundary loop apart
-    res = run_scenario(build_preset(name, n=n))
-    system, u = res.system, res.solution.u
+def assert_weak_form_identity(system, u):
+    """Tested with a sigma-harmonic w, -div(sigma grad u) = g gives
+    int g w = -int_boundary sigma du/dnu w.  Discretely, let w extend a trace w_b
+    (Kff w_f = -K_fb w_b) and r_f = Kff u_f - F_f be the solve's residual; then
+    the recovered boundary residual obeys (K u - F)_b . w_b + F . w = -w_f . r_f
+    exactly, for traces cos k theta and sin k theta on each boundary loop apart."""
     flux = recover_boundary_flux(system, u)
     free, bn, F = system.free, flux.vertex_ids, system.load
     K = system.stiffness.tocsr()
@@ -626,6 +610,40 @@ def test_weak_form_holds_as_a_discrete_identity(name, n):
                 lhs = (flux.values * flux.weights) @ w[bn] + F @ w
                 bound = 1e-13 * np.abs(F).sum() * np.abs(w).max()
                 assert abs(lhs + w[free] @ r_f) <= bound, (loop, k)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("name", preset_names())
+def test_weak_form_holds_as_a_discrete_identity(name, n):
+    res = run_scenario(build_preset(name, n=n))
+    assert_weak_form_identity(res.system, res.solution.u)
+
+
+@st.composite
+def weak_form_layouts(draw):
+    """A ball or an annulus with a centred disk, a centred ring or an off-centre disk."""
+    r0 = draw(st.sampled_from([0.0, 0.3]))
+    domain = DomainSpec("annulus", inner_radius=r0) if r0 else DomainSpec("ball")
+    sigma = draw(st.floats(0.2, 5.0))
+    kind = draw(st.sampled_from(["ring", "off-centre disk"] + ([] if r0 else ["centred disk"])))
+    if kind == "centred disk":
+        phase = PhaseRegion(shape="disk", sigma=sigma, radius=draw(st.floats(0.2, 0.8)))
+    elif kind == "off-centre disk":
+        d, turn = draw(st.floats(0.5, 0.6)), draw(st.floats(-math.pi, math.pi))
+        center = (d * math.cos(turn), d * math.sin(turn))
+        phase = PhaseRegion(shape="disk", sigma=sigma, center=center, radius=0.15)
+    else:
+        inner = draw(st.floats(r0 + 0.1, 0.6))
+        phase = PhaseRegion(shape="ring", sigma=sigma, r_inner=inner, r_outer=inner + 0.25)
+    return PhaseConfig(domain=domain, phases=(phase,)), draw(st.integers(8, 24))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(weak_form_layouts())
+def test_weak_form_holds_on_random_layouts(layout):
+    cfg, n = layout
+    system = assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+    assert_weak_form_identity(system, solve_elliptic(system).u)
 
 
 def test_discrete_rotational_symmetry():

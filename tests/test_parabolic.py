@@ -31,7 +31,7 @@ from phaselab.parabolic import (
     tail_bound,
     v_error_vs_elliptic,
 )
-from phaselab.symmetry_checks import _probe_stats, _probe_table, probe_deviation
+from phaselab.symmetry_checks import MEAN_GUARD, probe_deviation
 
 from oracles import DISK_LAMBDA_EXACT, fd_annulus_eigenvalue
 
@@ -222,7 +222,7 @@ def factor_every_size(sys_, eps, factor=None, start=None, probe=None):
         norms.append(sys_.mass_norm(u))
     if start is None:
         assert len(factors) == 30
-    rows = _probe_table(*np.hsplit(np.array(samples), 2)) if probe is not None else None
+    rows = probe_deviation(np.array(samples)) if probe is not None else None
     return SimpleNamespace(
         steps=k, times=np.array(times), mass_norms=np.array(norms), u=u, V=V,
         samples=samples, probes=rows,
@@ -314,11 +314,11 @@ def test_probe_matrix_matches_the_p1_definition(radius):
     # probe_deviation and the heat flow's rows reduce these samples alike, on
     # both sides of the zero-mean guard
     for scale in (1.0, 1e-14):
-        ps = probe_deviation(probe, scale * u)
-        assert (ps.u_absolute, ps.flux_absolute) == (scale < 1.0, scale < 1.0)
         samples = probe.matrix @ (scale * u[sys_.free])
+        ps = probe_deviation(samples)
+        assert (abs(ps[0]) < MEAN_GUARD, abs(ps[2]) < MEAN_GUARD) == (scale < 1.0, scale < 1.0)
         row = parabolic._probe_rows(samples[:, None], np.ones((1, 1)))[0]
-        assert tuple(row) == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
+        assert tuple(row) == tuple(ps)
     if radius > 0.9:
         assert np.isin(mesh.triangles[tri], sys_.boundary).any(axis=1).all()
         return
@@ -389,9 +389,7 @@ def test_probe_rows_of_a_block_match_each_step_bitwise(monkeypatch, center):
     assert np.array_equal(run.probes, rows[: len(run.times)])
     for PZ, C, rows in blocks:
         for c, row in zip(C, rows):
-            samples = np.einsum("sr,r->s", PZ, c)
-            ps = _probe_stats(samples[: probe.count], samples[probe.count :])
-            assert tuple(row) == (ps.mean_u, ps.dev_u, ps.mean_flux, ps.dev_flux)
+            assert tuple(row) == tuple(probe_deviation(np.einsum("sr,r->s", PZ, c)))
     # the last recorded state is the final state
     PZ, C, _ = blocks[-1]
     last = np.einsum("sr,r->s", PZ, C[(len(run.times) - 1) % block])

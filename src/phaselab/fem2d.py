@@ -11,23 +11,24 @@ tested one by one only in the sectors of each band an off-centre disk can
 reach.
 
 Assembly is the classical piecewise-linear setup: element stiffness from
-edge coefficients (one weight per triangle times two outer products), exact
-3x3 mass blocks, vertex-rule load.  It needs a polar mesh: a band block of
-triangles at a time, the element blocks are summed straight into the mesh's
-seven-slot coupling pattern (ring q, sector j to rings q-1..q+1 at sectors
-j-1..j+1), and its temporaries do not grow with the mesh.  The operators
-stay in that pattern (`PolarOperator`), which multiplies in place, bitwise
-as CSR would, and compresses to CSR with no sort and no merge only for the
-heat flow: the mass's free block, and the cap matrix that SuperLU factors.
-Each block's edge coefficients are computed from ring slices of the
-vertices and dropped after use; the mesh keeps only the areas, which
-assembly stores as it goes.  A later stage computes the edge coefficients
-of just the triangles it reads, with the same arithmetic.  Each derived
+edge coefficients, the exact mass, vertex-rule load.  It needs a polar
+mesh, whose triangle corners are ring slices of the vertices, as the
+generator's triangle table is of the vertex ids: a band block and one side
+at a time, each distinct entry of the symmetric element matrix is one array
+over the side, summed straight into the mesh's seven-slot coupling pattern
+(ring q, sector j to rings q-1..q+1 at sectors j-1..j+1); the temporaries
+do not grow with the mesh.  The operators stay in that pattern
+(`PolarOperator`), which multiplies in place, bitwise as CSR would, and
+compresses to CSR with no sort and no merge only for the heat flow: the
+mass's free block, and the cap matrix that SuperLU factors.  The mesh keeps
+only the areas, which assembly stores as it goes; a later stage gathers the
+corners of just the triangles it reads, with the same arithmetic.  Each derived
 fact has one owner that builds it on first use: the mesh its areas, the
 assembled system its mass matrix and the mass's Dirichlet-free block, one
 index range on a polar mesh.  Setup stages read the ring x sector layout
 too: centroids are column gathers, and the L2 distance to a radial profile
-evaluates the profile once per rotation orbit.  The linear solve is a
+evaluates the profile once per rotation orbit and reads the field from
+ring slices.  The linear solve is a
 hand-rolled conjugate gradient with a deterministic zero start and
 in-place updates, multiplying by the stiffness's free block in its
 seven-slot pattern, preconditioned by an exact solve with the stiffness
@@ -190,19 +191,19 @@ def generate_mesh(config, n: int) -> Mesh:
 
     circle = _unit_circle(m)
     V = np.vstack([np.zeros((fan, 2)), *(r * circle for r in radii[fan:])])
-    # vertex id of ring i at sector j; the ball's centre stands in for ring 0
-    ids = np.vstack([np.zeros((fan, m), np.int64), np.arange(fan, len(V)).reshape(-1, m)])
+    rings = np.arange(fan, len(V)).reshape(-1, m)  # vertex ids by ring (a ball's from ring 1) and sector
+    ids = (rings, np.roll(rings, -1, axis=1))  # at sectors j and j+1
 
-    band, j = np.divmod(np.arange(n * m), m)
-    inner, outer = ids[band, j], ids[band + 1, j]
-    inner2, outer2 = ids[band, (j + 1) % m], ids[band + 1, (j + 1) % m]
-    quad = band >= fan  # a ball's band 0 is the centre fan, one triangle per sector
     T = np.empty((m * (2 * n - fan), 3), dtype=np.int64)
-    T[_triangle_index(m, fan, band, j, 0)] = np.column_stack([inner, outer, outer2])
-    T[_triangle_index(m, fan, band, j, 1)[quad]] = np.column_stack([inner, outer2, inner2])[quad]
+    if fan:  # a ball's band 0 is the centre fan, one triangle per sector
+        T[:m, 0], T[:m, 1], T[:m, 2] = 0, ids[0][0], ids[1][0]
+    quads = T[fan * m :].reshape(-1, m, 2, 3)  # a view: (band, sector, side, corner)
+    for s, side in enumerate(_SIDES):
+        for k, (dq, dj) in enumerate(side):
+            quads[:, :, s, k] = ids[dj][dq : dq + n - fan]
 
-    loops = (ids[-1],) if fan else (ids[-1], ids[0])  # tagged 0 = outer, 1 = inner
-    bedges = np.vstack([np.column_stack([ring, np.roll(ring, -1)]) for ring in loops])
+    loops = (-1,) if fan else (-1, 0)  # rings tagged 0 = outer, 1 = inner
+    bedges = np.vstack([np.column_stack([ids[0][q], ids[1][q]]) for q in loops])
     etags = np.repeat(np.arange(len(loops)), m)
 
     tags = _polar_tags(V, T, config, m, radii)
@@ -310,58 +311,53 @@ def _tri_geometry(vertices: np.ndarray, triangles: np.ndarray):
     arithmetic is per triangle, so any subset of a mesh's triangles gets the
     bits the whole mesh would.
     """
-    return _corner_geometry(*(vertices[triangles[..., k]] for k in range(3)))
+    corners = (vertices[triangles[..., k]] for k in range(3))
+    bc, area = np.empty((*triangles.shape[:-1], 6)), np.empty(triangles.shape[:-1])  # b, c side by side
+    _corner_geometry(*(z for p in corners for z in (p[..., 0], p[..., 1])), out=[*np.moveaxis(bc, -1, 0), area])
+    return bc[..., :3], bc[..., 3:], area
 
 
-def _block_geometry(mesh: Mesh, blk: slice):
-    """`_tri_geometry` of the triangles ``blk``, bitwise: a ball's centre fan or whole bands.
+def _band_corners(mesh: Mesh, lo: int, hi: int, field: np.ndarray | None = None):
+    """The corners (x0, y0, x1, y1, x2, y2) of bands lo..hi-1, or the columns of the
+    nodal ``field`` (nv, k) at them likewise, each (bands, m), side by side.
 
-    The corners are ring slices of the vertices, with one wrap column for
-    sector j+1 at the last sector, not gathers: side 0 of a band at sector j
-    is (inner j, outer j, outer j+1), side 1 is (inner j, outer j+1, inner j+1),
-    and the fan's triangle is (centre, ring j, ring j+1).
+    They are ring slices, not gathers: the columns on rings lo..hi are copied
+    once, with sector 0 again as column m, so that sector j+1 is a slice too.
+    A band's sides have the corners `_SIDES`; a ball's centre fan is side 0
+    with the centre as its inner ring, and has no side 1.
     """
-    V, m = mesh.vertices, mesh.sectors
+    V, m = mesh.vertices if field is None else field, mesh.sectors
     fan = mesh.nv % m
-    lo, hi = ((end + fan * m) // (2 * m) for end in (blk.start, blk.stop))  # bands
-    rings = V[fan:].reshape(-1, m, 2)[max(lo - fan, 0) : hi - fan + 1]
-    rings = np.concatenate([rings, rings[:, :1]], axis=1)
-    if lo < fan:
-        corners = (np.broadcast_to(V[0], (m, 2)), rings[0, :m], rings[0, 1:])
-    else:  # (band, sector, side, xy), the order of the triangles
-        inner, outer = rings[:-1], rings[1:]
-        sides = ((inner[:, :m], inner[:, :m]), (outer[:, :m], outer[:, 1:]), (outer[:, 1:], inner[:, 1:]))
-        corners = (np.stack(pair, axis=2) for pair in sides)
-    b, c, area = _corner_geometry(*corners)
-    return b.reshape(-1, 3), c.reshape(-1, 3), area.reshape(-1)
+    xy = np.empty((V.shape[1], hi - lo + 1, m + 1))
+    first = max(lo, fan)  # a ball's ring 0 is its centre
+    xy[:, first - lo :, :m] = V[fan + (first - fan) * m : fan + (hi + 1 - fan) * m].T.reshape(len(xy), -1, m)
+    xy[:, : first - lo, :m] = V[0][:, None, None]
+    xy[..., m] = xy[..., 0]
+    return [
+        tuple(z[dq : dq + hi - lo, dj : dj + m] for dq, dj in side for z in xy)
+        for side in _SIDES[: 2 - (lo < fan)]
+    ]
 
 
-def _corner_geometry(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray):
-    """`_tri_geometry` of the triangles with corner coordinates p0, p1, p2 (..., 2)."""
-    (x0, y0), (x1, y1), (x2, y2) = (np.moveaxis(p, -1, 0) for p in (p0, p1, p2))
-    b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=-1)
-    c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=-1)
-    area = 0.5 * (x0 * b[..., 0] + x1 * b[..., 1] + x2 * b[..., 2])
+def _corner_geometry(x0, y0, x1, y1, x2, y2, out=None) -> np.ndarray:
+    """Edge coefficients b0, b1, b2, c0, c1, c2 and the area of the triangles with
+    corners (x_k, y_k), in the seven rows ``out``, or in one new (7, ...) array;
+    raises on inverted cells.
+    """
+    g = np.empty((7, *np.shape(x0))) if out is None else out
+    b, c, area = g[:3], g[3:6], g[6]
+    for row, (p, q) in zip(g, ((y1, y2), (y2, y0), (y0, y1))):
+        np.subtract(p, q, out=row)
+    # 0.5 (x0 b0 + x1 b1 + x2 b2), each product held in c0's row until c0 is taken
+    np.multiply(x0, b[0], out=area)
+    area += np.multiply(x1, b[1], out=c[0])
+    area += np.multiply(x2, b[2], out=c[0])
+    area *= 0.5
     if not (area > 0).all():
         raise ValueError("mesh contains an inverted or degenerate triangle")
-    return b, c, area
-
-
-def _element_stiffness(b, c, area, sigma) -> np.ndarray:
-    """P1 element stiffness blocks sigma / (4 area) (b b^T + c c^T), shape (..., 3, 3).
-
-    One weight per triangle scales the sum of two outer products; each
-    block is exactly symmetric.
-    """
-    K = np.einsum("...i,...j->...ij", b, b)
-    K += np.einsum("...i,...j->...ij", c, c)
-    K *= (sigma / (4 * area))[..., None, None]
-    return K
-
-
-def _element_mass(area) -> np.ndarray:
-    """Exact P1 element mass blocks area (1 + I) / 12, shape (..., 3, 3)."""
-    return (area / 12.0)[..., None, None] * (np.ones((3, 3)) + np.eye(3))
+    for row, (p, q) in zip(c, ((x2, x1), (x0, x2), (x1, x0))):
+        np.subtract(p, q, out=row)
+    return g
 
 
 @dataclass
@@ -371,12 +367,13 @@ class FemSystem:
     The homogeneous boundary condition is applied by *index partitioning*
     (`free` vs `boundary`), never by rewriting rows, so the full operator
     stays available for variational flux recovery.  Both operators are
-    `PolarOperator`s; the mass is assembled on first use, so an elliptic run
-    never builds it.  Every solver multiplies the stiffness in its seven-slot
-    pattern, and `_orbit_mean_solver` reads its angular-mode symbol from the
-    slots, so no run compresses K.  The heat flow's mass products use `Mff`, the free block
-    of M in CSR, sliced once on first use: at n=32 scipy's CSR product takes
-    0.03 ms against 0.07 ms for the slot product, and the Lanczos basis
+    `PolarOperator`s; the mass is assembled on first use, from the areas that
+    the stiffness's pass stored, so an elliptic run never builds it.  Every
+    solver multiplies the stiffness in its seven-slot pattern, and
+    `_orbit_mean_solver` reads its angular-mode symbol from the slots, so no
+    run compresses K.  The heat flow's mass products use `Mff`, the free
+    block of M in CSR, sliced once on first use: at n=32 scipy's CSR product
+    takes 0.03 ms against 0.07 ms for the slot product, and the Lanczos basis
     takes two per vector.
     """
 
@@ -390,8 +387,7 @@ class FemSystem:
 
     @cached_property
     def mass(self) -> PolarOperator:
-        area = self.mesh.areas
-        return _assemble(self.mesh, lambda blk: _element_mass(area[blk]))
+        return _assemble(self.mesh, self.mesh.areas)
 
     @cached_property
     def Mff(self):
@@ -416,7 +412,7 @@ class FemSystem:
         return math.sqrt(_dot(u_free, self.Mff @ u_free))
 
 
-_BLOCK_TRIANGLES = 16384  # triangles per assembly block, at most
+_BLOCK_TRIANGLES = 16384  # triangles per assembly block of whole bands, at most
 _BLOCK_VERTICES = 24576  # rows per block of `PolarOperator.matvec`, at most a whole ring
 _TOO_SMALL = "the load is too small to solve in double precision"
 
@@ -427,6 +423,11 @@ _SLOTS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 # ring at sector j: side 0 is (inner j, outer j, outer j+1), side 1 is
 # (inner j, outer j+1, inner j+1); a ball's centre fan has side 0 only.
 _SIDES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+# The six distinct entries (a, c) of a symmetric element matrix and the row of each
+# entry among them; the mass has two, twice area/12 on the diagonal and area/12 off it.
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_ENTRY = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+_MASS_ENTRY = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 # Slot orders that sort the columns of sectors 0 and m-1, where j-1 or j+1 wraps.
 _WRAPPED = ((0, (1, 0, 3, 4, 2, 5, 6)), (-1, (0, 1, 4, 2, 3, 6, 5)))
 
@@ -549,47 +550,55 @@ class PolarOperator:
         return sp.csr_matrix((data, indices, indptr), shape=self.shape)
 
 
-def _add_bands(A: np.ndarray, E: np.ndarray) -> None:
-    """Add the element blocks E (bands, m, sides, 3, 3) of consecutive bands into A.
-
-    A's second axis holds the bands' rings, innermost first, so it is one
-    longer than E's; ``A[k, q, j]`` is the coupling of ring q, sector j along
-    slot k.  Entry (a, c) of side s at sector j lands in the row of corner a,
-    one sector further on where that corner sits at j+1.
-    """
-    bands = len(E)
-    for s in range(E.shape[2]):
-        for a, (ra, ja) in enumerate(_SIDES[s]):
-            for c, (rc, jc) in enumerate(_SIDES[s]):
-                dst = A[_SLOTS.index((rc - ra, jc - ja)), ra : ra + bands]
-                src = E[:, :, s, a, c]
-                if ja:  # shifted adds along the sectors, wrapping at sector 0
-                    dst[:, 1:] += src[:, :-1]
-                    dst[:, 0] += src[:, -1]
-                else:
-                    dst += src
-
-
-def _assemble(mesh: Mesh, element_blocks) -> PolarOperator:
-    """Sum ``element_blocks(blk)``, the (len, 3, 3) blocks of triangles ``blk``, into a
-    `PolarOperator`.
+def _assemble(mesh: Mesh, area: np.ndarray, sigma_e: np.ndarray | None = None) -> PolarOperator:
+    """The P1 stiffness with per-triangle conductivity ``sigma_e`` as a `PolarOperator`,
+    writing every triangle's area into ``area``; without ``sigma_e``, the exact mass,
+    from the areas in ``area``.
 
     On the polar mesh the vertex of ring q, sector j couples to at most seven
     vertices (`_SLOTS`), and a ball's centre to itself and the first ring.
-    Element blocks are summed a band block of at most `_BLOCK_TRIANGLES`
-    triangles at a time, by shifted adds along the sectors, into one
-    ``(7, rings, m)`` value array, a ball's centre standing in as ring 0.
+    A band block of at most `_BLOCK_TRIANGLES` triangles (a ball's centre fan
+    alone) and one side at a time, each distinct entry of the symmetric
+    element matrix is one (bands, m) array in scratch that every block
+    reuses, as Cuvelier, Japhet & Scarella assemble in vector languages (BIT
+    56, 2016): the stiffness's six, (b_a b_c + c_a c_c) sigma / (4 area) from
+    ring slices (`_band_corners`), the mass's two, area/12 times 2 and 1.
+    Entry (a, c) is added, in the order (side, a, c), into the row of corner a
+    of one ``(7, rings, m)`` value array by shifted adds along the sectors, a
+    ball's centre standing in as ring 0.
     """
     m = mesh.sectors
     fan, n = mesh.nv % m, m // 6
     A = np.zeros((7, n + 1, m))
-    if fan:
-        _add_bands(A[:, :2], element_blocks(slice(0, m)).reshape(1, m, 1, 3, 3))
     step = max(1, _BLOCK_TRIANGLES // (2 * m))  # whole bands per block
-    for lo in range(fan, n, step):
-        hi = min(lo + step, n)
-        blk = slice((2 * lo - fan) * m, (2 * hi - fan) * m)
-        _add_bands(A[:, lo : hi + 1], element_blocks(blk).reshape(hi - lo, m, 2, 3, 3))
+    work = np.empty((15, min(step, n) * m))  # entries, geometry, weight, one product
+    for lo, hi in [(0, 1)][:fan] + [(b, min(b + step, n)) for b in range(fan, n, step)]:
+        g = work[:, : (hi - lo) * m].reshape(15, hi - lo, m)
+        tris = slice(max(2 * lo - fan, 0) * m, (2 * hi - fan) * m)
+        areas = area[tris].reshape(hi - lo, m, -1)  # (band, sector, side)
+        if sigma_e is not None:
+            corners, sigma = _band_corners(mesh, lo, hi), sigma_e[tris].reshape(areas.shape)
+        for s in range(areas.shape[2]):
+            if sigma_e is None:
+                np.multiply(np.divide(areas[..., s], 12.0, out=g[1]), 2.0, out=g[0])
+                entry = _MASS_ENTRY
+            else:
+                geo = _corner_geometry(*corners[s], out=g[6:13])  # b0, b1, b2, c0, c1, c2, area
+                areas[..., s] = geo[6]
+                w = np.divide(sigma[..., s], np.multiply(geo[6], 4, out=g[13]), out=g[13])
+                for e, (a, c) in zip(g, _PAIRS):
+                    np.multiply(geo[a], geo[c], out=e)
+                    e += np.multiply(geo[3 + a], geo[3 + c], out=g[14])
+                    e *= w
+                entry = _ENTRY
+            for a, (ra, ja) in enumerate(_SIDES[s]):
+                for c, (rc, jc) in enumerate(_SIDES[s]):
+                    dst, src = A[_SLOTS.index((rc - ra, jc - ja)), lo + ra : hi + ra], g[entry[a][c]]
+                    if ja:  # shifted adds along the sectors, wrapping at sector 0
+                        dst[:, 1:] += src[:, :-1]
+                        dst[:, 0] += src[:, -1]
+                    else:
+                        dst += src
 
     values, centre = A[:, fan:], np.empty(0)
     if fan:  # ring 1 reaches the centre along both inner slots
@@ -610,11 +619,12 @@ def _require_polar(mesh: Mesh) -> None:
 def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     """Assemble the stiffness and the load for one conductivity layout.
 
-    K is summed into the polar mesh's seven-slot pattern a band block at a
-    time by `_assemble`, each block's geometry taken from ring slices
-    (`_block_geometry`); the mass matrix M is assembled the same way on first
-    use of `FemSystem.mass`.  The mesh must be a polar mesh from
-    `generate_mesh`: a mesh without sectors raises ``ValueError``.
+    K is summed into the polar mesh's seven-slot pattern a band block and a
+    side at a time by `_assemble`, the geometry taken from ring slices
+    (`_band_corners`); the mass matrix M is assembled the same way, from the
+    areas K's pass stored, on first use of `FemSystem.mass`.  The mesh must
+    be a polar mesh from `generate_mesh`: a mesh without sectors raises
+    ``ValueError``.
 
     ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
     ``source`` may be a scalar, a per-vertex array, or a callable on (nv, 2)
@@ -634,12 +644,7 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     V, T = mesh.vertices, mesh.triangles
     nv = len(V)
     area = np.empty(len(T))
-
-    def stiffness(blk):  # a block's edge coefficients live only as long as the block
-        b, c, area[blk] = _block_geometry(mesh, blk)
-        return _element_stiffness(b, c, area[blk], sigma_e[blk])
-
-    K = _assemble(mesh, stiffness)
+    K = _assemble(mesh, area, sigma_e)
     area.setflags(write=False)
     area = vars(mesh).setdefault("areas", area)  # `Mesh.areas`, filled in the same pass
 
@@ -1007,9 +1012,14 @@ def l2_error_to_radial(mesh: Mesh, u: np.ndarray, profile) -> float:
     V0 = mesh.vertices[T[_orbits(mesh)[:, 0]]]  # (band, side, corner, xy) of sector 0
     r_mid = np.linalg.norm((V0[:, :, ends[0]] + V0[:, :, ends[1]]) / 2, axis=-1)
     ref = profile(np.clip(r_mid, profile.r0, profile.R))  # (band, side, edge)
-    err = (u[T[:, ends[0]]] + u[T[:, ends[1]]]) / 2
-    err[: fan * m] -= ref[0, 0]
-    quads = err[fan * m :].reshape(-1, m, 2, 3)  # a view: (band, sector, side, edge)
+    err = np.empty((len(T), 3), order="F")  # summed edge by edge; views: (band, sector, side, edge)
+    fans, quads = err[: fan * m].reshape(-1, m, 1, 3), err[fan * m :].reshape(-1, m, 2, 3)
+    for lo, view in [(0, fans)][:fan] + [(fan, quads)]:  # u at the midpoints, from ring slices
+        for s, corners in enumerate(_band_corners(mesh, lo, lo + len(view), u[:, None])):
+            for e, (a, b) in enumerate(zip(*ends)):
+                np.add(corners[a], corners[b], out=view[:, :, s, e])
+    err /= 2
+    fans -= ref[0, 0]
     quads -= ref[fan:, None]
     err **= 2
     err *= mesh.areas[:, None] / 3

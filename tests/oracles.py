@@ -9,7 +9,12 @@ displaced-core flux oracle solves the continuum transmission problem by a
 conformal map and a Fourier series, which the package never uses.  The
 element tagging oracle tests every triangle's centroid with the layout's own
 point test, where the mesh generator tests one centroid per rotation orbit
-wherever no off-centre disk can reach.
+wherever no off-centre disk can reach.  The triangle table is built by
+gathers and scatters, where the generator writes ring slices into a
+(band, sector, side, corner) view.  The assembly reference gathers every
+triangle's corners and forms its whole 3x3 element blocks, where the package
+takes ring slices and forms each distinct entry once; it sums them in the
+same order, so the two agree bit for bit.
 """
 
 import numpy as np
@@ -145,3 +150,95 @@ def displaced_disk_flux_spread(sigma, center, radius, modes=64):
 def tag_triangles(vertices, triangles, config):
     """Region tag per triangle, decided at the centroid."""
     return config.region_index_at(vertices[triangles].mean(axis=1))
+
+
+# The polar mesh's layout, restated: the seven couplings of the vertex of ring
+# q, sector j as (ring, sector) offsets in column order, and the corners of a
+# band's two sides as offsets from its inner ring at sector j.
+SLOTS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+SIDES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+
+def polar_triangles(m, fan):
+    """The triangle table of a polar mesh with m sectors, m/6 bands and ``fan``
+    centre vertices, built by fancy indexing: every (band, sector) gathers its
+    four vertex ids and scatters each side to its triangle number.
+    """
+    n = m // 6
+    ids = np.vstack([np.zeros((fan, m), np.int64), np.arange(fan, fan + (n + 1 - fan) * m).reshape(-1, m)])
+    band, j = np.divmod(np.arange(n * m), m)
+    inner, outer = ids[band, j], ids[band + 1, j]
+    inner2, outer2 = ids[band, (j + 1) % m], ids[band + 1, (j + 1) % m]
+    quad = band >= fan  # a ball's band 0 is the centre fan, one triangle per sector
+
+    def index(side):
+        return np.where(band < fan, j, 2 * (band * m + j) + side - fan * m)
+
+    T = np.empty((m * (2 * n - fan), 3), dtype=np.int64)
+    T[index(0)] = np.column_stack([inner, outer, outer2])
+    T[index(1)[quad]] = np.column_stack([inner, outer2, inner2])[quad]
+    return T
+
+
+def tri_geometry(vertices, triangles):
+    """Edge coefficients b, c (nt, 3) and areas (nt,) of the triangles, from gathered corners."""
+    (x0, y0), (x1, y1), (x2, y2) = (vertices[triangles[:, k]].T for k in range(3))
+    b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=-1)
+    c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=-1)
+    area = 0.5 * (x0 * b[:, 0] + x1 * b[:, 1] + x2 * b[:, 2])
+    return b, c, area
+
+
+def _element_stiffness(b, c, area, sigma) -> np.ndarray:
+    """P1 element stiffness blocks sigma / (4 area) (b b^T + c c^T), shape (..., 3, 3).
+
+    One weight per triangle scales the sum of two outer products; each
+    block is exactly symmetric.
+    """
+    K = np.einsum("...i,...j->...ij", b, b)
+    K += np.einsum("...i,...j->...ij", c, c)
+    K *= (sigma / (4 * area))[..., None, None]
+    return K
+
+
+def _element_mass(area) -> np.ndarray:
+    """Exact P1 element mass blocks area (1 + I) / 12, shape (..., 3, 3)."""
+    return (area / 12.0)[..., None, None] * (np.ones((3, 3)) + np.eye(3))
+
+
+def polar_assembly(mesh, blocks, block_triangles):
+    """The slot values (7, rings, m) and the centre row of the polar operator that
+    sums the element blocks ``blocks`` (nt, 3, 3), in the order of a band-block
+    assembly: a ball's centre fan, then blocks of whole bands of at most
+    ``block_triangles`` triangles, each block's entries (a, c) of side s added
+    in the order (s, a, c), the row of corner a at sector j+1 where it sits.
+    """
+    m = mesh.sectors
+    fan, n = mesh.nv % m, m // 6
+    A = np.zeros((7, n + 1, m))  # a ball's centre stands in for ring 0
+
+    def add_bands(A, E):  # E: (bands, m, sides, 3, 3)
+        for s in range(E.shape[2]):
+            for a, (ra, ja) in enumerate(SIDES[s]):
+                for c, (rc, jc) in enumerate(SIDES[s]):
+                    dst = A[SLOTS.index((rc - ra, jc - ja)), ra : ra + len(E)]
+                    src = E[:, :, s, a, c]
+                    if ja:
+                        dst[:, 1:] += src[:, :-1]
+                        dst[:, 0] += src[:, -1]
+                    else:
+                        dst += src
+
+    if fan:
+        add_bands(A[:, :2], blocks[:m].reshape(1, m, 1, 3, 3))
+    step = max(1, block_triangles // (2 * m))
+    for lo in range(fan, n, step):
+        hi = min(lo + step, n)
+        add_bands(A[:, lo : hi + 1], blocks[(2 * lo - fan) * m : (2 * hi - fan) * m].reshape(hi - lo, m, 2, 3, 3))
+    values, centre = A[:, fan:], np.empty(0)
+    if fan:  # ring 1 reaches the centre along both inner slots; the centre row sums sector by sector
+        values[1, 0] += values[0, 0]
+        values[0, 0] = 0.0
+        inner = A[:, 0]
+        centre = np.concatenate([[np.cumsum(inner[3])[-1]], inner[5] + np.roll(inner[6], 1)])
+    return values, centre

@@ -494,9 +494,9 @@ def test_every_preset_meets_its_expectation_with_the_heat_flow(name):
 def test_only_the_heat_flow_assembles_the_mass_matrix(monkeypatch):
     calls = []
 
-    def counting_assemble(mesh, element_blocks):
+    def counting_assemble(mesh, *args):
         calls.append(mesh.nt)
-        return real_assemble(mesh, element_blocks)
+        return real_assemble(mesh, *args)
 
     real_assemble = fem2d._assemble
     monkeypatch.setattr(fem2d, "_assemble", counting_assemble)
@@ -968,16 +968,21 @@ def test_fmt_rules():
 
 
 def test_scenario_derives_geometry_and_free_blocks_once(monkeypatch):
-    real_tri, real_block = fem2d._tri_geometry, fem2d._block_geometry
-    calls, blocks, compressed = [], [], []
+    real_tri, real_corners, real_geometry = fem2d._tri_geometry, fem2d._band_corners, fem2d._corner_geometry
+    calls, blocks, derived, compressed = [], [], [], []
 
     def counting_tri(vertices, triangles):
         calls.append(np.array(triangles))
         return real_tri(vertices, triangles)
 
-    def counting_block(mesh, blk):
-        blocks.append((blk.start, blk.stop))
-        return real_block(mesh, blk)
+    def counting_corners(mesh, lo, hi, field=None):
+        if field is None:  # the vertices' corners; the L2 distance reads u's the same way
+            blocks.append((lo, hi))
+        return real_corners(mesh, lo, hi, field)
+
+    def counting_geometry(*corners, out=None):
+        derived.append(np.size(corners[0]))
+        return real_geometry(*corners, out=out)
 
     real_tocsr = fem2d.PolarOperator.tocsr
 
@@ -988,16 +993,19 @@ def test_scenario_derives_geometry_and_free_blocks_once(monkeypatch):
     # every module that could bind the functions, so that no caller escapes the count
     for module in (fem2d, symmetry_checks):
         monkeypatch.setattr(module, "_tri_geometry", counting_tri, raising=False)
-    monkeypatch.setattr(fem2d, "_block_geometry", counting_block)
+    monkeypatch.setattr(fem2d, "_band_corners", counting_corners)
+    monkeypatch.setattr(fem2d, "_corner_geometry", counting_geometry)
     monkeypatch.setattr(fem2d.PolarOperator, "tocsr", counting_tocsr)
 
     def assembled_in_blocks(mesh):
-        # assembly derives every triangle's geometry once, a block at a time, in
-        # order, from ring slices; the mass reuses the areas
+        # assembly derives every triangle's geometry once, a band block at a time,
+        # in order, from ring slices; the mass reuses the areas, and every other
+        # derivation is one of the gathers counted in `calls`
         return (
             blocks[0][0] == 0
-            and blocks[-1][1] == mesh.nt
+            and blocks[-1][1] == mesh.sectors // 6
             and all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+            and sum(derived) == mesh.nt + sum(len(t) for t in calls)
         )
 
     # an elliptic run compresses no operator; after assembly it gathers geometry
@@ -1009,7 +1017,7 @@ def test_scenario_derives_geometry_and_free_blocks_once(monkeypatch):
     assert [t.tobytes() for t in calls] == [mesh.triangles[mesh.tri_tags >= 1].tobytes()]
 
     for name in ("two_phase_displaced", "two_phase_concentric"):
-        calls[:], blocks[:], compressed[:] = [], [], []
+        calls[:], blocks[:], derived[:], compressed[:] = [], [], [], []
         res = run_scenario(build_preset(name, n=8, pipeline="both"))
         assert res.expectation_match and res.run is not None
         system, mesh = res.system, res.system.mesh

@@ -18,8 +18,6 @@ from phaselab.fem2d import (
     Mesh,
     CircleSampler,
     _BLOCK_TRIANGLES,
-    _element_mass,
-    _element_stiffness,
     _orbit_mean_solver,
     assemble_system,
     generate_mesh,
@@ -33,7 +31,7 @@ from phaselab.fem2d import (
 from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
 from phaselab.radial_core import solve_radial
 
-from oracles import tag_triangles
+from oracles import _element_mass, _element_stiffness, polar_assembly, polar_triangles, tag_triangles, tri_geometry
 
 
 def ball_config(phases=()):
@@ -67,6 +65,14 @@ def test_annulus_mesh_counts():
         assert mesh.nt == 2 * n * m
         assert len(mesh.boundary_edges) == 2 * m
         assert set(np.unique(mesh.edge_tags)) == {0, 1}
+
+
+@pytest.mark.parametrize("cfg", [DISPLACED, DISPLACED_IN_ANNULUS], ids=["ball", "annulus"])
+def test_triangle_table_matches_the_gathered_reference(cfg):
+    for n in range(4, 41):
+        mesh = generate_mesh(cfg, n)
+        T = polar_triangles(mesh.sectors, mesh.nv % mesh.sectors)
+        assert mesh.triangles.dtype == T.dtype and mesh.triangles.tobytes() == T.tobytes(), n
 
 
 def test_triangle_and_edge_order_is_fixed():
@@ -230,6 +236,41 @@ def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
         for A in (got, ref):
             A.eliminate_zeros()
         assert (got.indptr == ref.indptr).all() and (got.indices == ref.indices).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    layout=st.sampled_from(sorted(ASSEMBLY_LAYOUTS)),
+    n=st.integers(4, 40),
+    block=st.sampled_from([1, 500, 3000, _BLOCK_TRIANGLES]),
+)
+@example(layout="ball", n=40, block=_BLOCK_TRIANGLES)  # 34 bands, then a partial block of 5
+@example(layout="annulus", n=13, block=1000)  # odd n: two blocks of 6 bands, then one of 1
+@example(layout="multi", n=9, block=1)  # less than a band: one band per block
+def test_assembly_matches_the_gathered_element_blocks_bitwise(layout, n, block):
+    # the slice kernel forms each distinct entry once; the reference gathers
+    # whole 3x3 blocks and sums them in the same band-block order
+    mesh = generate_mesh(ASSEMBLY_LAYOUTS[layout], n)
+    with patch.object(fem2d, "_BLOCK_TRIANGLES", block):
+        sys_ = assemble_system(mesh, [1.0, 2.0, 3.0], 1.0)
+        sys_.mass
+    b, c, area = tri_geometry(mesh.vertices, mesh.triangles)
+    assert mesh.areas.tobytes() == area.tobytes()
+    K, M = _element_stiffness(b, c, area, sys_.sigma_e), _element_mass(area)
+    for operator, blocks in ((sys_.stiffness, K), (sys_.mass, M)):
+        values, centre = polar_assembly(mesh, blocks, block)
+        assert operator.values.tobytes() == values.tobytes()
+        assert operator.centre.tobytes() == centre.tobytes()
+
+
+def test_an_inverted_triangle_fails_assembly():
+    mesh = generate_mesh(DISPLACED, 8)
+    m = mesh.sectors
+    V = mesh.vertices.copy()
+    V[1 + 2 * m : 1 + 3 * m] *= 1.2 * mesh.radii[4] / mesh.radii[3]  # ring 3 beyond ring 4
+    with pytest.raises(ValueError, match="inverted or degenerate triangle") as excinfo:
+        assemble_system(replace(mesh, vertices=V), [1.0, 2.0], 1.0)
+    assert "_assemble" in [entry.name for entry in excinfo.traceback]  # the slice kernel raised
 
 
 def test_assembly_temporaries_stay_within_twice_the_matrices():
@@ -396,12 +437,16 @@ def test_block_geometry_matches_the_gathers_bitwise(cfg, n):
     mesh = generate_mesh(cfg, n)
     m, fan = mesh.sectors, mesh.nv % mesh.sectors
     # a ball's centre fan; every band alone, all bands at once, and three bands
-    bands = [(b, b + 1) for b in range(fan, n)] + [(fan, n), (fan + 1, fan + 4)]
-    blocks = [slice(0, m)][: fan] + [slice((2 * lo - fan) * m, (2 * hi - fan) * m) for lo, hi in bands]
-    for blk in blocks:
-        got = fem2d._block_geometry(mesh, blk)
-        for a, b in zip(got, _tri_geometry(mesh.vertices, mesh.triangles[blk])):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), blk
+    bands = [(0, 1)][:fan] + [(b, b + 1) for b in range(fan, n)] + [(fan, n), (fan + 1, fan + 4)]
+    for lo, hi in bands:
+        b, c, area = _tri_geometry(mesh.vertices, mesh.triangles[max(2 * lo - fan, 0) * m : (2 * hi - fan) * m])
+        # each side's rows b0, b1, b2, c0, c1, c2, area, laid out (side, row, band, sector)
+        want = np.column_stack([b, c, area]).reshape(hi - lo, m, -1, 7).transpose(2, 3, 0, 1)
+        sides = fem2d._band_corners(mesh, lo, hi)
+        assert len(sides) == want.shape[0] == 2 - (lo < fan)
+        for s, corners in enumerate(sides):
+            got = fem2d._corner_geometry(*corners)
+            assert got.shape == want[s].shape and got.tobytes() == want[s].tobytes(), (lo, hi, s)
 
 
 ROTATION_INVARIANT_PRESETS = [name for name in preset_names() if build_preset(name, n=16).config.is_radially_layered()]
@@ -539,6 +584,22 @@ def _l2_error_per_triangle(mesh, u, profile):
     return float(np.sqrt((mesh.areas[:, None] / 3 * (um - ref) ** 2).sum()))
 
 
+def _l2_error_gathered(mesh, u, profile):
+    """`l2_error_to_radial` with the midpoint values gathered through the triangle table."""
+    m, T = mesh.sectors, mesh.triangles
+    fan = mesh.nv % m
+    ends = ([1, 0, 0], [2, 2, 1])
+    V0 = mesh.vertices[T[fem2d._orbits(mesh)[:, 0]]]
+    ref = profile(np.clip(np.linalg.norm((V0[:, :, ends[0]] + V0[:, :, ends[1]]) / 2, axis=-1), profile.r0, profile.R))
+    err = (u[T[:, ends[0]]] + u[T[:, ends[1]]]) / 2  # column-major, as the gathers leave it
+    err[: fan * m] -= ref[0, 0]
+    quads = err[fan * m :].reshape(-1, m, 2, 3)
+    quads -= ref[fan:, None]
+    err **= 2
+    err *= mesh.areas[:, None] / 3
+    return float(np.sqrt(err.sum()))
+
+
 @pytest.mark.parametrize("n", [8, 13, 32])
 def test_l2_error_by_orbit_matches_the_per_triangle_rule(n):
     layered = [name for name in preset_names() if build_preset(name, n=n).config.is_radially_layered()]
@@ -550,6 +611,7 @@ def test_l2_error_by_orbit_matches_the_per_triangle_rule(n):
         ref = _l2_error_per_triangle(res.system.mesh, res.solution.u, profile)
         got = l2_error_to_radial(res.system.mesh, res.solution.u, profile)
         assert got == res.fem_vs_radial_l2
+        assert got == _l2_error_gathered(res.system.mesh, res.solution.u, profile)  # bit for bit
         assert abs(got - ref) <= 1e-12 * ref, (name, got, ref)
 
 

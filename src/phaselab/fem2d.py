@@ -63,7 +63,6 @@ arithmetic, integers become digit cells, and a row is a gather of cells.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -107,10 +106,6 @@ class Mesh:
     @property
     def nt(self) -> int:
         return len(self.triangles)
-
-    def boundary_vertices(self) -> np.ndarray:
-        # sorted like np.unique, which would import numpy.ma on an int array
-        return np.flatnonzero(np.bincount(self.boundary_edges.reshape(-1)))
 
     @cached_property
     def areas(self) -> np.ndarray:
@@ -365,7 +360,8 @@ class FemSystem:
     """Assembled operators: the full (uneliminated) stiffness and the load.
 
     The homogeneous boundary condition is applied by *index partitioning*
-    (`free` vs `boundary`), never by rewriting rows, so the full operator
+    (`free`, one index range, vs `boundary`, the rings on either side of it,
+    from `assemble_system`), never by rewriting rows, so the full operator
     stays available for variational flux recovery.  Both operators are
     `PolarOperator`s; the mass is assembled on first use, from the areas that
     the stiffness's pass stored, so an elliptic run never builds it.  Every
@@ -415,6 +411,7 @@ class FemSystem:
 _BLOCK_TRIANGLES = 16384  # triangles per assembly block of whole bands, at most
 _BLOCK_VERTICES = 24576  # rows per block of `PolarOperator.matvec`, at most a whole ring
 _TOO_SMALL = "the load is too small to solve in double precision"
+_CG_TOL = 1e-10  # the elliptic CG stops at this residual norm relative to the load's
 
 # The seven couplings of the vertex of ring q, sector j, as (ring, sector)
 # offsets in column order: (q-1, j-1) ... (q+1, j+1).
@@ -627,10 +624,11 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     ``ValueError``.
 
     ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
-    ``source`` may be a scalar, a per-vertex array, or a callable on (nv, 2)
-    coordinates; the load uses the vertex quadrature rule (area/3 per corner).
-    A source that is not finite, zero at every interior vertex, or too small
-    for its load to be represented raises ``ValueError``.
+    ``source``, a scalar or the nodal values, gives the load by the vertex
+    rule (area/3 per corner); one that is not finite, zero at every interior
+    vertex, or too small for its load to be represented raises ``ValueError``.
+    The mesh numbers its boundary rings first (an annulus's inner ring) and
+    last, so ``free`` is the one index range between them.
     """
     _require_polar(mesh)
     table = np.asarray(sigma_by_tag, float)
@@ -641,17 +639,14 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
         raise ValueError("conductivities must be positive and finite")
     sigma_e = table[tags]
 
-    V, T = mesh.vertices, mesh.triangles
-    nv = len(V)
+    T, nv = mesh.triangles, mesh.nv
     area = np.empty(len(T))
     K = _assemble(mesh, area, sigma_e)
     area.setflags(write=False)
     area = vars(mesh).setdefault("areas", area)  # `Mesh.areas`, filled in the same pass
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        if callable(source):
-            gv = np.asarray(source(V), float)
-        elif np.ndim(source) == 0:
+        if np.ndim(source) == 0:
             gv = np.full(nv, float(source))
         else:
             gv = np.asarray(source, float)
@@ -669,10 +664,9 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     if gv.any() and not F.any():  # every vertex's area/3 times its source underflowed
         raise ValueError(_TOO_SMALL)
 
-    bn = mesh.boundary_vertices()
-    keep = np.ones(nv, dtype=bool)
-    keep[bn] = False
-    if not gv[keep].any():  # u = 0 and no heat: no detector could see an asymmetry
+    m = mesh.sectors
+    lo, hi = (0 if nv % m else m), nv - m  # from a ball's centre, or past an annulus's inner ring
+    if not gv[lo:hi].any():  # u = 0 and no heat: no detector could see an asymmetry
         raise ValueError("the source is zero at every interior vertex; there is nothing to observe")
     return FemSystem(
         mesh=mesh,
@@ -680,8 +674,8 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
         load=F,
         g_vertex=gv,
         sigma_e=sigma_e,
-        free=np.flatnonzero(keep),
-        boundary=bn,
+        free=np.arange(lo, hi),
+        boundary=np.r_[:lo, hi:nv],
     )
 
 
@@ -783,9 +777,10 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _pcg(matvec, F: np.ndarray, tol: float, maxit: int, precond):
+def _pcg(matvec, F: np.ndarray, maxit: int, precond):
     """CG from a zero start for the operator ``matvec(p, out)``, preconditioned by
-    ``precond(r, out)``; deterministic by construction.
+    ``precond(r, out)``, to a relative residual of `_CG_TOL`; deterministic by
+    construction.
 
     Every update is made in place in one of five vectors, with the arithmetic
     of ``x + alpha * p`` and ``z + beta * p``, so no iteration allocates a
@@ -818,7 +813,7 @@ def _pcg(matvec, F: np.ndarray, tol: float, maxit: int, precond):
         alpha = rz / pKp
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(Kp, alpha, out=Kp)
-        if _norm(np.multiply(r, scale, out=Kp)) <= tol * f0:
+        if _norm(np.multiply(r, scale, out=Kp)) <= _CG_TOL * f0:
             return x, it
         precond(r, z)
         rz_new = _dot(r, z)
@@ -831,7 +826,7 @@ def _pcg(matvec, F: np.ndarray, tol: float, maxit: int, precond):
     )
 
 
-def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) -> EllipticSolution:
+def solve_elliptic(system: FemSystem, maxit: int = 50000) -> EllipticSolution:
     """Preconditioned CG on the free block, multiplied in the stiffness's seven-slot pattern.
 
     The free vertices are one index range (see `FemSystem._free_block`), and
@@ -845,7 +840,7 @@ def solve_elliptic(system: FemSystem, tol: float = 1e-10, maxit: int = 50000) ->
         return K.matvec(p, lo, hi, out)
 
     Ff = system.load[lo:hi]
-    uf, its = _pcg(matvec, Ff, tol, maxit, _orbit_mean_solver(system.mesh, K))
+    uf, its = _pcg(matvec, Ff, maxit, _orbit_mean_solver(system.mesh, K))
     res = _norm(matvec(uf) - Ff) / max(_norm(Ff), 1e-300)
     u = np.zeros(system.mesh.nv)
     u[lo:hi] = uf
@@ -859,9 +854,10 @@ class BoundaryFlux:
     ``values[j]`` approximates sigma * du/dnu at ``vertex_ids[j]`` with the
     outward normal; ``weights`` are the half-sums of adjacent boundary edge
     lengths (the mass of each boundary hat function on the boundary), and
-    ``component`` is the boundary loop tag of each vertex.  ``total`` is the
-    weighted sum; by construction it equals minus the assembled load total up
-    to the linear-solver tolerance.
+    ``component`` is the boundary loop tag of each vertex, 0 on the outer
+    ring and 1 on an annulus's inner ring.  ``total`` is the weighted sum; by
+    construction it equals minus the assembled load total up to the
+    linear-solver tolerance.
     """
 
     vertex_ids: np.ndarray
@@ -879,25 +875,19 @@ def recover_boundary_flux(system: FemSystem, u: np.ndarray) -> BoundaryFlux:
     so dividing by each hat's boundary mass yields a nodal flux density.
     Summing the raw residuals instead gives the exact discrete divergence
     identity (stiffness rows sum to zero), which is what `total` records.
+    The boundary vertices are whole rings in sector order (`assemble_system`),
+    and each edge joins a ring's vertex j to vertex j+1.
     """
     res = system.stiffness @ u - system.load
-    mesh = system.mesh
-    w = np.zeros(mesh.nv)
-    be = mesh.boundary_edges
-    el = np.linalg.norm(mesh.vertices[be[:, 0]] - mesh.vertices[be[:, 1]], axis=1)
-    np.add.at(w, be[:, 0], el / 2)
-    np.add.at(w, be[:, 1], el / 2)
-
-    vtag = np.zeros(mesh.nv, dtype=np.int64)
-    vtag[be[:, 0]] = mesh.edge_tags
-    vtag[be[:, 1]] = mesh.edge_tags
-
-    bn = system.boundary
+    m, bn = system.mesh.sectors, system.boundary
+    rings = system.mesh.vertices[bn].reshape(-1, m, 2)  # an annulus's inner ring first
+    half = np.linalg.norm(rings - np.roll(rings, -1, axis=1), axis=2) / 2
+    w = (half + np.roll(half, 1, axis=1)).reshape(-1)  # the edges from and into each vertex
     return BoundaryFlux(
         vertex_ids=bn,
-        values=res[bn] / w[bn],
-        weights=w[bn],
-        component=vtag[bn],
+        values=res[bn] / w,
+        weights=w,
+        component=np.repeat(np.arange(len(rings))[::-1], m),  # outer 0, inner 1
         total=float(res[bn].sum()),
     )
 
@@ -1333,10 +1323,10 @@ def _write_table(path, header: str, columns) -> None:
             fh.write(_rows(cells, ","))
 
 
-def write_mesh(path, mesh: Mesh, field=None) -> None:
+def write_mesh(path, mesh: Mesh, field) -> None:
     """ASCII dump: header counts, vertex lines, triangle lines, boundary lines.
 
-    ``field``, an optional ``(path, values)`` pair, also writes the nodal CSV
+    ``field``, a ``(path, values)`` pair, writes the nodal CSV
     ``vertex_id,x,y,value`` in the same pass.  The output is the same bytes
     as ``repr`` and ``%d`` row by row.  Vertices go a block of whole rings at
     a time, after a ball's centre: a polar ring repeats its coordinates'
@@ -1352,16 +1342,13 @@ def write_mesh(path, mesh: Mesh, field=None) -> None:
     step = m * max(1, _BLOCK_ROWS // m)
     edges = sorted({0, *range(first, nv, step), nv})
     ids = _int_cells(np.arange(nv))
-    with open(path, "wb") as fh, (open(field[0], "wb") if field else nullcontext()) as csv:
+    with open(path, "wb") as fh, open(field[0], "wb") as csv:
         fh.write(f"{nv} {mesh.nt} {len(mesh.boundary_edges)}\n".encode())
-        if csv is not None:
-            csv.write(b"vertex_id,x,y,value\n")
+        csv.write(b"vertex_id,x,y,value\n")
         for lo, hi in zip(edges, edges[1:]):
-            cols = [*mesh.vertices[lo:hi].T] + ([field[1][lo:hi]] if csv is not None else [])
-            x, y, *value = _float_cells(*cols)
+            x, y, value = _float_cells(*mesh.vertices[lo:hi].T, field[1][lo:hi])
             fh.write(_rows([x, y], " "))
-            if csv is not None:
-                csv.write(_rows([(ids, np.arange(lo, hi), None), x, y, *value], ","))
+            csv.write(_rows([(ids, np.arange(lo, hi), None), x, y, value], ","))
             del x, y, value  # so the next block's cells are not built alongside these
         for rows, tags in ((mesh.triangles, mesh.tri_tags), (mesh.boundary_edges, mesh.edge_tags)):
             tag_cells = _int_cells(np.arange(tags.max(initial=0) + 1))

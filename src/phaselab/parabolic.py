@@ -183,14 +183,13 @@ class Evolution:
     the stopping time.  ``probes`` has one row per recorded time: the mean
     u, deviation of u, mean flux and deviation of the flux on the probe
     circle, as :func:`phaselab.symmetry_checks.probe_deviation` gives them.
-    A run without a probe has no probe columns.  Every state is read from
-    ``krylov_dim`` Lanczos vectors, with an estimated relative error of at
-    most ``krylov_estimate``.
+    Every state is read from ``krylov_dim`` Lanczos vectors, with an
+    estimated relative error of at most ``krylov_estimate``.
     """
 
     times: np.ndarray
     mass_norms: np.ndarray
-    probes: np.ndarray  # (len(times), 4), or (len(times), 0) without a probe
+    probes: np.ndarray  # (len(times), 4)
     v_field: np.ndarray
     u_final: np.ndarray
     steps: int
@@ -209,9 +208,8 @@ class Evolution:
 
     @cached_property
     def probe_dev_max(self) -> tuple[float, float]:
-        """Largest probe deviation of u and of the flux over the run; zeros without a probe."""
-        # reshape gives a probeless run zero rows of four columns
-        dev_u, dev_flux = self.probes.reshape(-1, 4)[:, 1::2].max(axis=0, initial=0.0)
+        """Largest probe deviation of u and of the flux over the run."""
+        dev_u, dev_flux = self.probes[:, 1::2].max(axis=0)
         return float(dev_u), float(dev_flux)
 
 
@@ -350,14 +348,12 @@ def _error_estimate(theta: np.ndarray, Z: np.ndarray, beta: float) -> float:
     return worst
 
 
-def evolve(
-    system: FemSystem, *, eps: float = 1e-8, probe: CircleSampler | None = None
-) -> Evolution:
+def evolve(system: FemSystem, *, probe: CircleSampler, eps: float = 1e-8) -> Evolution:
     """Run backward Euler from the nodal source values until the mass norm falls below ``eps``.
 
     The states are read from the Lanczos basis of the cap step (see the
-    module docstring), `PROBE_BLOCK` recorded times at a time, and ``probe``,
-    if given, is sampled at each through ``probe.matrix``.  Neither the
+    module docstring), `PROBE_BLOCK` recorded times at a time, and ``probe``
+    is sampled at each through ``probe.matrix``.  Neither the
     schedule nor the basis depends on ``eps``, so a run to a smaller ``eps``
     records a shorter run's times, norms and probe rows, then goes on.
     """
@@ -368,10 +364,8 @@ def evolve(
     if not 0.0 < beta0 < math.inf:
         raise ValueError("the initial heat must have a positive, finite mass norm")
     blocks, theta, Z, estimate = _lanczos(system, u0, Mu0, beta0, _factor(system, DT_MAX))
-    PZ = np.empty((0, len(theta)))  # the probe's samples of the Ritz vectors: none without a probe
-    if probe is not None:
-        PQ = np.hstack([probe.matrix @ b.T for b in blocks])
-        PZ = np.einsum("sr,rt->st", PQ, Z)
+    PQ = np.hstack([probe.matrix @ b.T for b in blocks])
+    PZ = np.einsum("sr,rt->st", PQ, Z)  # the probe's samples of the Ritz vectors
 
     c = beta0 * Z[0]  # Ritz coordinates of the state before each block's first
     V = np.zeros_like(c)
@@ -435,13 +429,10 @@ def _probe_rows(PZ: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Probe rows of a block of states: mean u, deviation of u, mean flux, deviation of the flux.
 
     ``C`` holds one state per row in the coordinates that ``PZ`` maps to the
-    probe's samples, which `probe_deviation` reduces; without a probe ``PZ``
-    has no rows, and the probe rows have no columns.  The samples come out
+    probe's samples, which `probe_deviation` reduces.  The samples come out
     C-contiguous, so each row's means take the same pairwise sums as a
     single state's would.
     """
-    if not len(PZ):
-        return np.empty((len(C), 0))
     return probe_deviation(np.einsum("kr,sr->ks", C, PZ))
 
 

@@ -14,7 +14,9 @@ gathers and scatters, where the generator writes ring slices into a
 (band, sector, side, corner) view.  The assembly reference gathers every
 triangle's corners and forms its whole 3x3 element blocks, where the package
 takes ring slices and forms each distinct entry once; it sums them in the
-same order, so the two agree bit for bit.
+same order, so the two agree bit for bit.  The boundary sets and the
+boundary weights and loop tags are read from the mesh's boundary edges by
+counts and scatters, where the package reads them from the polar numbering.
 """
 
 import numpy as np
@@ -150,6 +152,32 @@ def displaced_disk_flux_spread(sigma, center, radius, modes=64):
 def tag_triangles(vertices, triangles, config):
     """Region tag per triangle, decided at the centroid."""
     return config.region_index_at(vertices[triangles].mean(axis=1))
+
+
+def boundary_partition(mesh):
+    """The free and the boundary vertices, sorted: the vertices no boundary edge
+    touches, and those that one does."""
+    boundary = np.flatnonzero(np.bincount(mesh.boundary_edges.reshape(-1)))
+    keep = np.ones(mesh.nv, dtype=bool)
+    keep[boundary] = False
+    return np.flatnonzero(keep), boundary
+
+
+def boundary_weights(mesh, boundary):
+    """Each boundary vertex's half-sum of its two edge lengths and its loop tag.
+
+    Each edge adds half its length to both of its ends, edge by edge, and
+    tags both with its loop.
+    """
+    w = np.zeros(mesh.nv)
+    be = mesh.boundary_edges
+    el = np.linalg.norm(mesh.vertices[be[:, 0]] - mesh.vertices[be[:, 1]], axis=1)
+    np.add.at(w, be[:, 0], el / 2)
+    np.add.at(w, be[:, 1], el / 2)
+    vtag = np.zeros(mesh.nv, dtype=np.int64)
+    vtag[be[:, 0]] = mesh.edge_tags
+    vtag[be[:, 1]] = mesh.edge_tags
+    return w[boundary], vtag[boundary]
 
 
 # The polar mesh's layout, restated: the seven couplings of the vertex of ring

@@ -2,6 +2,7 @@
 
 import copy
 import filecmp
+import functools
 import json
 import math
 import os
@@ -360,14 +361,12 @@ def test_block_writers_match_the_per_row_format(tmp_path):
         sectors=sectors,
         radii=np.zeros(0),  # write_mesh reads no radius
     )
-    fem2d.write_mesh(tmp_path / "alone.txt", mesh)
     fem2d.write_mesh(tmp_path / "mesh.txt", mesh, (tmp_path / "u.csv", values))
-    for name in ("alone.txt", "mesh.txt"):
-        assert (tmp_path / name).read_bytes() == _per_row_mesh(mesh).encode()
+    assert (tmp_path / "mesh.txt").read_bytes() == _per_row_mesh(mesh).encode()
     assert (tmp_path / "u.csv").read_bytes() == _per_row_field(mesh, values).encode()
     # a mesh without sectors is refused, as assembly refuses it
     with pytest.raises(ValueError, match="polar mesh"):
-        fem2d.write_mesh(tmp_path / "none.txt", replace(mesh, sectors=0))
+        fem2d.write_mesh(tmp_path / "none.txt", replace(mesh, sectors=0), (tmp_path / "none.csv", values))
 
 
 NEG_NAN = np.copysign(np.nan, -1.0)
@@ -924,6 +923,39 @@ def test_main_run_rejects_underflowing_source_with_exit_2(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_a_cg_at_its_iteration_limit_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_reporting, "solve_elliptic", functools.partial(fem2d.solve_elliptic, maxit=2))
+    out = tmp_path / "out"
+    assert main(["preset", "two_phase_displaced", "--n", "8", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: conjugate gradient did not converge in 2 iterations (relative residual ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_heat_flow_at_its_step_limit_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(parabolic, "MAX_STEPS", 5)
+    out = tmp_path / "out"
+    assert main(["preset", "one_phase_disk", "--n", "8", "--pipeline", "both", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: heat flow did not reach the stopping norm\n"
+    assert not out.exists()
+
+
+def test_a_heat_flow_without_scipy_exits_2_before_meshing(tmp_path, monkeypatch, capsys):
+    meshed = []
+    real = cli_reporting.generate_mesh
+    monkeypatch.setattr(cli_reporting, "generate_mesh", lambda *a: meshed.append(a) or real(*a))
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    out = tmp_path / "out"
+    for pipeline in ("parabolic", "both"):
+        assert main(["preset", "one_phase_disk", "--n", "8", "--pipeline", pipeline, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the heat flow needs scipy: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert meshed == [] and not out.exists()
+
+
 def test_cg_stop_test_survives_an_underflowing_residual_norm():
     # two_phase_displaced at n=16: from about 1e-151 the load is too small for
     # CG's products.  At 1e-153 the first r @ z still passes, but ||r|| once
@@ -1055,7 +1087,7 @@ assert not [k for k in sys.modules if k.split(".")[0] == "scipy"]
 assert "numpy.ma" not in sys.modules
 try:
     run_scenario(build_preset("one_phase_disk", n=8, pipeline="both"))
-except ImportError as exc:
+except ValueError as exc:
     print(codes, exc)
 """
 
@@ -1068,7 +1100,7 @@ def test_an_elliptic_run_imports_no_scipy(tmp_path):
     done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     codes = [main(["preset", name, "--n", "16", "--out", str(tmp_path / "free")]) for name in preset_names()]
     # the same exit codes and bytes as a run that may import scipy; the heat flow imports it
-    assert done.stdout.splitlines()[-1] == f"{codes} scipy is blocked"
+    assert done.stdout.splitlines()[-1] == f"{codes} the heat flow needs scipy: scipy is blocked"
     for name in preset_names():
         a, b = tmp_path / "blocked" / name, tmp_path / "free" / name
         names = sorted(p.name for p in a.iterdir())

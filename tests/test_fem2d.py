@@ -31,7 +31,16 @@ from phaselab.fem2d import (
 from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
 from phaselab.radial_core import solve_radial
 
-from oracles import _element_mass, _element_stiffness, polar_assembly, polar_triangles, tag_triangles, tri_geometry
+from oracles import (
+    _element_mass,
+    _element_stiffness,
+    boundary_partition,
+    boundary_weights,
+    polar_assembly,
+    polar_triangles,
+    tag_triangles,
+    tri_geometry,
+)
 
 
 def ball_config(phases=()):
@@ -287,12 +296,30 @@ def test_assembly_temporaries_stay_within_twice_the_matrices():
     assert peak - live <= 2 * sum(a.nbytes for a in (K.data, K.indices, K.indptr))
 
 
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 16, 43])
 @pytest.mark.parametrize("cfg", [CONCENTRIC, ANNULUS], ids=["ball", "annulus"])
-def test_free_vertices_are_the_sorted_complement_of_the_boundary(cfg):
-    mesh = generate_mesh(cfg, 8)
-    free = assemble_system(mesh, [1.0, 2.0], 1.0).free
-    expect = np.setdiff1d(np.arange(mesh.nv), mesh.boundary_vertices())
-    assert free.dtype == expect.dtype and np.array_equal(free, expect)
+def test_free_vertices_are_the_sorted_complement_of_the_boundary(cfg, n):
+    # the polar numbering's index ranges against the vertices the boundary edges touch
+    mesh = generate_mesh(cfg, n)
+    sys_ = assemble_system(mesh, [1.0, 2.0], 1.0)
+    free, boundary = boundary_partition(mesh)
+    assert same_bytes(sys_.free, free) and same_bytes(sys_.boundary, boundary)
+
+
+@pytest.mark.parametrize("n", [4, 7, 16, 43])
+@pytest.mark.parametrize("cfg", [DISPLACED, DISPLACED_IN_ANNULUS], ids=["ball", "annulus"])
+def test_boundary_weights_and_loop_tags_match_the_edge_scatter(cfg, n):
+    # the ring-order weights and tags against each edge's halves scattered to its ends
+    sys_ = assemble_system(generate_mesh(cfg, n), cfg.sigma_table(), 1.0)
+    flux = recover_boundary_flux(sys_, solve_elliptic(sys_).u)
+    weights, component = boundary_weights(sys_.mesh, sys_.boundary)
+    assert same_bytes(flux.vertex_ids, sys_.boundary)
+    assert same_bytes(flux.weights, weights) and same_bytes(flux.component, component)
+    assert set(component) == ({0, 1} if cfg.domain.kind == "annulus" else {0})
 
 
 def test_geometry_and_free_blocks_are_cached_read_only():
@@ -725,7 +752,7 @@ def test_discrete_rotational_symmetry():
 def test_write_mesh_records_the_mesh(tmp_path):
     mesh = generate_mesh(CONCENTRIC, 6)
     path = tmp_path / "mesh.txt"
-    write_mesh(path, mesh)
+    write_mesh(path, mesh, (tmp_path / "u.csv", np.zeros(mesh.nv)))
     lines = path.read_text().splitlines()
     nv, nt, nb = map(int, lines[0].split())
     assert (nv, nt, nb) == (mesh.nv, mesh.nt, len(mesh.boundary_edges))

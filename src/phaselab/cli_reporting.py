@@ -47,6 +47,7 @@ from .geometry import (
     validate_configuration,
 )
 from .parabolic import (
+    KRYLOV_MAX,
     decay_certificate,
     evolve,
     monotone_decay,
@@ -386,6 +387,48 @@ def _spectrum_radii(domain: DomainSpec) -> tuple[float, ...]:
     return tuple(r0 + f * (R - r0) for f in (0.25, 0.5, 0.75))
 
 
+# Free-length float vectors that bound every stage's temporaries on top of the
+# arrays a run keeps (`working_set_bytes`).
+_PEAK_VECTORS = 12
+
+
+def working_set_bytes(kind: str, n: int, pipeline: str = "elliptic") -> int:
+    """The peak heap, in bytes, of a run on a ``kind`` domain ("ball" or
+    "annulus") at resolution ``n``, estimated from the sizes of its arrays.
+
+    The arrays a run keeps are counted one by one: the mesh's vertices, its
+    int32 triangle and tag tables, its boundary edges and their tags; the
+    triangle areas; the load, the source and the solution at the vertices;
+    the free and boundary index sets; and the stiffness's four slots and
+    centre row twice, once for assembly's temporaries.  Every stage's
+    temporaries on top of them fit in `_PEAK_VECTORS` float vectors of the
+    free length: CG's vectors, the product's buffers and the
+    preconditioner's coefficients; the transmission's blocks; and, on a
+    radially layered layout, the L2 distance's three floats per triangle.
+    A heat flow adds ``KRYLOV_MAX`` free-length vectors, the bound on its
+    Lanczos basis; SuperLU's fill, which the layout decides, is not counted.
+    Nor are the buffers of a fixed number of rows or triangles, so at small n
+    the estimate falls below the peak.
+    """
+    m, fan = 6 * n, int(kind == "ball")  # a ball's centre is one vertex
+    nv, nt, nb = fan + (n + 1 - fan) * m, m * (2 * n - fan), (2 - fan) * m
+    free = nv - nb
+    mesh = 8 * 2 * nv + 4 * 3 * nt + 4 * nt + 8 * 2 * nb + 8 * nb
+    system = 8 * nt + 3 * 8 * nv + 8 * free + 8 * nb
+    stiffness = 8 * 4 * (n + 2 - fan) * m + 8 * fan * (m + 1)
+    vectors = _PEAK_VECTORS + KRYLOV_MAX * ("parabolic" in _PIPELINES[pipeline])
+    return mesh + system + 2 * stiffness + vectors * 8 * free
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not report them."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # no sysconf, or no such name
+        return None
+    return size if size > 0 else None
+
+
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     """Execute the selected pipeline and (optionally) write all artifacts."""
     t_start = time.perf_counter()
@@ -416,6 +459,12 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
         except ImportError as exc:  # numpy alone runs the elliptic pipeline only
             raise ValueError(f"the heat flow needs scipy: {exc}") from exc
 
+    need, have = working_set_bytes(cfg.domain.kind, scenario.n, scenario.pipeline), _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"a run at n={scenario.n} needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     mesh = generate_mesh(cfg, scenario.n)
     # every detector reads a phase through its triangles: one with none would pass as symmetric
     tagged = np.bincount(mesh.tri_tags, minlength=len(cfg.phases) + 1)[1:]

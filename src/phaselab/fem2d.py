@@ -17,12 +17,15 @@ generator's triangle table is of the vertex ids: a band block and one side
 at a time, each distinct entry of the symmetric element matrix is one array
 over the side, summed straight into the mesh's seven-slot coupling pattern
 (ring q, sector j to rings q-1..q+1 at sectors j-1..j+1); the temporaries
-do not grow with the mesh.  The operators stay in that pattern
-(`PolarOperator`), which multiplies in place, bitwise as CSR would, and
+do not grow with the mesh.  The operators are symmetric, so only the three
+inward slots and the diagonal are summed and stored; each outward slot is
+read as the inward slot of the vertex it reaches.  The operators stay in
+that pattern (`PolarOperator`), which multiplies in place, bitwise as CSR would, and
 compresses to CSR with no sort and no merge only for the heat flow: the
 mass's free block, and the cap matrix that SuperLU factors.  The mesh keeps
 only the areas, which assembly stores as it goes; a later stage gathers the
-corners of just the triangles it reads, with the same arithmetic.  Each derived
+corners of just the triangles it reads, with the same arithmetic, and its
+triangle and tag tables are int32.  Each derived
 fact has one owner that builds it on first use: the mesh its areas, the
 assembled system its mass matrix and the mass's Dirichlet-free block, one
 index range on a polar mesh.  Setup stages read the ring x sector layout
@@ -87,9 +90,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mesh:
+    """A polar mesh from `generate_mesh`, read-only.
+
+    The triangle table and the region tags are int32, half the bytes of
+    numpy's default integers; `generate_mesh` refuses a resolution whose
+    vertex ids would pass 2**31 - 1.  A triangle's conductivity is not stored
+    here; it is the system's table read at its tag (`FemSystem.sigma_table`).
+    """
+
     vertices: np.ndarray  # (nv, 2)
-    triangles: np.ndarray  # (nt, 3), counter-clockwise
-    tri_tags: np.ndarray  # (nt,) region tag per element; 0 = shell
+    triangles: np.ndarray  # (nt, 3) int32, counter-clockwise
+    tri_tags: np.ndarray  # (nt,) int32 region tag per element; 0 = shell
     boundary_edges: np.ndarray  # (nb, 2) vertex pairs
     edge_tags: np.ndarray  # (nb,) boundary component: 0 = outer, 1 = inner
     sectors: int  # angular sector count of the generator
@@ -178,6 +189,8 @@ def generate_mesh(config, n: int) -> Mesh:
             raise ValueError(f"phase interface radius {rho} lies outside the domain")
 
     m = 6 * n
+    if (n + 1) * m > np.iinfo(np.int32).max:  # the triangle table holds int32 vertex ids
+        raise ValueError(f"resolution n={n} numbers more vertices than int32 ids can hold")
     fan = int(dom.kind == "ball")  # a ball's centre is one vertex, not a ring
     marks = np.array([r0, *config.conforming_radii(), R])
     counts = _allocate_intervals(marks, n)
@@ -189,7 +202,7 @@ def generate_mesh(config, n: int) -> Mesh:
     rings = np.arange(fan, len(V)).reshape(-1, m)  # vertex ids by ring (a ball's from ring 1) and sector
     ids = (rings, np.roll(rings, -1, axis=1))  # at sectors j and j+1
 
-    T = np.empty((m * (2 * n - fan), 3), dtype=np.int64)
+    T = np.empty((m * (2 * n - fan), 3), dtype=np.int32)
     if fan:  # a ball's band 0 is the centre fan, one triangle per sector
         T[:m, 0], T[:m, 1], T[:m, 2] = 0, ids[0][0], ids[1][0]
     quads = T[fan * m :].reshape(-1, m, 2, 3)  # a view: (band, sector, side, corner)
@@ -275,7 +288,7 @@ def _polar_tags(V: np.ndarray, T: np.ndarray, config, m: int, radii: np.ndarray)
     orbits = _triangle_index(m, fan, bands[:, None], ref[:, None], np.arange(2))
     cents = _centroids(V, T[orbits.reshape(-1)])
     orbit = config.region_index_at(cents).reshape(n, 2)
-    tags = np.empty(len(T), np.int64)
+    tags = np.empty(len(T), np.int32)  # the point test's tags are cast on assignment
     tags[: fan * m] = orbit[0, 0]  # a ball's centre fan, side 0 only
     tags[fan * m :].reshape(-1, m, 2)[...] = orbit[fan:, None]
     norms = np.linalg.norm(cents, axis=1).reshape(n, 2)
@@ -364,8 +377,11 @@ class FemSystem:
     from `assemble_system`), never by rewriting rows, so the full operator
     stays available for variational flux recovery.  Both operators are
     `PolarOperator`s; the mass is assembled on first use, from the areas that
-    the stiffness's pass stored, so an elliptic run never builds it.  Every
-    solver multiplies the stiffness in its seven-slot pattern, and
+    the stiffness's pass stored, so an elliptic run never builds it.  The
+    conductivity is held as ``sigma_table``, one value per element tag: a
+    triangle's is ``sigma_table[mesh.tri_tags[t]]``, read where it is needed,
+    so no per-triangle copy is kept.  Every solver multiplies the stiffness in
+    its seven-slot pattern, and
     `_orbit_mean_solver` reads its angular-mode symbol from the slots, so no
     run compresses K.  The heat flow's mass products use `Mff`, the free
     block of M in CSR, sliced once on first use: at n=32 scipy's CSR product
@@ -377,7 +393,7 @@ class FemSystem:
     stiffness: PolarOperator
     load: np.ndarray
     g_vertex: np.ndarray  # nodal source values, also the default initial heat
-    sigma_e: np.ndarray  # per-element conductivity
+    sigma_table: np.ndarray  # conductivity per element tag
     free: np.ndarray
     boundary: np.ndarray
 
@@ -401,7 +417,7 @@ class FemSystem:
     @cached_property
     def rotation_invariant(self) -> bool:
         """Is sigma constant on every rotation orbit of the polar mesh, so that K̄ is K?"""
-        sigma = self.sigma_e[_orbits(self.mesh)]
+        sigma = self.sigma_table[self.mesh.tri_tags[_orbits(self.mesh)]]
         return bool((sigma == sigma[:, :1]).all())
 
     def mass_norm(self, u_free: np.ndarray) -> float:
@@ -416,6 +432,10 @@ _CG_TOL = 1e-10  # the elliptic CG stops at this residual norm relative to the l
 # The seven couplings of the vertex of ring q, sector j, as (ring, sector)
 # offsets in column order: (q-1, j-1) ... (q+1, j+1).
 _SLOTS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+# Where each slot is read from the four that an operator stores, slots 0-3:
+# (stored slot, ring offset, sector offset).  The outward slots 4, 5 and 6 of
+# ring q, sector j are the inward slots 2, 1 and 0 of the vertex they reach.
+_STORED = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (2, 0, 1), (1, 1, 0), (0, 1, 1))
 # The corners of a band's two sides as (ring, sector) offsets from its inner
 # ring at sector j: side 0 is (inner j, outer j, outer j+1), side 1 is
 # (inner j, outer j+1, inner j+1); a ball's centre fan has side 0 only.
@@ -430,39 +450,55 @@ _WRAPPED = ((0, (1, 0, 3, 4, 2, 5, 6)), (-1, (0, 1, 4, 2, 3, 6, 5)))
 
 
 class PolarOperator:
-    """A symmetric operator on a polar mesh, held in the mesh's seven-slot pattern.
+    """A symmetric operator on a polar mesh, held in four of the mesh's seven slots.
 
-    ``values[k, q, j]`` couples the vertex of ring q, sector j (rings counted
-    outwards, a ball's centre not among them) to its neighbour along slot k
-    of `_SLOTS`; a ball's first ring reaches the centre along slot 1 alone.
-    ``centre`` is a ball's centre row, its diagonal and then its couplings to
-    the first ring in sector order; an annulus has none.
+    ``values[k, q, j]``, k < 4, couples the vertex of ring q, sector j (rings
+    counted outwards, a ball's centre not among them) to its neighbour along
+    slot k of `_SLOTS`: the three inward couplings, to ring q-1 at sectors j-1
+    and j and to ring q at sector j-1, and the diagonal.  A ball's first ring
+    reaches the centre along slot 1 alone.  The outward slots 4, 5 and 6 are
+    not stored: the operator is symmetric, so each is the inward slot 2, 1 or
+    0 of the vertex it reaches (`_STORED`), and an assembly that adds both of
+    a mirrored pair from the same entries in the same order makes them
+    bitwise equal.  A last ring of zeros pads ``values``, shape (4, rings + 1,
+    m), so that the outer ring's outward slots read zeros.  ``centre`` is a
+    ball's centre row, its diagonal and then its couplings to the first ring
+    in sector order; an annulus has none.
 
     `matvec` (and ``@``) sums every row in CSR column order from +0.0, as
-    scipy's CSR product does: the slots in order in the body, the `_WRAPPED`
-    orders at sectors 0 and m-1, the centre row one entry at a time.  A slot
-    whose value is exactly 0, which CSR drops, adds a signed zero, which moves
-    no bit of a sum that starts at +0.0, so the product is bitwise the one by
-    `tocsr()`.  `tocsr` compresses the slots that are not exactly 0, with
-    int32 indices, no sort and no merge; it is the only method that imports
-    scipy.
+    scipy's CSR product does: the seven slots in order in the body, the
+    mirrors read as flat views of slots 2, 1 and 0 shifted by +1, +m and
+    +m+1; the `_WRAPPED` orders at sectors 0 and m-1, whose mirrors are
+    gathered once; the centre row one entry at a time.  Every term is the one
+    that storing all seven slots gave, and a slot whose value is exactly 0, which
+    CSR drops, adds a signed zero, which moves no bit of a sum that starts at
+    +0.0, so the product is bitwise the one by `tocsr()`.  `tocsr` compresses
+    the seven slots that are not exactly 0, with int32 indices, no sort and
+    no merge; it is the only method that imports scipy.
     """
 
     def __init__(self, values: np.ndarray, centre: np.ndarray):
         self.values, self.centre = values, centre
         self.fan = min(len(centre), 1)
         self.sectors = values.shape[2]
-        nv = self.fan + values[0].size
+        nv = self.fan + values[0, :-1].size
         self.shape = (nv, nv)
 
     @cached_property
     def nnz(self) -> int:
-        """The entries `tocsr` stores: the slots that are not exactly 0."""
-        return int(np.count_nonzero(self.values)) + int(np.count_nonzero(self.centre))
+        """The entries `tocsr` stores: the seven slots that are not exactly 0."""
+        v = self.values  # slot 4 mirrors slot 2 of every ring, slots 5 and 6 slots 1 and 0 past the first
+        mirrors = np.count_nonzero(v[2]) + np.count_nonzero(v[:2, 1:])
+        return int(np.count_nonzero(v) + mirrors) + int(np.count_nonzero(self.centre))
+
+    def slots(self) -> np.ndarray:
+        """All seven slots of every ring, (7, rings, m): the stored four and their mirrors."""
+        rings = self.values.shape[1] - 1
+        return np.stack([np.roll(self.values[k, dq : dq + rings], -dj, axis=1) for k, dq, dj in _STORED])
 
     @cached_property
     def _buffers(self):
-        rings, m = self.values.shape[1:]
+        rings, m = self.values.shape[1] - 1, self.sectors
         # the ghosts: one flat vector with ring q, sector j at 1 + (q + 1) m + j (a
         # ball's centre stands in for ring -1), so every slot's neighbours of a
         # range of rings are one contiguous slice, right but at sectors 0 and m-1
@@ -472,8 +508,10 @@ class PolarOperator:
         order = np.array([o for _, o in _WRAPPED]).T[..., None]  # (7, 2, 1)
         dq, dj = (np.array(d)[order] for d in zip(*_SLOTS))
         at = 1 + (np.arange(rings) + 1 + dq) * m + (sectors + dj) % m  # (7, 2, rings)
+        k, sq, sj = (np.array(d)[order] for d in zip(*_STORED))
+        wrapped = self.values[k, np.arange(rings) + sq, (sectors + sj) % m]
         work = np.empty(min(rings, max(1, _BLOCK_VERTICES // m)) * m)  # one block's terms
-        return ghosts, work, self.values[order, np.arange(rings), sectors], at
+        return ghosts, work, wrapped, at, [v.reshape(-1) for v in self.values]
 
     def matvec(self, x: np.ndarray, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
         """The rows and columns [lo, hi) of the operator times ``x``, of length hi - lo.
@@ -487,7 +525,7 @@ class PolarOperator:
         head = fan if lo == 0 else 0  # the centre row leads the range
         a, b = (lo + head - fan) // m, (hi - fan) // m  # its rings
         out = np.empty(hi - lo) if out is None else out
-        ghosts, work, wrapped, at = self._buffers
+        ghosts, work, wrapped, at, flat = self._buffers
         ghosts[1 + a * m : 1 + (a + 1) * m] = x[0] if head else 0.0  # ring a - 1
         ghosts[1 + (a + 1) * m : 1 + (b + 1) * m] = x[head:]
         ghosts[1 + (b + 1) * m : 1 + (b + 2) * m] = 0.0  # ring b
@@ -497,11 +535,16 @@ class PolarOperator:
             last = min(first + step, b)
             size = (last - first) * m
             rows, term = y[(first - a) * m : (last - a) * m], work[:size]
-            for k, (dq, dj) in enumerate(_SLOTS):
-                start = 1 + (first + 1 + dq) * m + dj
-                values, column = self.values[k, first:last].reshape(-1), ghosts[start : start + size]
-                if k:
-                    np.add(rows, np.multiply(values, column, out=term), out=rows)
+            for slot, (dq, dj) in enumerate(_SLOTS):
+                k, sq, sj = _STORED[slot]
+                start, pos = 1 + (first + 1 + dq) * m + dj, (first + sq) * m + sj
+                # slot 6 of the outer ring's sector m-1 lies past the padded slot 0;
+                # that row, like every sector m-1, is summed again below
+                values = flat[k][pos : pos + size]
+                s = len(values)
+                column = ghosts[start : start + s]
+                if slot:
+                    np.add(rows[:s], np.multiply(values, column, out=term[:s]), out=rows[:s])
                 else:
                     np.multiply(values, column, out=rows)
             rows += 0.0  # a row whose every term is -0.0 sums to +0.0 from +0.0
@@ -523,7 +566,8 @@ class PolarOperator:
         import scipy.sparse as sp  # only the heat flow, and tests, compress the operator
 
         m, fan = self.sectors, self.fan
-        rings = self.values.shape[1]
+        values = self.slots()
+        rings = values.shape[1]
         order = np.tile(np.arange(7), (m, 1))
         for sector, o in _WRAPPED:
             order[sector] = o
@@ -535,22 +579,22 @@ class PolarOperator:
         head_cols = np.flatnonzero(self.centre).astype(np.int32)
         indptr = np.zeros(self.shape[0] + 1, np.int32)
         indptr[fan] = len(head_cols)
-        np.cumsum(np.count_nonzero(self.values, axis=0).reshape(-1), out=indptr[fan + 1 :])
+        np.cumsum(np.count_nonzero(values, axis=0).reshape(-1), out=indptr[fan + 1 :])
         indptr[fan + 1 :] += len(head_cols)
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
         data[: indptr[fan]], indices[: indptr[fan]] = self.centre[head_cols], head_cols
-        starts = indptr[fan :: m]  # each ring's first entry: a ring at a time, no second copy
+        starts = indptr[fan :: m]  # each ring's first entry: rows are sorted and compressed a ring at a time
         for q, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            rows = np.take_along_axis(self.values[:, q].T, order, axis=1)
+            rows = np.take_along_axis(values[:, q].T, order, axis=1)
             keep = rows != 0.0
             data[lo:hi], indices[lo:hi] = rows[keep], cols[q][keep]
         return sp.csr_matrix((data, indices, indptr), shape=self.shape)
 
 
-def _assemble(mesh: Mesh, area: np.ndarray, sigma_e: np.ndarray | None = None) -> PolarOperator:
-    """The P1 stiffness with per-triangle conductivity ``sigma_e`` as a `PolarOperator`,
-    writing every triangle's area into ``area``; without ``sigma_e``, the exact mass,
-    from the areas in ``area``.
+def _assemble(mesh: Mesh, area: np.ndarray, sigma_table: np.ndarray | None = None) -> PolarOperator:
+    """The P1 stiffness with the conductivity ``sigma_table[mesh.tri_tags]`` as a
+    `PolarOperator`, writing every triangle's area into ``area``; without
+    ``sigma_table``, the exact mass, from the areas in ``area``.
 
     On the polar mesh the vertex of ring q, sector j couples to at most seven
     vertices (`_SLOTS`), and a ball's centre to itself and the first ring.
@@ -561,22 +605,28 @@ def _assemble(mesh: Mesh, area: np.ndarray, sigma_e: np.ndarray | None = None) -
     56, 2016): the stiffness's six, (b_a b_c + c_a c_c) sigma / (4 area) from
     ring slices (`_band_corners`), the mass's two, area/12 times 2 and 1.
     Entry (a, c) is added, in the order (side, a, c), into the row of corner a
-    of one ``(7, rings, m)`` value array by shifted adds along the sectors, a
-    ball's centre standing in as ring 0.
+    of one ``(4, rings + 1, m)`` value array by shifted adds along the sectors,
+    a ball's centre standing in as ring 0, if its slot is one of the four the
+    operator stores: six of the nine entries of a side.  The three skipped
+    are the mirrors (c, a) of three added ones, the same array of scratch, so
+    each outward slot would get the adds of the inward slot it mirrors, in
+    the same order, and the bits `PolarOperator` reads for it.  A ball's
+    centre row is its diagonal and the first ring's couplings to it.
     """
     m = mesh.sectors
     fan, n = mesh.nv % m, m // 6
-    A = np.zeros((7, n + 1, m))
+    A = np.zeros((4, n + 2, m))  # the last ring pads the outer ring's outward slots
     step = max(1, _BLOCK_TRIANGLES // (2 * m))  # whole bands per block
     work = np.empty((15, min(step, n) * m))  # entries, geometry, weight, one product
     for lo, hi in [(0, 1)][:fan] + [(b, min(b + step, n)) for b in range(fan, n, step)]:
         g = work[:, : (hi - lo) * m].reshape(15, hi - lo, m)
         tris = slice(max(2 * lo - fan, 0) * m, (2 * hi - fan) * m)
         areas = area[tris].reshape(hi - lo, m, -1)  # (band, sector, side)
-        if sigma_e is not None:
-            corners, sigma = _band_corners(mesh, lo, hi), sigma_e[tris].reshape(areas.shape)
+        if sigma_table is not None:
+            corners = _band_corners(mesh, lo, hi)
+            sigma = sigma_table[mesh.tri_tags[tris]].reshape(areas.shape)
         for s in range(areas.shape[2]):
-            if sigma_e is None:
+            if sigma_table is None:
                 np.multiply(np.divide(areas[..., s], 12.0, out=g[1]), 2.0, out=g[0])
                 entry = _MASS_ENTRY
             else:
@@ -590,7 +640,10 @@ def _assemble(mesh: Mesh, area: np.ndarray, sigma_e: np.ndarray | None = None) -
                 entry = _ENTRY
             for a, (ra, ja) in enumerate(_SIDES[s]):
                 for c, (rc, jc) in enumerate(_SIDES[s]):
-                    dst, src = A[_SLOTS.index((rc - ra, jc - ja)), lo + ra : hi + ra], g[entry[a][c]]
+                    k = _SLOTS.index((rc - ra, jc - ja))
+                    if k > 3:  # an outward slot, not stored
+                        continue
+                    dst, src = A[k, lo + ra : hi + ra], g[entry[a][c]]
                     if ja:  # shifted adds along the sectors, wrapping at sector 0
                         dst[:, 1:] += src[:, :-1]
                         dst[:, 0] += src[:, -1]
@@ -601,10 +654,9 @@ def _assemble(mesh: Mesh, area: np.ndarray, sigma_e: np.ndarray | None = None) -
     if fan:  # ring 1 reaches the centre along both inner slots
         values[1, 0] += values[0, 0]
         values[0, 0] = 0.0
-        inner = A[:, 0]  # the fan's inner rows: the centre's couplings, sector by sector
-        # its diagonal summed a sector at a time, in order, as every other entry is
-        diagonal = np.cumsum(inner[3])[-1]
-        centre = np.concatenate([[diagonal], inner[5] + np.roll(inner[6], 1)])
+        # the centre's diagonal summed a sector at a time, in order, as every other
+        # entry is, then its couplings to ring 1: ring 1's to it, the same sums
+        centre = np.concatenate([[np.cumsum(A[3, 0])[-1]], values[1, 0]])
     return PolarOperator(values, centre)
 
 
@@ -616,14 +668,15 @@ def _require_polar(mesh: Mesh) -> None:
 def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
     """Assemble the stiffness and the load for one conductivity layout.
 
-    K is summed into the polar mesh's seven-slot pattern a band block and a
-    side at a time by `_assemble`, the geometry taken from ring slices
+    K is summed into the polar mesh's seven-slot pattern, its four stored
+    slots, a band block and a side at a time by `_assemble`, the geometry taken from ring slices
     (`_band_corners`); the mass matrix M is assembled the same way, from the
     areas K's pass stored, on first use of `FemSystem.mass`.  The mesh must
     be a polar mesh from `generate_mesh`: a mesh without sectors raises
     ``ValueError``.
 
-    ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell).
+    ``sigma_by_tag`` maps element tags to conductivities (index 0 = shell);
+    the system keeps it as ``sigma_table``.
     ``source``, a scalar or the nodal values, gives the load by the vertex
     rule (area/3 per corner); one that is not finite, zero at every interior
     vertex, or too small for its load to be represented raises ``ValueError``.
@@ -637,11 +690,10 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
         raise ValueError("untagged or out-of-range element tag; cannot assign conductivity")
     if not (table > 0).all() or not np.isfinite(table).all():
         raise ValueError("conductivities must be positive and finite")
-    sigma_e = table[tags]
 
     T, nv = mesh.triangles, mesh.nv
     area = np.empty(len(T))
-    K = _assemble(mesh, area, sigma_e)
+    K = _assemble(mesh, area, table)
     area.setflags(write=False)
     area = vars(mesh).setdefault("areas", area)  # `Mesh.areas`, filled in the same pass
 
@@ -673,7 +725,7 @@ def assemble_system(mesh: Mesh, sigma_by_tag, source) -> FemSystem:
         stiffness=K,
         load=F,
         g_vertex=gv,
-        sigma_e=sigma_e,
+        sigma_table=table,
         free=np.arange(lo, hi),
         boundary=np.r_[:lo, hi:nv],
     )
@@ -696,7 +748,11 @@ def _orbit_mean_solver(mesh: Mesh, A: PolarOperator):
     q, q+1, at angular offsets 0 and ±1, the same in every sector.  An rfft
     along every free ring splits it into one Hermitian tridiagonal radial
     system per mode (Swarztrauber, SIAM Review 19, 1977), each factored as
-    L D L^H.  The coefficients are stored ring by ring, each ring's modes in
+    L D L^H.  It reads slots 0 to 4 of the stencil (the inward ones and the
+    ring's own three): the four that ``A`` stores, and slot 4 as slot 2
+    turned by one sector and materialized, so that its mean over the sectors
+    sums the same values in the same order as a stored slot 4 would.
+    The coefficients are stored ring by ring, each ring's modes in
     a row, so one sweep over the rings factors or solves every mode's system
     at once.  A ball's centre couples only to mode 0 of the first ring, whose
     coupling to it is sqrt(m) times the mean one, and heads mode 0's system.
@@ -708,13 +764,18 @@ def _orbit_mean_solver(mesh: Mesh, A: PolarOperator):
     layout Ā is ``A`` to round-off, so the solve is exact: CG stops after one
     iteration, and the heat flow solves its cap matrix so.  Raises
     ``ValueError`` where a pivot is not positive.  The coefficients live in
-    one buffer that every call reuses.
+    one buffer that every call reuses; its real and imaginary parts, two
+    strided views, are each divided by the pivots D, so no copy of D is
+    interleaved with them.
     """
     m = mesh.sectors
     fan = mesh.nv % m  # a ball's one centre vertex
     rings, modes, root_m = m // 6 - 1, m // 2 + 1, math.sqrt(m)
     first = 1 - fan  # the first free ring: an annulus's inner ring is not free
-    stencil = A.values[:, first : first + rings].mean(axis=2)  # (7, rings)
+    stored = A.values[:, first : first + rings]
+    # slots 0 .. 4 averaged over the sectors: slot 4 from its mirror, slot 2 turned by
+    # one sector and materialized, elementwise the slot itself
+    stencil = np.vstack([stored.mean(axis=2), np.roll(stored[2], -1, axis=1).mean(axis=1)])
     # symbol of each rfft mode k: sum over offsets d of stencil * exp(2 pi i k d / m),
     # the phases kept as interleaved real and imaginary parts, so a real einsum
     # forms it (a complex one is slower, and @ would call BLAS)
@@ -734,7 +795,7 @@ def _orbit_mean_solver(mesh: Mesh, A: PolarOperator):
         L = E * (1.0 / D[:-1])
     l0 = e0 / d0
     Y = np.empty((rings, modes), complex)  # the coefficient buffer
-    Yf, pivots = Y.view(float), np.repeat(D, 2).reshape(rings, 2 * modes)  # real and imaginary parts
+    parts = (Y.real, Y.imag)  # views, each divided by D in one strided pass
     t = np.empty(modes, complex)
     # every ring's view, made once: (ring q, ring q + 1, L[q]) forward, and
     # (ring q + 1, ring q, conj L[q]) from the outermost ring back
@@ -751,7 +812,8 @@ def _orbit_mean_solver(mesh: Mesh, A: PolarOperator):
             c /= d0
         for y, b, l in forward:
             sub(b, mul(y, l, t), b)
-        np.divide(Yf, pivots, Yf)
+        for part in parts:
+            np.divide(part, D, part)
         for x, b, l in backward:
             sub(b, mul(x, l, t), b)
         if fan:  # L^H x = y along the centre's coupling
@@ -976,7 +1038,7 @@ class CircleSampler:
         import scipy.sparse as sp  # only the heat flow samples a circle this way
         b, c, area = _tri_geometry(mesh.vertices, mesh.triangles[tri_idx])
         grad_x, grad_y = b / (2 * area)[:, None], c / (2 * area)[:, None]
-        flux = system.sigma_e[tri_idx][:, None] * (grad_x * radial[:, :1] + grad_y * radial[:, 1:])
+        flux = system.sigma_table[mesh.tri_tags[tri_idx]][:, None] * (grad_x * radial[:, :1] + grad_y * radial[:, 1:])
         # the free vertices are one range (see `FemSystem._free_block`)
         cols = np.tile(mesh.triangles[tri_idx], (2, 1)) - self.free[0]
         rows = np.broadcast_to(np.arange(2 * self.count)[:, None], cols.shape)

@@ -26,7 +26,7 @@ grows until Saad's error estimate is below ``KRYLOV_TOL`` at every step of
 the schedule, whatever the stopping norm, so a run to a smaller stopping
 norm repeats a shorter run's record bit for bit, then goes on.
 
-The cap matrix is summed once from M's and K's seven-slot values.  It is
+The cap matrix is summed once from M's and K's four stored slots.  It is
 symmetric positive definite, so SuperLU factors its free block in
 symmetric mode, without pivoting, under a minimum-degree ordering of
 ``A + A^T``, which stores about half the fill of its default column

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem2d import BoundaryFlux, FemSystem, Mesh, _centroids, _vertex_angle_values
-from .fem2d import _BLOCK_TRIANGLES, _tri_geometry
+from .fem2d import BoundaryFlux, FemSystem, Mesh, _centroids, _tri_geometry, _vertex_angle_values
 
 __all__ = [
     "FluxStats",
@@ -37,6 +36,10 @@ K_MAX = 16
 # it meaningless.  The probe compares its means with MEAN_GUARD itself (see
 # ``probe_deviation``).
 MEAN_GUARD = 1e-12
+
+# Core triangles per block of `transmission_residual`: at this size a block's
+# temporaries take about a MiB.
+_BLOCK_TRIANGLES = 4096
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ def transmission_residual(system: FemSystem, u: np.ndarray, aux_profile) -> Tran
             b, c, area = _tri_geometry(mesh.vertices, corners)
             uT = u[corners]
             A2 = (2 * area)[:, None]
-            sig = system.sigma_e[tri]
+            sig = system.sigma_table[mesh.tri_tags[tri]]
             fx = sig * (uT * b / A2).sum(axis=1)
             fy = sig * (uT * c / A2).sum(axis=1)
 

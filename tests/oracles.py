@@ -14,7 +14,10 @@ gathers and scatters, where the generator writes ring slices into a
 (band, sector, side, corner) view.  The assembly reference gathers every
 triangle's corners and forms its whole 3x3 element blocks, where the package
 takes ring slices and forms each distinct entry once; it sums them in the
-same order, so the two agree bit for bit.  The boundary sets and the
+same order, so the two agree bit for bit.  It keeps all seven slots of the
+polar pattern, where the package stores the four inward ones and reads the
+outward three as their mirrors; `SevenSlotOperator` and `orbit_mean_solve`
+multiply, compress and solve with all seven.  The boundary sets and the
 boundary weights and loop tags are read from the mesh's boundary edges by
 counts and scatters, where the package reads them from the polar numbering.
 """
@@ -270,3 +273,128 @@ def polar_assembly(mesh, blocks, block_triangles):
         inner = A[:, 0]
         centre = np.concatenate([[np.cumsum(inner[3])[-1]], inner[5] + np.roll(inner[6], 1)])
     return values, centre
+
+
+# Slot orders that sort the columns of sectors 0 and m-1, where j-1 or j+1 wraps.
+WRAPPED = ((0, (1, 0, 3, 4, 2, 5, 6)), (-1, (0, 1, 4, 2, 3, 6, 5)))
+
+
+class SevenSlotOperator:
+    """A polar operator that stores all seven slots, (7, rings, m), as
+    `polar_assembly` sums them, and its centre row.
+
+    The reference for an operator that stores fewer: the product sums every
+    row in CSR column order from +0.0, each slot's values against one
+    contiguous slice of a zero-padded copy of x, and sectors 0 and m-1, whose
+    columns wrap, from gathers; `tocsr` drops the entries that are exactly 0.
+    """
+
+    def __init__(self, values, centre):
+        self.values, self.centre = values, centre
+        self.fan = min(len(centre), 1)
+        self.sectors = values.shape[2]
+        nv = self.fan + values[0].size
+        self.shape = (nv, nv)
+
+    @property
+    def nnz(self):
+        return int(np.count_nonzero(self.values)) + int(np.count_nonzero(self.centre))
+
+    def matvec(self, x, lo=0, hi=None):
+        """Rows and columns [lo, hi) times x: whole rings, and a ball's centre if lo is 0."""
+        m, fan = self.sectors, self.fan
+        rings = self.values.shape[1]
+        hi = self.shape[0] if hi is None else hi
+        head = fan if lo == 0 else 0
+        a, b = (lo + head - fan) // m, (hi - fan) // m
+        out = np.empty(hi - lo)
+        ghosts = np.zeros((rings + 2) * m + 2)  # ring q, sector j at 1 + (q + 1) m + j
+        ghosts[1 + a * m : 1 + (a + 1) * m] = x[0] if head else 0.0
+        ghosts[1 + (a + 1) * m : 1 + (b + 1) * m] = x[head:]
+        y = out[head:]
+        for k, (dq, dj) in enumerate(SLOTS):
+            start = 1 + (a + 1 + dq) * m + dj
+            term = self.values[k, a:b].reshape(-1) * ghosts[start : start + len(y)]
+            if k:
+                y += term
+            else:
+                y[...] = term
+        y += 0.0
+        sectors = np.array([s % m for s, _ in WRAPPED])[:, None]
+        order = np.array([o for _, o in WRAPPED]).T[..., None]
+        dq, dj = (np.array(d)[order] for d in zip(*SLOTS))
+        at = 1 + (np.arange(rings) + 1 + dq) * m + (sectors + dj) % m
+        terms = self.values[order, np.arange(rings), sectors][..., a:b] * ghosts[at[..., a:b]]
+        wrap = terms[0]
+        for term in terms[1:]:
+            wrap += term
+        wrap += 0.0
+        y = y.reshape(b - a, m)
+        y[:, 0], y[:, -1] = wrap
+        if head:
+            out[0] = np.cumsum(self.centre * x[: 1 + m])[-1] + 0.0
+        return out
+
+    def tocsr(self):
+        """Canonical CSR without the entries that are exactly 0, int32 indices."""
+        import scipy.sparse as sp
+
+        m, fan = self.sectors, self.fan
+        rings = self.values.shape[1]
+        order = np.tile(np.arange(7), (m, 1))
+        for sector, o in WRAPPED:
+            order[sector] = o
+        dq, dj = (np.array(d, np.int32)[order] for d in zip(*SLOTS))
+        cols = fan + (np.arange(rings, dtype=np.int32)[:, None, None] + dq) * m
+        cols += (np.arange(m, dtype=np.int32)[:, None] + dj) % m
+        if fan:
+            cols[0, :, :2] = 0
+        rows = np.take_along_axis(np.moveaxis(self.values, 0, -1), order[None], axis=2)
+        keep = rows != 0.0
+        head_cols = np.flatnonzero(self.centre).astype(np.int32)
+        indptr = np.zeros(self.shape[0] + 1, np.int32)
+        indptr[fan] = len(head_cols)
+        np.cumsum(keep.sum(axis=2).reshape(-1), out=indptr[fan + 1 :])
+        indptr[fan + 1 :] += len(head_cols)
+        data = np.concatenate([self.centre[head_cols], rows[keep]])
+        indices = np.concatenate([head_cols, cols[keep]])
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+
+
+def orbit_mean_solve(mesh, A, r):
+    """The free block of the seven-slot operator ``A`` with its stencil averaged over
+    the sectors, solved for ``r``: an rfft along every free ring, then each mode's
+    Hermitian tridiagonal radial system by L D L^H, a ball's centre heading mode 0.
+    """
+    m = mesh.sectors
+    fan = mesh.nv % m
+    rings, modes, root_m = m // 6 - 1, m // 2 + 1, np.sqrt(m)
+    first = 1 - fan
+    stencil = A.values[:, first : first + rings].mean(axis=2)  # (7, rings)
+    phase = np.exp(2j * np.pi * np.outer([-1, 0, 1], np.arange(modes)) / m).view(float)
+    D = np.einsum("dr,dk->rk", stencil[2:5], phase).view(complex).real.copy()
+    E = np.einsum("dr,dk->rk", stencil[:2, 1:], phase[:2]).view(complex)
+    d0, e0 = (A.centre[0], A.centre[1:].sum() / root_m) if fan else (1.0, 0.0)
+    E2 = np.square(E.real) + np.square(E.imag)
+    D[0, 0] -= e0 * e0 / d0
+    for q in range(rings - 1):
+        D[q + 1] -= E2[q] / D[q]
+    L = E * (1.0 / D[:-1])
+    l0 = e0 / d0
+    Y = np.fft.rfft(r[fan:].reshape(rings, m), axis=1)
+    t = np.empty(modes, complex)
+    if fan:
+        c = root_m * r[0]
+        Y[0, 0] -= c * l0
+        c /= d0
+    for q in range(rings - 1):
+        np.subtract(Y[q + 1], np.multiply(Y[q], L[q], t), Y[q + 1])
+    Yf = Y.view(float)
+    np.divide(Yf, np.repeat(D, 2).reshape(rings, 2 * modes), Yf)
+    for q in range(rings - 1, 0, -1):
+        np.subtract(Y[q - 1], np.multiply(Y[q], L[q - 1].conj(), t), Y[q - 1])
+    v = np.empty_like(r)
+    if fan:
+        v[0] = (c - l0 * Y[0, 0].real) / root_m
+    v[fan:] = np.fft.irfft(Y, n=m, axis=1).reshape(-1)
+    return v

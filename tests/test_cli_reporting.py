@@ -956,6 +956,46 @@ def test_a_heat_flow_without_scipy_exits_2_before_meshing(tmp_path, monkeypatch,
     assert meshed == [] and not out.exists()
 
 
+def test_a_run_that_cannot_fit_in_memory_exits_2_before_meshing(tmp_path, monkeypatch, capsys):
+    meshed = []
+    real = cli_reporting.generate_mesh
+    monkeypatch.setattr(cli_reporting, "generate_mesh", lambda *a: meshed.append(a) or real(*a))
+    need = cli_reporting.working_set_bytes("ball", 16)
+    monkeypatch.setattr(cli_reporting, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "out"
+    assert main(["preset", "two_phase_displaced", "--n", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a run at n=16 needs about ") and err.count("\n") == 1
+    assert err.rstrip().endswith("GiB of physical memory") and "Traceback" not in err
+    assert meshed == [] and not out.exists()
+    # the memory the estimate asks for is enough, and a system that reports none skips the check
+    for have in (need, None):
+        monkeypatch.setattr(cli_reporting, "_physical_memory", lambda: have)
+        assert main(["preset", "two_phase_displaced", "--n", "16", "--out", str(out)]) == 0
+    assert len(meshed) == 2
+    # the heat flow adds its Lanczos basis bound, KRYLOV_MAX free-length vectors
+    free = 1 + 16 * 96 - 96
+    assert cli_reporting.working_set_bytes("ball", 16, "both") - need == parabolic.KRYLOV_MAX * 8 * free
+    assert cli_reporting.working_set_bytes("ball", 16, "parabolic") - need == parabolic.KRYLOV_MAX * 8 * free
+
+
+def test_the_working_set_estimate_tracks_the_peak():
+    # below the peak at small n, where buffers of a fixed number of rows or
+    # triangles weigh most, and an upper bound from n = 64, within 0.6 .. 1.25
+    run_scenario(build_preset("two_phase_displaced", n=8))  # numpy's lazy imports, outside the window
+    for name in preset_names():
+        for n in (16, 32, 64):
+            scenario = build_preset(name, n=n)
+            tracemalloc.start()
+            try:
+                run_scenario(scenario)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            ratio = cli_reporting.working_set_bytes(scenario.config.domain.kind, n) / peak
+            assert 0.6 <= ratio <= 1.25 and (ratio >= 1.0 or n < 64), (name, n, ratio)
+
+
 def test_cg_stop_test_survives_an_underflowing_residual_norm():
     # two_phase_displaced at n=16: from about 1e-151 the load is too small for
     # CG's products.  At 1e-153 the first r @ z still passes, but ||r|| once
@@ -1109,34 +1149,50 @@ def test_an_elliptic_run_imports_no_scipy(tmp_path):
         assert mismatch == [] and errors == [], name
 
 
-def test_an_elliptic_run_peaks_within_its_arrays():
+@pytest.mark.parametrize("name", ["two_phase_displaced", "two_phase_concentric", "one_phase_annulus"])
+def test_an_elliptic_run_peaks_within_its_arrays(name):
     run_scenario(build_preset("two_phase_displaced", n=8))  # numpy's lazy imports, outside the window
     tracemalloc.start()
     try:
-        res = run_scenario(build_preset("two_phase_displaced", n=64))
+        res = run_scenario(build_preset(name, n=64))
         _, peak = tracemalloc.get_traced_memory()
+        # the preconditioner keeps its coefficient buffer, L and L^H, each a complex
+        # (rings, modes) array, the pivots D at half that, and the views of its sweeps
+        system, mesh = res.system, res.system.mesh
+        before = tracemalloc.get_traced_memory()[0]
+        solve = fem2d._orbit_mean_solver(mesh, system.stiffness)
+        kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    system, mesh = res.system, res.system.mesh
     assert "Mff" not in vars(system) and "mass" not in vars(system)
     # the mesh keeps its areas, and no per-triangle float triple such as the edge coefficients
     assert not hasattr(mesh, "geometry")
     floats = [a for a in vars(mesh).values() if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
     assert all(a.shape != (mesh.nt, 3) for a in floats)
+    # int32 index tables, and conductivity by tag, not per triangle
+    assert mesh.triangles.dtype == mesh.tri_tags.dtype == np.int32
+    assert system.sigma_table.shape == (len(res.scenario.config.phases) + 1,)
 
     def nbytes(*arrays):
         return sum(a.nbytes for a in arrays)
 
     K = system.stiffness
+    assert K.values.shape[0] == 4  # the stored slots; the outward three are their mirrors
     held = (
         nbytes(mesh.vertices, mesh.triangles, mesh.tri_tags, mesh.boundary_edges, mesh.edge_tags)
-        + nbytes(mesh.areas, system.sigma_e, system.load, system.g_vertex, system.free)
+        + nbytes(mesh.areas, system.load, system.g_vertex, system.free)
         + nbytes(system.boundary, res.solution.u)
-        + 2 * nbytes(K.values, K.centre)  # K's slots, and assembly's temporaries (at most K)
+        + 2 * nbytes(K.values, K.centre)  # K's slots, and assembly's temporaries
     )
+    vector = 8 * len(system.free)
+    # the estimate made before meshing counts the same arrays
+    assert cli_reporting.working_set_bytes(res.scenario.config.domain.kind, 64) == held + 12 * vector
     # the solve holds CG's x, r, z, p and K p, the product's ghost vector and one block
-    # of terms, the preconditioner's coefficients (a complex vector of about half the
-    # free length) and its factor: L's two complex parts and the pivots, as long.  That
-    # is eleven free-length vectors.  The transmission's blocks, after the solve, peak
-    # at about twelve, K's two buffers included; the bound allows thirteen
-    assert peak <= held + 13 * 8 * len(system.free)
+    # of terms, and the preconditioner's arrays, about eleven free-length vectors with
+    # u, of which K's second count takes four; the transmission's blocks of 4096 core
+    # triangles peak at about seven on a displaced core.  On a radially layered layout
+    # the L2 distance's three floats per triangle and their area factor, about eight,
+    # peak beside K's product buffers at about 11.7; the bound allows twelve
+    assert peak <= held + 12 * vector
+    coefficients = 16 * (mesh.sectors // 6 - 1) * (mesh.sectors // 2 + 1)
+    assert kept <= 4 * coefficients

@@ -32,10 +32,12 @@ from phaselab.geometry import DomainSpec, PhaseConfig, PhaseRegion
 from phaselab.radial_core import solve_radial
 
 from oracles import (
+    SevenSlotOperator,
     _element_mass,
     _element_stiffness,
     boundary_partition,
     boundary_weights,
+    orbit_mean_solve,
     polar_assembly,
     polar_triangles,
     tag_triangles,
@@ -81,7 +83,8 @@ def test_triangle_table_matches_the_gathered_reference(cfg):
     for n in range(4, 41):
         mesh = generate_mesh(cfg, n)
         T = polar_triangles(mesh.sectors, mesh.nv % mesh.sectors)
-        assert mesh.triangles.dtype == T.dtype and mesh.triangles.tobytes() == T.tobytes(), n
+        assert mesh.triangles.dtype == np.int32 and mesh.triangles.tobytes() == T.astype(np.int32).tobytes(), n
+        assert mesh.tri_tags.dtype == np.int32, n
 
 
 def test_triangle_and_edge_order_is_fixed():
@@ -166,6 +169,9 @@ def test_resolution_and_interface_guards():
     )
     with pytest.raises(ValueError):
         generate_mesh(bad_ring, 8)
+    # 6n (n + 1) vertex ids past the int32 range: refused before anything is allocated
+    with pytest.raises(ValueError, match="more vertices than int32 ids can hold"):
+        generate_mesh(ball_config(), 20000)
 
 
 def test_displaced_core_area_from_tags():
@@ -212,15 +218,20 @@ ASSEMBLY_LAYOUTS = {
 }
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(
-    layout=st.sampled_from(sorted(ASSEMBLY_LAYOUTS)),
-    n=st.integers(4, 40),
-    block=st.sampled_from([1, 500, 3000, _BLOCK_TRIANGLES]),
-)
-@example(layout="ball", n=40, block=_BLOCK_TRIANGLES)  # 34 bands, then a partial block of 5
-@example(layout="annulus", n=13, block=1000)  # odd n: two blocks of 6 bands, then one of 1
-@example(layout="multi", n=9, block=1)  # less than a band: one band per block
+def assembly_cases(test):
+    """The layouts, resolutions and assembly block sizes of the assembly tests."""
+    test = example(layout="multi", n=9, block=1)(test)  # less than a band: one band per block
+    test = example(layout="annulus", n=13, block=1000)(test)  # odd n: two blocks of 6 bands, then one of 1
+    test = example(layout="ball", n=40, block=_BLOCK_TRIANGLES)(test)  # 34 bands, then a partial block of 5
+    test = given(
+        layout=st.sampled_from(sorted(ASSEMBLY_LAYOUTS)),
+        n=st.integers(4, 40),
+        block=st.sampled_from([1, 500, 3000, _BLOCK_TRIANGLES]),
+    )(test)
+    return settings(derandomize=True, deadline=None, max_examples=30)(test)
+
+
+@assembly_cases
 def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
     mesh = generate_mesh(ASSEMBLY_LAYOUTS[layout], n)
     with patch.object(fem2d, "_BLOCK_TRIANGLES", block):
@@ -230,7 +241,7 @@ def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
     T, nv = mesh.triangles, mesh.nv
     b, c, area = _tri_geometry(mesh.vertices, T)
     ij = (np.repeat(T, 3, axis=1).reshape(-1), np.tile(T, (1, 3)).reshape(-1))
-    Ke = _element_stiffness(b, c, area, sys_.sigma_e)
+    Ke = _element_stiffness(b, c, area, sys_.sigma_table[mesh.tri_tags])
     Me = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
     for operator, blocks in ((sys_.stiffness, Ke), (sys_.mass, Me)):
         ref = sp.coo_matrix((blocks.reshape(-1), ij), shape=(nv, nv)).tocsr()
@@ -247,29 +258,49 @@ def test_blocked_assembly_matches_one_shot_reference(layout, n, block):
         assert (got.indptr == ref.indptr).all() and (got.indices == ref.indices).all()
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(
-    layout=st.sampled_from(sorted(ASSEMBLY_LAYOUTS)),
-    n=st.integers(4, 40),
-    block=st.sampled_from([1, 500, 3000, _BLOCK_TRIANGLES]),
-)
-@example(layout="ball", n=40, block=_BLOCK_TRIANGLES)  # 34 bands, then a partial block of 5
-@example(layout="annulus", n=13, block=1000)  # odd n: two blocks of 6 bands, then one of 1
-@example(layout="multi", n=9, block=1)  # less than a band: one band per block
+@assembly_cases
 def test_assembly_matches_the_gathered_element_blocks_bitwise(layout, n, block):
     # the slice kernel forms each distinct entry once; the reference gathers
-    # whole 3x3 blocks and sums them in the same band-block order
+    # whole 3x3 blocks and sums all seven slots in the same band-block order
     mesh = generate_mesh(ASSEMBLY_LAYOUTS[layout], n)
     with patch.object(fem2d, "_BLOCK_TRIANGLES", block):
         sys_ = assemble_system(mesh, [1.0, 2.0, 3.0], 1.0)
         sys_.mass
     b, c, area = tri_geometry(mesh.vertices, mesh.triangles)
     assert mesh.areas.tobytes() == area.tobytes()
-    K, M = _element_stiffness(b, c, area, sys_.sigma_e), _element_mass(area)
+    K, M = _element_stiffness(b, c, area, sys_.sigma_table[mesh.tri_tags]), _element_mass(area)
     for operator, blocks in ((sys_.stiffness, K), (sys_.mass, M)):
         values, centre = polar_assembly(mesh, blocks, block)
-        assert operator.values.tobytes() == values.tobytes()
+        # the four stored slots, a ring of zeros after them, and the mirrors read from them
+        assert operator.values.shape == (4, len(values[0]) + 1, mesh.sectors)
+        assert operator.values[:, :-1].tobytes() == values[:4].tobytes()
+        assert not operator.values[:, -1].any()
+        assert operator.slots().tobytes() == values.tobytes()
         assert operator.centre.tobytes() == centre.tobytes()
+
+
+@assembly_cases
+def test_four_slots_multiply_compress_and_solve_as_seven_bitwise(layout, n, block):
+    # the operators that store all seven slots, as the reference sums them
+    mesh = generate_mesh(ASSEMBLY_LAYOUTS[layout], n)
+    with patch.object(fem2d, "_BLOCK_TRIANGLES", block):
+        sys_ = assemble_system(mesh, [1.0, 2.0, 3.0], 1.0)
+        sys_.mass
+    b, c, area = tri_geometry(mesh.vertices, mesh.triangles)
+    K, M = _element_stiffness(b, c, area, sys_.sigma_table[mesh.tri_tags]), _element_mass(area)
+    (lo, hi), nv = (sys_.free[0], sys_.free[-1] + 1), mesh.nv
+    x = np.random.default_rng(n).standard_normal(nv)
+    for operator, blocks in ((sys_.stiffness, K), (sys_.mass, M)):
+        seven = SevenSlotOperator(*polar_assembly(mesh, blocks, block))
+        assert operator.shape == seven.shape and operator.nnz == seven.nnz
+        assert operator.centre.tobytes() == seven.centre.tobytes()
+        assert (operator @ x).tobytes() == seven.matvec(x).tobytes()
+        assert operator.matvec(x[lo:hi], lo, hi).tobytes() == seven.matvec(x[lo:hi], lo, hi).tobytes()
+        got, want = operator.tocsr(), seven.tocsr()
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+        solve = _orbit_mean_solver(mesh, operator)
+        assert solve(x[lo:hi]).tobytes() == orbit_mean_solve(mesh, seven, x[lo:hi]).tobytes()
 
 
 def test_an_inverted_triangle_fails_assembly():
@@ -504,9 +535,9 @@ def test_an_operator_that_is_not_positive_definite_raises():
     negative, coupled = K.values.copy(), K.values.copy()
     negative[3, 3] *= -1.0  # the fourth free ring's diagonal slot, in every sector
     # the couplings between rings from the fourth free ring out, scaled alike on
-    # both sides (outward slots 5, 6 and inward 0, 1): every mode's first four
-    # pivots stay positive, and the low modes' fifth is negative
-    coupled[5:, 3:] *= 10.0
+    # both sides (inward slots 0, 1 from the fifth ring, which the fourth ring's
+    # outward slots 5, 6 mirror): every mode's first four pivots stay positive,
+    # and the low modes' fifth is negative
     coupled[:2, 4:] *= 10.0
     bad = [
         fem2d.PolarOperator(negative, K.centre),
@@ -533,7 +564,7 @@ def _orbit_mean_stiffness(system):
     _, orbit = np.unique(radius, return_inverse=True)
     assert orbit.max() + 1 == mesh.nt // mesh.sectors  # one orbit per (band, side)
     orbits = replace(mesh, tri_tags=orbit)
-    table = np.bincount(orbit, weights=system.sigma_e) / np.bincount(orbit)
+    table = np.bincount(orbit, weights=system.sigma_table[mesh.tri_tags]) / np.bincount(orbit)
     return _free_csr(assemble_system(orbits, table, 1.0).stiffness, system)
 
 
@@ -541,7 +572,7 @@ def _orbit_mean_stiffness(system):
 def test_preconditioner_solves_with_the_orbit_mean_stiffness(cfg):
     mesh = generate_mesh(cfg, 8)
     sys_ = assemble_system(mesh, cfg.sigma_table(), 1.0)
-    assert len(np.unique(sys_.sigma_e)) == 2  # the displaced disk is resolved
+    assert len(np.unique(sys_.sigma_table[mesh.tri_tags])) == 2  # the displaced disk is resolved
     Kbar = _orbit_mean_stiffness(sys_)
     r = np.random.default_rng(7).standard_normal(len(sys_.free))
     ref = spsolve(Kbar, r)
@@ -590,9 +621,11 @@ def test_rotation_invariance_needs_sigma_constant_on_every_orbit():
         assert not assemble_system(generate_mesh(cfg, 16), cfg.sigma_table(), 1.0).rotation_invariant
     sys_ = assemble_system(generate_mesh(CONCENTRIC, 16), CONCENTRIC.sigma_table(), 1.0)
     assert sys_.rotation_invariant
-    sigma_e = sys_.sigma_e.copy()
-    sigma_e[sys_.mesh.nt // 2] *= 1.0 + 1e-15
-    assert not replace(sys_, sigma_e=sigma_e).rotation_invariant
+    # one triangle's conductivity off by 1e-15 relative: a tag of its own
+    t, tags = sys_.mesh.nt // 2, sys_.mesh.tri_tags.copy()
+    table = np.append(sys_.sigma_table, sys_.sigma_table[tags[t]] * (1.0 + 1e-15))
+    tags[t] = len(table) - 1
+    assert not replace(sys_, mesh=replace(sys_.mesh, tri_tags=tags), sigma_table=table).rotation_invariant
 
 
 def test_center_value_against_layered_reference():

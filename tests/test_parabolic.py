@@ -306,7 +306,7 @@ def test_probe_matrix_matches_the_p1_definition(radius):
     tri = bary.min(axis=2).argmax(axis=1)
     bary = bary[np.arange(m), tri]
     assert bary.min() > -1e-12
-    sigma = sys_.sigma_e[tri]
+    sigma = sys_.sigma_table[mesh.tri_tags[tri]]
     # any state, zero on the boundary: the P1 interpolant, and sigma times its radial slope
     u = np.zeros(mesh.nv)
     u[sys_.free] = 1.0 + np.random.default_rng(7).standard_normal(len(sys_.free))
